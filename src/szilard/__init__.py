@@ -15,7 +15,7 @@ from .exceptions import (
     ThermoError,
     TruncationError,
 )
-from .numerics import Grid, TridiagonalSymmetric, eig_tridiagonal, integrate, sum_series
+from .numerics import Grid, TridiagonalSymmetric, eig_tridiagonal, sum_series
 from .spectral import (
     PhysicalParams,
     SplitPair,
@@ -24,8 +24,6 @@ from .spectral import (
     barrier_grid,
     barrier_spectrum,
     box_levels,
-    box_wavefunction,
-    localized_basis,
     splitting_estimate,
 )
 from .thermo import (
@@ -34,7 +32,6 @@ from .thermo import (
     StageLedger,
     isothermal_work,
     mean_energy,
-    partition_3d,
     partition_exact,
     partition_highT,
     partition_theta,
@@ -59,9 +56,7 @@ from .demon import (
     DemonModel,
     EnvironmentLedger,
     MeasurementRecord,
-    PointerObservable,
     ReversalResult,
-    coupling_hamiltonian,
     coupling_unitary,
     premeasure,
     product_of_marginals,

@@ -188,16 +188,7 @@ def extraction_work(protocol: str, params: PhysicalParams, n_steps: int = 8) -> 
         return isothermal_work(half, 2.0 * half, params.T, params.k_B)
     if protocol == "single-adiabatic":
         n_steps = 1
-    n = n_steps
-    shrink = 2.0 ** (-2.0 / n)
-    total = 0.0
-    for _ in range(n):
-        e = kt / 2.0  # reheated to T before each increment
-        total += e * (1.0 - shrink)
-    closed = n * (kt / 2.0) * (1.0 - shrink)
-    if abs(total - closed) > 1e-12 * max(closed, 1.0):
-        raise EngineError(f"stepwise ledger disagrees with closed form: {total} vs {closed}")
-    return total
+    return n_steps * (kt / 2.0) * (1.0 - 2.0 ** (-2.0 / n_steps))
 
 
 def _stage_ledgers(params: PhysicalParams, outcome: str) -> Tuple[StageLedger, ...]:
@@ -213,7 +204,7 @@ def _stage_ledgers(params: PhysicalParams, outcome: str) -> Tuple[StageLedger, .
         ("free", params.L),
     ]
     return tuple(
-        StageLedger.from_Z(stage, w / lam, e_int, params.T, params.k_B)
+        StageLedger(stage, w / lam, e_int, params.T, params.k_B)
         for stage, w in widths
     )
 

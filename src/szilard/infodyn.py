@@ -113,22 +113,6 @@ class BasisLabeling:
     def gas_dim(self) -> int:
         return 2 * self.n_side
 
-    @property
-    def gas_labels(self) -> tuple:
-        n = self.n_side
-        return tuple(f"L{k}" for k in range(1, n + 1)) + tuple(
-            f"R{k}" for k in range(1, n + 1)
-        )
-
-    @property
-    def demon_labels(self) -> tuple:
-        return ("DL", "DR")
-
-    def index(self, side: str, k: int) -> int:
-        if side not in ("L", "R") or not 1 <= k <= self.n_side:
-            raise ValueError(f"no basis state {side}{k}")
-        return (k - 1) if side == "L" else (self.n_side + k - 1)
-
 
 def thermal_dm(levels: Spectrum, beta: float) -> DensityMatrix:
     """Canonical state rho = Z^-1 sum_n e^(-beta E_n) |n><n| on the given levels.
@@ -255,9 +239,13 @@ def mutual_information(rho: DensityMatrix) -> float:
 
     Nonnegative up to numerical noise; exactly zero on product states.
     """
-    s_joint = vn_entropy(rho)
     s_gas = vn_entropy(partial_trace(rho, "gas"))
     s_demon = vn_entropy(partial_trace(rho, "demon"))
+    return _mutual_information(s_gas, s_demon, vn_entropy(rho))
+
+
+def _mutual_information(s_gas: float, s_demon: float, s_joint: float) -> float:
+    """S(gas) + S(demon) - S(joint) from the three entropies; raises if negative."""
     val = s_gas + s_demon - s_joint
     if val < -1e-10:
         raise StateError(f"mutual information came out {val:.3e} < 0")

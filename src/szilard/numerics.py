@@ -1,5 +1,5 @@
-"""Numerical kernels: interior grids, symmetric-tridiagonal eigensolution,
-certified series summation, and adaptive quadrature.
+"""Numerical kernels: interior grids, symmetric-tridiagonal eigensolution
+and certified series summation.
 
 Everything here is a pure function of its inputs.  The eigensolver and the
 series summation both enforce their accuracy contracts before returning,
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal as _lapack_eigh_tridiagonal
 
 from .exceptions import NumericsError
@@ -22,7 +21,6 @@ __all__ = [
     "SeriesSum",
     "eig_tridiagonal",
     "sum_series",
-    "integrate",
 ]
 
 # residual contract: ||Mv - lambda*v|| <= RESIDUAL_FACTOR * max|entry|
@@ -185,18 +183,3 @@ def sum_series(
         f"series tail bound not satisfied after {used} terms "
         f"(last bound {bound:.3e}, partial sum {total:.6e})"
     )
-
-
-def integrate(f: Callable[[float], float], a: float, b: float, rel_tol: float = 1e-9) -> float:
-    """Adaptive quadrature of f over [a, b] to relative tolerance rel_tol.
-
-    Raises NumericsError if the adaptive subdivision gives up before
-    reaching the tolerance.
-    """
-    if a == b:
-        return 0.0
-    result = quad(f, a, b, epsabs=0.0, epsrel=rel_tol, full_output=1)
-    if len(result) > 3:
-        # fourth element is the integrator's explanation of the failure
-        raise NumericsError(f"quadrature failed on [{a}, {b}]: {result[3]}")
-    return float(result[0])

@@ -22,13 +22,11 @@ __all__ = [
     "Spectrum",
     "SplitPair",
     "box_levels",
-    "box_wavefunction",
     "barrier_grid",
     "hamiltonian",
     "barrier_spectrum",
     "splitting_estimate",
     "analytic_pairs",
-    "localized_basis",
     "mirror",
     "parity",
 ]
@@ -157,7 +155,7 @@ def box_levels(params: PhysicalParams, n_max: int) -> Spectrum:
 
     Eigenfunctions are the centered-box sinusoids vanishing at +/- L/2:
     cos(n pi x / L) for odd n (even parity), sin(n pi x / L) for even n.
-    Vectors are left analytic (None); sample them with box_wavefunction.
+    Only energies are stored; every Level carries vector None.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -167,16 +165,6 @@ def box_levels(params: PhysicalParams, n_max: int) -> Spectrum:
         for n in range(1, n_max + 1)
     )
     return Spectrum(levels)
-
-
-def box_wavefunction(params: PhysicalParams, n: int, grid: Grid) -> np.ndarray:
-    """Sampled box eigenfunction on the grid, normalized to unit 2-norm."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    x = grid.points
-    arg = n * math.pi * x / params.L
-    v = np.cos(arg) if n % 2 == 1 else np.sin(arg)
-    return v / np.linalg.norm(v)
 
 
 def barrier_grid(params: PhysicalParams, n_target: int = 4096) -> Grid:
@@ -400,18 +388,3 @@ def analytic_pairs(params: PhysicalParams, n_pairs: int):
         delta = splitting_estimate(params, k) if params.U > e_k else 0.0
         out.append((e_k, delta))
     return out
-
-
-def localized_basis(pair: SplitPair):
-    """Left/right combinations of a doublet.
-
-    left = (psi_plus + psi_minus)/sqrt2, right = (psi_minus - psi_plus)/sqrt2,
-    with both members sign-fixed positive at the leftmost grid point so that
-    `left` is the one concentrated at x < 0.
-    """
-    v_anti = _fix_sign(pair.psi_plus)
-    v_sym = _fix_sign(pair.psi_minus)
-    left, right = _localize(v_anti, v_sym)
-    if abs(float(left @ right)) > 1e-8:
-        raise SpectralError(f"pair {pair.k}: localized states not orthogonal")
-    return left, right

@@ -6,14 +6,14 @@ import sys
 
 import pytest
 
+import szilard
 from szilard.cli import SPLITTING_SERIES_D, main
 from szilard.engine import SWEEP_COLUMNS, CycleConfig, run_cycle
 
 LN2 = math.log(2.0)
-
-# thermo intentionally reports the high-T form outside its regime (with the
-# regime_ok flag down); the advisory warning is noise here
-pytestmark = pytest.mark.filterwarnings("ignore:high-T partition used:UserWarning")
+# the directory holding the szilard package, so child interpreters import
+# this source tree from any working directory
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(szilard.__file__)))
 
 
 @pytest.fixture(autouse=True)
@@ -318,8 +318,14 @@ class TestSweepCommand:
         assert lines[2].split(",")[seed_col] == "42"
 
 
-def test_module_entry_point(tmp_path):
+def child_env() -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("SZILARD_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point(tmp_path):
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "szilard", "thermo"],
         capture_output=True,
@@ -329,3 +335,15 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# master_seed=0")
+
+
+def test_import_leaves_out_scipy_integrate(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, szilard; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from szilard.demon import (
     DemonModel,
     EnvironmentLedger,
-    PointerObservable,
-    coupling_hamiltonian,
     coupling_unitary,
     premeasure,
     product_of_marginals,
@@ -32,6 +32,14 @@ LN2 = math.log(2.0)
 
 def ready_state(gas: DensityMatrix, model: DemonModel) -> DensityMatrix:
     return product_dm(gas, DensityMatrix(np.outer(model.d0, model.d0)))
+
+
+def coupling_hamiltonian(model: DemonModel, gas_dim: int) -> np.ndarray:
+    """H = -delta (Pi_L - Pi_R) (x) sigma_y, Hermitian on gas (x) demon."""
+    n = gas_dim // 2
+    p = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
+    sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    return -model.delta * np.kron(p, sigma_y)
 
 
 @pytest.fixture(scope="module")
@@ -64,22 +72,10 @@ class TestApparatus:
         assert np.dot(model.d0, model.d0) == pytest.approx(1.0, rel=1e-15)
         assert np.allclose(model.d0, (model.d_left + model.d_right) / math.sqrt(2.0))
 
-    def test_pointer_observable(self):
-        obs = PointerObservable(3, lam=2.0)
-        pl, pr = obs.projector_left, obs.projector_right
-        assert np.array_equal(pl @ pl, pl)
-        assert np.array_equal(pr @ pr, pr)
-        assert np.max(np.abs(pl @ pr)) == 0.0
-        assert np.trace(pl) == 3.0
-        assert np.allclose(obs.matrix, np.diag([2, 2, 2, -2, -2, -2]))
-        with pytest.raises(ValueError):
-            PointerObservable(0)
-        with pytest.raises(ValueError):
-            PointerObservable(3, lam=0.0)
-
 
 class TestCouplingUnitary:
     def test_is_exact_exponential_of_coupling(self, model):
+        # oracle: the closed form equals expm of the coupling Hamiltonian
         for dim in (2, 6):
             h = coupling_hamiltonian(model, dim)
             assert np.allclose(h, h.conj().T)
@@ -107,7 +103,7 @@ class TestCouplingUnitary:
         with pytest.raises(ValueError):
             coupling_unitary(model, 3)
         with pytest.raises(ValueError):
-            coupling_hamiltonian(model, 0)
+            coupling_unitary(model, 0)
 
 
 class TestPremeasure:
@@ -156,6 +152,21 @@ class TestPremeasure:
         assert box_record.di_mu == pytest.approx(LN2 + box_record.ds_gas, abs=1e-12)
         assert box_record.balance_residual < 1e-10
         assert abs(box_record.ds_joint) < 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        T=st.floats(0.5, 200.0),
+        n_side=st.integers(11, 45),
+        d=st.floats(0.01, 0.2),
+        coherences=st.booleans(),
+    )
+    def test_di_mu_matches_mutual_information_oracle(self, T, n_side, d, coherences):
+        model = DemonModel()
+        p = PhysicalParams(T=T, d=d)
+        gas = post_insertion_dm(analytic_pairs(p, n_side), p.beta, coherences=coherences)
+        rec = premeasure(ready_state(gas, model), model)
+        assert rec.di_mu == mutual_information(rec.post) - mutual_information(rec.pre)
+        assert rec.balance_residual <= 1e-10
 
     def test_information_overhead_is_quadratic_in_splitting(self, model):
         # single doublet at beta*delta = x: dI - ln 2 -> x^2/2 as x -> 0

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -69,6 +70,17 @@ class TestExtractionWork:
         assert extraction_work("stepwise", p, n_steps=2) == pytest.approx(
             0.5, rel=1e-13
         )
+
+    def test_stepwise_matches_per_step_sum(self):
+        # oracle: every reheated step delivers (k_B T/2)(1 - 2^(-2/n));
+        # summing n of them loses at most n ulps against n times one step
+        p = PhysicalParams(T=2.0)
+        for n in (1, 3, 16, 100, 1024):
+            step = (p.k_B * p.T / 2.0) * (1.0 - 2.0 ** (-2.0 / n))
+            total = sum(step for _ in range(n))
+            assert extraction_work("stepwise", p, n_steps=n) == pytest.approx(
+                total, rel=n * sys.float_info.epsilon
+            )
 
     def test_stepwise_climbs_to_the_isothermal_limit(self):
         p = PhysicalParams()

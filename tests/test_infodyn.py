@@ -63,17 +63,8 @@ class TestBasisLabeling:
         with pytest.raises(TruncationError):
             BasisLabeling(44, 0.01)
 
-    def test_labels_and_indexing(self):
-        bl = BasisLabeling(3, 10.0)
-        assert bl.gas_dim == 6
-        assert bl.gas_labels == ("L1", "L2", "L3", "R1", "R2", "R3")
-        assert bl.demon_labels == ("DL", "DR")
-        assert bl.index("L", 1) == 0
-        assert bl.index("R", 3) == 5
-        with pytest.raises(ValueError):
-            bl.index("L", 4)
-        with pytest.raises(ValueError):
-            bl.index("M", 1)
+    def test_gas_dim(self):
+        assert BasisLabeling(3, 10.0).gas_dim == 6
 
 
 class TestThermalDm:

@@ -10,7 +10,6 @@ from szilard.numerics import (
     Grid,
     TridiagonalSymmetric,
     eig_tridiagonal,
-    integrate,
     sum_series,
 )
 
@@ -126,17 +125,3 @@ class TestSumSeries:
     def test_bad_batch(self):
         with pytest.raises(ValueError):
             sum_series(iter([1.0]), lambda n: 0.0, batch=0)
-
-
-class TestIntegrate:
-    def test_log_integral(self):
-        assert integrate(lambda v: 1.0 / v, 1.0, 2.0) == pytest.approx(
-            0.6931471805599454, rel=1e-12
-        )
-
-    def test_empty_interval(self):
-        assert integrate(math.sin, 2.0, 2.0) == 0.0
-
-    def test_gaussian_against_erf(self):
-        val = integrate(lambda x: math.exp(-x * x), 0.0, 3.0)
-        assert val == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(3.0), rel=1e-10)

@@ -11,9 +11,7 @@ from szilard.spectral import (
     barrier_grid,
     barrier_spectrum,
     box_levels,
-    box_wavefunction,
     hamiltonian,
-    localized_basis,
     splitting_estimate,
 )
 
@@ -52,19 +50,6 @@ class TestBoxSpectrum:
         spec = box_levels(params, 6)
         for lv in spec.levels:
             assert lv.energy == pytest.approx(params.eps * lv.n**2, rel=1e-14)
-
-    def test_wavefunctions_match_sampled_sines(self, params):
-        grid = barrier_grid(params, 512)
-        x = grid.points
-        for n in (1, 2, 5):
-            v = box_wavefunction(params, n, grid)
-            # centered box: odd n are cosines, even n are sines
-            ref = np.cos(n * math.pi * x / params.L) if n % 2 else np.sin(
-                n * math.pi * x / params.L
-            )
-            ref = ref / np.linalg.norm(ref)
-            v = v * np.sign(v @ ref)
-            assert np.max(np.abs(v - ref)) < 1e-12
 
     def test_free_hamiltonian_eigenvalue_and_convergence_order(self, params):
         free = PhysicalParams(d=0.0)
@@ -127,13 +112,12 @@ class TestBarrierSpectrum:
             assert np.max(np.abs(pair.left[::-1] - pair.right)) < 1e-6
 
     def test_localized_basis_recombines(self, default_pairs):
-        pair = default_pairs[0]
-        left, right = localized_basis(pair)
         inv = 1.0 / math.sqrt(2.0)
-        sym = (left + right) * inv
-        anti = (left - right) * inv
-        assert np.max(np.abs(sym - pair.psi_minus * np.sign(pair.psi_minus @ sym))) < 1e-9
-        assert np.max(np.abs(anti - pair.psi_plus * np.sign(pair.psi_plus @ anti))) < 1e-9
+        for pair in default_pairs:
+            sym = (pair.left + pair.right) * inv
+            anti = (pair.left - pair.right) * inv
+            assert np.max(np.abs(sym - pair.psi_minus)) < 1e-12
+            assert np.max(np.abs(anti - pair.psi_plus)) < 1e-12
 
     def test_requires_barrier_and_enough_points(self, params):
         with pytest.raises(SpectralError):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from szilard.exceptions import ThermoError
 from szilard.spectral import PhysicalParams, barrier_grid, box_levels
@@ -9,7 +11,6 @@ from szilard.thermo import (
     StageLedger,
     isothermal_work,
     mean_energy,
-    partition_3d,
     partition_exact,
     partition_highT,
     partition_theta,
@@ -95,23 +96,10 @@ class TestPartitionHighT:
         assert partition_highT(p).Z == pytest.approx(p.L / p.lambda_th, rel=1e-13)
 
     def test_flags_low_temperature(self):
-        with pytest.warns(UserWarning, match="high-T"):
-            assert not partition_highT(PhysicalParams()).regime_ok
-
-
-class TestPartition3d:
-    def test_unit_cube_at_unit_wavelength(self):
-        p = PhysicalParams(T=2 * math.pi)  # lambda_th = 1
-        res = partition_3d(1.0, 1.0, 1.0, p)
-        assert res.Z == pytest.approx(1.0, rel=1e-14)
-
-    def test_scales_with_volume(self):
-        p = PhysicalParams(T=2 * math.pi)
-        assert partition_3d(2.0, 3.0, 4.0, p).Z == pytest.approx(24.0, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ThermoError):
-            partition_3d(0.0, 1.0, 1.0, PhysicalParams())
+        # regime_ok is the only signal: the call itself stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert partition_highT(PhysicalParams()).regime_ok is False
 
 
 class TestStageFreeEnergies:
@@ -146,6 +134,14 @@ class TestWorkAndEntropy:
         with pytest.raises(ThermoError):
             isothermal_work(-1.0, 1.0, 1.0)
 
+    def test_isothermal_work_matches_quadrature(self):
+        # oracle: integrate p dV = k_B T dV / V numerically
+        for T in (0.3, 1.0, 2.0, 25.0):
+            p = PhysicalParams(T=T)
+            half = (p.L - p.d) / 2.0
+            q, _ = quad(lambda v: 1.0 / v, half, 2.0 * half, epsabs=0.0, epsrel=1e-12)
+            assert isothermal_work(half, 2.0 * half, T) == pytest.approx(T * q, rel=1e-12)
+
     def test_mean_energy_against_brute_force(self):
         p = PhysicalParams(T=p_for(0.01))
         ns = np.arange(1, 4000, dtype=float)
@@ -177,18 +173,23 @@ class TestWorkAndEntropy:
 
 
 class TestStageLedger:
-    def test_from_Z_is_self_consistent(self):
-        led = StageLedger.from_Z("free", 2.0, 0.5, 1.0)
+    def test_A_and_S_follow_from_Z(self):
+        led = StageLedger("free", 2.0, 0.5, 1.0)
         assert led.A == pytest.approx(-math.log(2.0), rel=1e-14)
         assert led.S_thermo == pytest.approx(0.5 + math.log(2.0), rel=1e-12)
+        hot = StageLedger("inserted", 3.0, 1.5, 2.0, k_B=0.5)
+        assert hot.A == pytest.approx(-math.log(3.0), rel=1e-14)
+        assert hot.S_thermo == pytest.approx((1.5 + math.log(3.0)) / 2.0, rel=1e-14)
 
     def test_rejects_unknown_stage(self):
         with pytest.raises(ValueError):
-            StageLedger.from_Z("squeezed", 1.0, 0.5, 1.0)
+            StageLedger("squeezed", 1.0, 0.5, 1.0)
 
-    def test_rejects_inconsistent_fields(self):
-        with pytest.raises(ValueError):
-            StageLedger(stage="free", Z=2.0, A=1.0, E_int=0.5, S_thermo=0.0, T=1.0)
+    def test_rejects_nonpositive_Z_and_T(self):
+        with pytest.raises(ValueError, match="Z"):
+            StageLedger("free", 0.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="T"):
+            StageLedger("free", 2.0, 0.5, -1.0)
 
 
 class TestSpectralStageCheck:
