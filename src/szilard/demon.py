@@ -11,8 +11,10 @@ right drives D_0 -> D_R.  The closed form of the unitary is
 which is the exact exponential exp(-i H dt / hbar) of the coupling
 H = -delta (Pi_L - Pi_R) (x) sigma_y at dt = pi hbar / (4 delta).
 
-Entropies are in k_B units throughout.  Joint states use the gas (x) demon
-index order (gas slowest), matching infodyn.DensityMatrix.subsystem_dims.
+U keeps each doublet's (L_k, R_k) (x) (D_L, D_R) block closed, so it is built
+for one block and applied to all blocks of a joint state at once (gas index
+slowest, as in infodyn.DensityMatrix.subsystem_dims).  Entropies are in k_B
+units throughout.
 """
 from __future__ import annotations
 
@@ -115,10 +117,11 @@ class ReversalResult(NamedTuple):
 
 
 def coupling_unitary(model: DemonModel, gas_dim: int) -> np.ndarray:
-    """Closed-form readoff unitary on the gas (x) demon space.
+    """Closed-form readoff unitary on one gas (x) demon block.
 
-    Real orthogonal: rotation by pi/4 in the pointer plane, sense set by
-    the gas side.
+    gas_dim is the gas size of one block, left states first.  Real
+    orthogonal: rotation by pi/4 in the pointer plane, sense set by the
+    gas side.
     """
     if gas_dim < 2 or gas_dim % 2:
         raise ValueError(f"gas_dim must be even and >= 2, got {gas_dim}")
@@ -140,12 +143,12 @@ def _require_ready_product(
         raise StateError(f"demon factor must be two-level, got {dd}")
     if dg % 2:
         raise StateError(f"gas factor must pair left and right states, got dim {dg}")
-    d0 = np.outer(model.d0, model.d0)
+    d0 = DensityMatrix(np.outer(model.d0, model.d0))
     dem = partial_trace(p0, "demon")
-    if float(np.max(np.abs(dem.entries - d0))) > PRODUCT_TOL:
+    if float(np.max(np.abs(dem.entries - d0.entries))) > PRODUCT_TOL:
         raise StateError("demon factor is not the ready state D_0")
     gas = partial_trace(p0, "gas")
-    if float(np.max(np.abs(p0.entries - np.kron(gas.entries, d0)))) > PRODUCT_TOL:
+    if float(np.max(np.abs(p0.entries - product_dm(gas, d0).entries))) > PRODUCT_TOL:
         raise StateError("input is not a gas (x) D_0 product state")
     return gas, dem
 
@@ -196,8 +199,10 @@ def reverse_readoff(
     False with the residual trace distance.
     """
     target = record.post if state is None else state
-    if target.dim != record.post.dim:
-        raise StateError(f"dimension mismatch: {target.dim} vs {record.post.dim}")
+    if target.entries.shape != record.post.entries.shape:
+        raise StateError(
+            f"block shape mismatch: {target.entries.shape} vs {record.post.entries.shape}"
+        )
     dg, _ = record.pre.subsystem_dims
     u = coupling_unitary(record.model, dg)
     back = DensityMatrix(u.T @ target.entries @ u, subsystem_dims=record.pre.subsystem_dims)

@@ -33,13 +33,14 @@ from .exceptions import EngineError, SzilardError
 from .infodyn import (
     BasisLabeling,
     DensityMatrix,
+    partial_trace,
     post_insertion_dm,
     product_dm,
     thermal_dm,
     trace_distance,
 )
 from .spectral import PhysicalParams, analytic_pairs, barrier_grid, box_levels
-from .thermo import StageLedger, spectral_stage_check, stage_free_energies
+from .thermo import StageLedger, isothermal_work, spectral_stage_check, stage_free_energies
 
 __all__ = [
     "PROTOCOLS",
@@ -182,8 +183,6 @@ def extraction_work(protocol: str, params: PhysicalParams, n_steps: int = 8) -> 
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     kt = params.k_B * params.T
     if protocol == "isothermal":
-        from .thermo import isothermal_work
-
         half = (params.L - params.d) / 2.0
         return isothermal_work(half, 2.0 * half, params.T, params.k_B)
     if protocol == "single-adiabatic":
@@ -236,8 +235,6 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     outcome = "L" if rng.random() < 0.5 else "R"
 
     work = extraction_work(config.protocol, params, config.n_steps)
-
-    from .infodyn import partial_trace
 
     ledger = EnvironmentLedger()
     reset_demon(partial_trace(record.post, "demon"), ledger, params.T, params.k_B)

@@ -1,9 +1,11 @@
 """Finite-dimensional density-matrix algebra and information measures.
 
-States live on a truncated gas space spanned by localized doublet states
-(ordered L_1..L_N, R_1..R_N), optionally tensored with a two-level
-apparatus (ordered D_L, D_R; gas index varies slowest).  All entropies are
-in units of k_B with natural logarithms; "bits" are a display concern.
+Every state is block diagonal, a stack of K equal (b, b) blocks: the gas
+holds one (L_k, R_k) block per doublet k, a gas (x) apparatus state one
+(L_k, R_k) (x) (D_L, D_R) block per doublet, and a general dense state is
+the single block K = 1.  Every function broadcasts over the block axis.
+All entropies are in units of k_B with natural logarithms; "bits" are a
+display concern.
 
 Information is defined relative to the declared truncated dimension,
 I = ln(dim) - S.  The absolute number therefore carries a truncation
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,34 +44,36 @@ PSD_TOL = -1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix.
+    """Hermitian, unit-trace, positive-semidefinite block-diagonal matrix.
 
-    subsystem_dims, when set, declares a gas (x) demon factorization
-    (d_gas, d_demon) with the gas index varying slowest.  The eigenvalues
-    are computed once at construction (they double as the PSD check) and
-    cached for entropy evaluations.
+    entries has shape (K, b, b); a (b, b) input is one block, real input
+    stays real.  subsystem_dims, when set, declares the gas (x) demon
+    factorization (d_gas, d_demon) of each block, gas index slowest.  The
+    eigenvalues are computed once at construction (they double as the PSD
+    check) and cached for entropy evaluations.
     """
 
     entries: np.ndarray
     subsystem_dims: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StateError(f"density matrix must be square, got shape {m.shape}")
-        herm = float(np.max(np.abs(m - m.conj().T)))
+        m = np.asarray(self.entries)
+        m = np.array(m, dtype=np.result_type(m, float), ndmin=3)
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
+            raise StateError(f"density matrix blocks must be square, got shape {m.shape}")
+        herm = float(np.max(np.abs(m - m.conj().transpose(0, 2, 1))))
         if herm > HERMITICITY_TOL:
             raise StateError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = complex(np.trace(m))
+        tr = complex(np.sum(np.trace(m, axis1=1, axis2=2)))
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace must be 1, got {tr}")
         if self.subsystem_dims is not None:
             dg, dd = self.subsystem_dims
-            if dg * dd != m.shape[0]:
+            if dg * dd != m.shape[1]:
                 raise StateError(
-                    f"subsystem dims {self.subsystem_dims} do not factor dimension {m.shape[0]}"
+                    f"subsystem dims {self.subsystem_dims} do not factor block size {m.shape[1]}"
                 )
-        eigs = np.linalg.eigvalsh(m)
+        eigs = np.sort(np.linalg.eigvalsh(m), axis=None)
         if float(eigs[0]) < PSD_TOL:
             raise StateError(f"not positive semidefinite: min eigenvalue {eigs[0]:.3e}")
         m.setflags(write=False)
@@ -78,11 +82,12 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        """Dimension of the full matrix, K * b."""
+        return self.entries.shape[0] * self.entries.shape[1]
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues, cached at construction."""
+        """Ascending eigenvalues of all blocks together, cached at construction."""
         return self._eigs
 
 
@@ -90,7 +95,8 @@ class DensityMatrix:
 class BasisLabeling:
     """Bookkeeping for the truncated localized basis.
 
-    n_side doublets per side; the gas basis is ordered L_1..L_N, R_1..R_N.
+    n_side doublets per side; the gas basis is one (L_k, R_k) block per
+    doublet k = 1..n_side, so gas_dim = 2 n_side.
     The truncation criterion n_side^2 * eps * beta >= 20 guarantees the
     discarded thermal weight is negligible for every state built here.
     """
@@ -117,9 +123,9 @@ class BasisLabeling:
 def thermal_dm(levels: Spectrum, beta: float) -> DensityMatrix:
     """Canonical state rho = Z^-1 sum_n e^(-beta E_n) |n><n| on the given levels.
 
-    Diagonal in the energy basis of the spectrum.  Raises TruncationError
-    when the weight beyond the truncation (estimated by continuing the last
-    level gap geometrically) exceeds 1e-10 of Z.
+    Diagonal in the energy basis of the spectrum: one 1x1 block per level.
+    Raises TruncationError when the weight beyond the truncation (estimated
+    by continuing the last level gap geometrically) exceeds 1e-10 of Z.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -136,27 +142,32 @@ def thermal_dm(levels: Spectrum, beta: float) -> DensityMatrix:
             raise TruncationError(
                 f"discarded weight ~{tail / z:.3e} of Z exceeds 1e-10; add levels"
             )
-    return DensityMatrix(np.diag(w / z))
+    return DensityMatrix((w / z)[:, None, None])
 
 
-def _pair_data(pairs) -> list:
-    out = []
-    for p in pairs:
-        if isinstance(p, SplitPair):
-            out.append((p.energy, p.delta))
-        else:
-            e, d = p
-            out.append((float(e), float(d)))
-    if not out:
+def _doublet_weights(pairs, beta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """w_k cosh(beta delta_k) and w_k sinh(beta delta_k), w_k = e^(-beta (E_k - min E)).
+
+    pairs holds SplitPair objects or (E_k, delta_k) tuples.
+    """
+    data = [(p.energy, p.delta) if isinstance(p, SplitPair) else tuple(map(float, p))
+            for p in pairs]
+    if not data:
         raise ValueError("need at least one doublet")
-    for e, d in out:
+    for e, d in data:
         if d < 0:
             raise ValueError(f"negative splitting {d}")
-    return out
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    e0 = min(e for e, _ in data)
+    w = np.array([math.exp(-beta * (e - e0)) for e, _ in data])
+    ch = np.array([math.cosh(beta * d) for _, d in data])
+    sh = np.array([math.sinh(beta * d) for _, d in data])
+    return w * ch, w * sh
 
 
 def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMatrix:
-    """Gas state after barrier insertion, in the localized basis.
+    """Gas state after barrier insertion: one (L_k, R_k) block per doublet.
 
     For each doublet k with mean energy E_k and half-splitting delta_k the
     populations on L_k and R_k are w_k cosh(beta delta_k)/Z and the L_k<->R_k
@@ -164,47 +175,27 @@ def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMat
     Z = 2 sum_k w_k cosh(beta delta_k).  coherences=False drops the sinh
     entries: that is the state an outcome-ignorant observer uses.
     """
-    data = _pair_data(pairs)
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    n = len(data)
-    e0 = min(e for e, _ in data)
-    w = np.array([math.exp(-beta * (e - e0)) for e, _ in data])
-    ch = np.array([math.cosh(beta * d) for _, d in data])
-    sh = np.array([math.sinh(beta * d) for _, d in data])
-    z = 2.0 * float(np.sum(w * ch))
-    m = np.zeros((2 * n, 2 * n))
-    diag = w * ch / z
-    m[np.arange(n), np.arange(n)] = diag
-    m[np.arange(n, 2 * n), np.arange(n, 2 * n)] = diag
-    if coherences:
-        off = w * sh / z
-        m[np.arange(n), np.arange(n, 2 * n)] = off
-        m[np.arange(n, 2 * n), np.arange(n)] = off
-    return DensityMatrix(m)
+    wc, ws = _doublet_weights(pairs, beta)
+    z = 2.0 * float(np.sum(wc))
+    c = wc / z
+    s = ws / z if coherences else np.zeros_like(c)
+    return DensityMatrix(np.stack([c, s, s, c], axis=-1).reshape(-1, 2, 2))
 
 
 def conditional_dm(pairs, beta: float, side: str) -> DensityMatrix:
     """Post-measurement gas state given the molecule is on `side` (L or R).
 
     Supported entirely on that side's localized states with populations
-    w_k cosh(beta delta_k) / Z_side, Z_side = sum_k w_k cosh(beta delta_k).
+    w_k cosh(beta delta_k) / Z_side, Z_side = sum_k w_k cosh(beta delta_k);
+    block k holds its population on the L_k or R_k diagonal entry.
     """
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    data = _pair_data(pairs)
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    n = len(data)
-    e0 = min(e for e, _ in data)
-    w = np.array([math.exp(-beta * (e - e0)) for e, _ in data])
-    ch = np.array([math.cosh(beta * d) for _, d in data])
-    pop = w * ch / float(np.sum(w * ch))
-    m = np.zeros((2 * n, 2 * n))
-    offset = 0 if side == "L" else n
-    idx = np.arange(n) + offset
-    m[idx, idx] = pop
-    return DensityMatrix(m)
+    wc, _ = _doublet_weights(pairs, beta)
+    blocks = np.zeros((len(wc), 2, 2))
+    i = 0 if side == "L" else 1
+    blocks[:, i, i] = wc / float(np.sum(wc))
+    return DensityMatrix(blocks)
 
 
 def vn_entropy(rho: DensityMatrix) -> float:
@@ -220,15 +211,18 @@ def information(rho: DensityMatrix) -> float:
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
-    """Marginal of a bipartite state; keep is 'gas' or 'demon'."""
+    """Marginal of a bipartite state; keep is 'gas' or 'demon'.
+
+    The gas marginal keeps the blocks; the demon marginal sums them into one.
+    """
     if rho.subsystem_dims is None:
         raise StateError("partial trace needs declared subsystem_dims")
     dg, dd = rho.subsystem_dims
-    t = rho.entries.reshape(dg, dd, dg, dd)
+    t = rho.entries.reshape(-1, dg, dd, dg, dd)
     if keep == "gas":
-        out = np.einsum("ijkj->ik", t)
+        out = np.einsum("aijkj->aik", t)
     elif keep == "demon":
-        out = np.einsum("ijil->jl", t)
+        out = np.einsum("aijil->jl", t)
     else:
         raise ValueError(f"keep must be 'gas' or 'demon', got {keep!r}")
     return DensityMatrix(out)
@@ -253,16 +247,17 @@ def _mutual_information(s_gas: float, s_demon: float, s_joint: float) -> float:
 
 
 def trace_distance(p: DensityMatrix, q: DensityMatrix) -> float:
-    """(1/2)||P - Q||_1 from the eigenvalues of the difference; in [0, 1]."""
-    if p.dim != q.dim:
-        raise StateError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    """(1/2)||P - Q||_1 in [0, 1] of two states with the same block shape."""
+    if p.entries.shape != q.entries.shape:
+        raise StateError(f"block shape mismatch: {p.entries.shape} vs {q.entries.shape}")
     w = np.linalg.eigvalsh(p.entries - q.entries)
     return 0.5 * float(np.sum(np.abs(w)))
 
 
 def product_dm(rho_gas: DensityMatrix, rho_demon: DensityMatrix) -> DensityMatrix:
-    """Tensor product with the factorization recorded in subsystem_dims."""
-    return DensityMatrix(
-        np.kron(rho_gas.entries, rho_demon.entries),
-        subsystem_dims=(rho_gas.dim, rho_demon.dim),
-    )
+    """Each gas block tensored with a one-block demon state; subsystem_dims records the split."""
+    if len(rho_demon.entries) != 1:
+        raise StateError(f"demon factor must be a single block, got {len(rho_demon.entries)}")
+    (k, dg, _), dd = rho_gas.entries.shape, rho_demon.entries.shape[1]
+    joint = np.einsum("aik,jl->aijkl", rho_gas.entries, rho_demon.entries[0])
+    return DensityMatrix(joint.reshape(k, dg * dd, dg * dd), subsystem_dims=(dg, dd))

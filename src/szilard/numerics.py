@@ -147,35 +147,25 @@ def sum_series(
     terms: Iterable[float],
     tail_bound: Callable[[int], float],
     rel_tol: float = 1e-10,
-    batch: int = 1,
     max_terms: int = 100_000,
 ) -> SeriesSum:
     """Sum a series whose remainder admits an explicit bound.
 
     `terms` yields successive terms; `tail_bound(n)` must bound the total
-    magnitude of everything not yet consumed after n terms.  Terms are
-    consumed `batch` at a time between bound checks; the result is
-    insensitive to the batching, only the stopping point moves within the
-    certified tolerance.  Stops once tail_bound(n) <= rel_tol * |partial|,
-    or when the generator is exhausted (finite series sum exactly).
+    magnitude of everything not yet consumed after n terms, and is checked
+    after every term.  Stops once tail_bound(n) <= rel_tol * |partial|, or
+    when the generator is exhausted (finite series sum exactly).
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
     it = iter(terms)
     total = 0.0
     used = 0
     bound = np.inf
     while used < max_terms:
-        exhausted = False
-        for _ in range(batch):
-            try:
-                total += next(it)
-            except StopIteration:
-                exhausted = True
-                break
-            used += 1
-        if exhausted:
+        try:
+            total += next(it)
+        except StopIteration:
             return SeriesSum(total, used)
+        used += 1
         bound = float(tail_bound(used))
         if bound <= rel_tol * abs(total):
             return SeriesSum(total, used)

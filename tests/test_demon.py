@@ -34,6 +34,34 @@ def ready_state(gas: DensityMatrix, model: DemonModel) -> DensityMatrix:
     return product_dm(gas, DensityMatrix(np.outer(model.d0, model.d0)))
 
 
+def dense_ready_state(pairs, beta: float, coherences: bool, model: DemonModel) -> DensityMatrix:
+    """Oracle: rho_gas (x) D_0 as one dense block in the layout (L_1..L_N, R_1..R_N) (x) (D_L, D_R)."""
+    n = len(pairs)
+    e0 = min(e for e, _ in pairs)
+    m = np.zeros((2 * n, 2 * n))
+    for k, (e, d) in enumerate(pairs):
+        w = math.exp(-beta * (e - e0))
+        m[k, k] = m[n + k, n + k] = w * math.cosh(beta * d)
+        if coherences:
+            m[k, n + k] = m[n + k, k] = w * math.sinh(beta * d)
+    m /= np.trace(m)
+    return DensityMatrix(np.kron(m, np.outer(model.d0, model.d0)), subsystem_dims=(2 * n, 2))
+
+
+def readoff_figures(rec) -> np.ndarray:
+    """The measure command's readoff numbers plus the marginal-product reversal distance."""
+    pom = product_of_marginals(rec.post)
+    return np.array([
+        rec.ds_demon,
+        rec.ds_gas,
+        rec.ds_joint,
+        rec.di_mu,
+        trace_distance(partial_trace(rec.pre, "gas"), partial_trace(rec.post, "gas")),
+        trace_distance(rec.post, pom),
+        reverse_readoff(rec, pom).distance,
+    ])
+
+
 def coupling_hamiltonian(model: DemonModel, gas_dim: int) -> np.ndarray:
     """H = -delta (Pi_L - Pi_R) (x) sigma_y, Hermitian on gas (x) demon."""
     n = gas_dim // 2
@@ -168,6 +196,40 @@ class TestPremeasure:
         assert rec.di_mu == mutual_information(rec.post) - mutual_information(rec.pre)
         assert rec.balance_residual <= 1e-10
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        T=st.floats(0.5, 200.0),
+        n_side=st.integers(11, 45),
+        d=st.floats(0.01, 0.2),
+        coherences=st.booleans(),
+    )
+    def test_blocks_match_dense_layout_oracle(self, T, n_side, d, coherences):
+        model = DemonModel()
+        p = PhysicalParams(T=T, d=d)
+        pairs = analytic_pairs(p, n_side)
+        gas = post_insertion_dm(pairs, p.beta, coherences=coherences)
+        block = premeasure(ready_state(gas, model), model)
+        dense = premeasure(dense_ready_state(pairs, p.beta, coherences, model), model)
+        assert block.post.entries.shape == (n_side, 4, 4)
+        assert dense.post.entries.shape == (1, 4 * n_side, 4 * n_side)
+        diff = readoff_figures(block) - readoff_figures(dense)
+        assert np.max(np.abs(diff)) <= 1e-12
+
+    def test_readoff_eigensolves_stay_block_sized(self, model, monkeypatch):
+        widths = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            widths.append(a.shape[-1])
+            return eigvalsh(a)
+
+        p = PhysicalParams(T=25.0, d=0.02)
+        gas = post_insertion_dm(analytic_pairs(p, 45), p.beta)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        rec = premeasure(ready_state(gas, model), model)
+        reverse_readoff(rec, product_of_marginals(rec.post))
+        assert widths and max(widths) <= 4
+
     def test_information_overhead_is_quadratic_in_splitting(self, model):
         # single doublet at beta*delta = x: dI - ln 2 -> x^2/2 as x -> 0
         for x in (1e-2, 1e-3):
@@ -193,6 +255,10 @@ class TestReverseReadoff:
         small = ready_state(post_insertion_dm([(0.0, 0.01)], 1.0), model)
         with pytest.raises(StateError, match="mismatch"):
             reverse_readoff(box_record, small)
+        # same total dimension, other block layout
+        dense = DensityMatrix(np.eye(44) / 44.0, subsystem_dims=(22, 2))
+        with pytest.raises(StateError, match="mismatch"):
+            reverse_readoff(box_record, dense)
 
 
 class TestProductOfMarginals:

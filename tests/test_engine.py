@@ -219,3 +219,13 @@ class TestSweep:
         assert sweep(CycleConfig(), "T", []) == []
         with pytest.raises(ValueError):
             sweep(CycleConfig(), "volume", [1.0])
+
+
+def test_readoff_scales_to_ten_thousand_doublets():
+    # a dense 4N x 4N joint state would need about 25 GB at N = 10^4
+    rows = sweep(CycleConfig(), "N", [1000, 10000])
+    assert [r["error"] for r in rows] == [None, None]
+    assert all(r["net_balance"] <= 1e-9 for r in rows)
+    record = run_cycle(CycleConfig(n_side=10_000)).record
+    assert abs(record.ds_demon - LN2) <= 1e-12
+    assert record.balance_residual <= 1e-10

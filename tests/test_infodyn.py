@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from szilard.exceptions import StateError, TruncationError
 from szilard.infodyn import (
@@ -51,6 +52,19 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 1.0
 
+    def test_block_stack_matches_dense_block_diagonal(self):
+        blocks = np.array([[[0.3, 0.1], [0.1, 0.2]], [[0.4, 0.0], [0.0, 0.1]]])
+        rho = DensityMatrix(blocks)
+        dense = DensityMatrix(block_diag(*blocks))
+        assert rho.entries.shape == (2, 2, 2) and dense.entries.shape == (1, 4, 4)
+        assert rho.entries.dtype == np.float64
+        assert rho.dim == dense.dim == 4
+        assert np.allclose(rho.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-15)
+        with pytest.raises(StateError, match="Hermitian"):
+            DensityMatrix(np.array([[[0.5, 0.1], [0.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]))
+        with pytest.raises(StateError, match="trace"):
+            DensityMatrix(2.0 * blocks)
+
     def test_accepts_complex_states(self):
         v = np.array([1.0, 1.0j]) / math.sqrt(2.0)
         rho = DensityMatrix(np.outer(v, v.conj()))
@@ -75,7 +89,7 @@ class TestThermalDm:
         e = spec.energies
         w = np.exp(-p.beta * (e - e[0]))
         w /= w.sum()
-        assert np.allclose(np.diag(rho.entries).real, w, rtol=0, atol=1e-15)
+        assert np.allclose(rho.entries[:, 0, 0].real, w, rtol=0, atol=1e-15)
 
     def test_tail_gate(self):
         hot = PhysicalParams(T=1000.0)
@@ -102,11 +116,10 @@ class TestPostInsertion:
 
     def test_incoherent_state_is_diagonal(self):
         rho = post_insertion_dm(self.pairs, self.beta, coherences=False)
-        off = rho.entries - np.diag(np.diag(rho.entries))
+        off = rho.entries[:, [0, 1], [1, 0]]
         assert np.max(np.abs(off)) == 0.0
 
     def test_coherence_magnitudes(self):
-        n = len(self.pairs)
         rho = post_insertion_dm(self.pairs, self.beta)
         e0 = min(e for e, _ in self.pairs)
         w = np.array([math.exp(-self.beta * (e - e0)) for e, _ in self.pairs])
@@ -115,7 +128,8 @@ class TestPostInsertion:
         )
         for k, (_, d) in enumerate(self.pairs):
             expect = w[k] * math.sinh(self.beta * d) / z
-            assert rho.entries[k, n + k].real == pytest.approx(expect, rel=1e-13)
+            # block k is (L_k, R_k); its off-diagonal entry is the L_k<->R_k coherence
+            assert rho.entries[k, 0, 1].real == pytest.approx(expect, rel=1e-13)
 
     def test_measurement_collapses_exactly_ln2_of_entropy(self):
         rho_i = post_insertion_dm(self.pairs, self.beta, coherences=False)
@@ -126,11 +140,17 @@ class TestPostInsertion:
         assert information(rho_l) - information(rho_i) == pytest.approx(LN2, abs=1e-12)
 
     def test_conditional_state_is_one_sided(self):
-        n = len(self.pairs)
         rho_l = conditional_dm(self.pairs, self.beta, "L")
-        assert np.trace(rho_l.entries[:n, :n]).real == pytest.approx(1.0, abs=1e-14)
+        assert np.sum(rho_l.entries[:, 0, 0]).real == pytest.approx(1.0, abs=1e-14)
         with pytest.raises(ValueError):
             conditional_dm(self.pairs, self.beta, "up")
+
+    def test_one_block_per_doublet(self):
+        n = len(self.pairs)
+        assert post_insertion_dm(self.pairs, self.beta).entries.shape == (n, 2, 2)
+        assert conditional_dm(self.pairs, self.beta, "R").entries.shape == (n, 2, 2)
+        p = PhysicalParams()
+        assert thermal_dm(box_levels(p, 8), p.beta).entries.shape == (8, 1, 1)
 
     def test_accepts_bare_tuples(self):
         rho = post_insertion_dm([(0.0, 0.01), (3.0, 0.001)], 1.0)
@@ -171,6 +191,8 @@ class TestBipartite:
             partial_trace(joint, "bath")
         with pytest.raises(StateError):
             partial_trace(g, "gas")
+        with pytest.raises(StateError, match="single block"):
+            product_dm(g, DensityMatrix(np.full((2, 1, 1), 0.5)))
 
     def test_mutual_information_of_product_vanishes(self):
         joint = product_dm(dm([0.7, 0.3]), dm([0.4, 0.6]))
@@ -195,6 +217,9 @@ class TestBipartite:
         assert trace_distance(a, a) == 0.0
         with pytest.raises(StateError):
             trace_distance(a, dm([1.0, 0.0, 0.0]))
+        # same dimension, two 1x1 blocks instead of one 2x2 block
+        with pytest.raises(StateError, match="mismatch"):
+            trace_distance(a, DensityMatrix(np.full((2, 1, 1), 0.5)))
 
     def test_trace_distance_of_equal_mixtures(self):
         a = dm([0.5, 0.5])

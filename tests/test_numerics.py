@@ -104,24 +104,7 @@ class TestSumSeries:
         assert res.value == 6.0
         assert res.terms_used == 3
 
-    def test_batching_changes_only_the_stopping_point(self):
-        q = 0.9
-
-        def terms():
-            n = 0
-            while True:
-                yield q**n
-                n += 1
-
-        a = sum_series(terms(), lambda n: q**n / (1 - q), rel_tol=1e-10, batch=1)
-        b = sum_series(terms(), lambda n: q**n / (1 - q), rel_tol=1e-10, batch=7)
-        assert a.value == pytest.approx(b.value, rel=1e-9)
-        assert b.terms_used >= a.terms_used
-
     def test_unreachable_bound_raises(self):
         with pytest.raises(NumericsError):
             sum_series((1.0 for _ in iter(int, 1)), lambda n: 1.0, max_terms=100)
 
-    def test_bad_batch(self):
-        with pytest.raises(ValueError):
-            sum_series(iter([1.0]), lambda n: 0.0, batch=0)
