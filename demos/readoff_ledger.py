@@ -9,10 +9,8 @@ the correlated output, but not from the product of its marginals.
 """
 import math
 
-import numpy as np
-
 from szilard.demon import DemonModel, premeasure, product_of_marginals, reverse_readoff
-from szilard.infodyn import DensityMatrix, post_insertion_dm, product_dm
+from szilard.infodyn import post_insertion_dm, product_dm
 from szilard.spectral import PhysicalParams, analytic_pairs
 
 
@@ -21,11 +19,10 @@ def main():
     pairs = analytic_pairs(p, 11)
     print(f"T={p.T}, d={p.d}: beta*delta_1 = {p.beta * pairs[0][1]:.5f}")
     model = DemonModel()
-    ready = DensityMatrix(np.outer(model.d0, model.d0))
 
     for label, keep in (("ideal (dephased gas)", False), ("with coherences", True)):
         gas = post_insertion_dm(pairs, p.beta, coherences=keep)
-        rec = premeasure(product_dm(gas, ready), model)
+        rec = premeasure(product_dm(gas, model.ready), model)
         print()
         print(f"--- {label} ---")
         print(f"  dS_demon          = {rec.ds_demon:+.12f}   (ln 2 = {math.log(2):.12f})")
@@ -35,7 +32,7 @@ def main():
         print(f"  balance residual  = {rec.balance_residual:.2e}")
 
     gas = post_insertion_dm(pairs, p.beta)
-    rec = premeasure(product_dm(gas, ready), model)
+    rec = premeasure(product_dm(gas, model.ready), model)
     print()
     back = reverse_readoff(rec)
     print(f"reversal on the correlated state: recovered={back.recovered}, "

@@ -19,11 +19,9 @@ from .numerics import Grid, TridiagonalSymmetric, eig_tridiagonal, sum_series
 from .spectral import (
     PhysicalParams,
     SplitPair,
-    Spectrum,
     analytic_pairs,
     barrier_grid,
     barrier_spectrum,
-    box_levels,
     splitting_estimate,
 )
 from .thermo import (
@@ -42,13 +40,10 @@ from .thermo import (
 from .infodyn import (
     BasisLabeling,
     DensityMatrix,
-    conditional_dm,
-    information,
     mutual_information,
     partial_trace,
     post_insertion_dm,
     product_dm,
-    thermal_dm,
     trace_distance,
     vn_entropy,
 )

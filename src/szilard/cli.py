@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from .demon import DemonModel, premeasure, product_of_marginals
 from .engine import (
     SWEEP_AXES,
@@ -34,7 +32,6 @@ from .engine import (
 from .exceptions import ConfigError, SzilardError, TruncationError
 from .infodyn import (
     BasisLabeling,
-    DensityMatrix,
     partial_trace,
     post_insertion_dm,
     product_dm,
@@ -330,8 +327,7 @@ def cmd_measure(ns: argparse.Namespace) -> int:
     pairs = analytic_pairs(p, s.N)
     rho = post_insertion_dm(pairs, p.beta, coherences=not ns.ideal)
     model = DemonModel()
-    d0 = DensityMatrix(np.outer(model.d0, model.d0))
-    record = premeasure(product_dm(rho, d0), model)
+    record = premeasure(product_dm(rho, model.ready), model)
     td_marginal = trace_distance(
         partial_trace(record.pre, "gas"), partial_trace(record.post, "gas")
     )

@@ -28,6 +28,7 @@ from .exceptions import StateError
 from .infodyn import (
     DensityMatrix,
     _mutual_information,
+    _product_blocks,
     partial_trace,
     product_dm,
     trace_distance,
@@ -83,6 +84,11 @@ class DemonModel:
     @property
     def d0(self) -> np.ndarray:
         return np.array([1.0, 1.0]) / math.sqrt(2.0)
+
+    @property
+    def ready(self) -> DensityMatrix:
+        """The ready pointer state |D_0><D_0|."""
+        return DensityMatrix(np.outer(self.d0, self.d0))
 
 
 @dataclass(frozen=True)
@@ -143,12 +149,12 @@ def _require_ready_product(
         raise StateError(f"demon factor must be two-level, got {dd}")
     if dg % 2:
         raise StateError(f"gas factor must pair left and right states, got dim {dg}")
-    d0 = DensityMatrix(np.outer(model.d0, model.d0))
+    d0 = model.ready
     dem = partial_trace(p0, "demon")
     if float(np.max(np.abs(dem.entries - d0.entries))) > PRODUCT_TOL:
         raise StateError("demon factor is not the ready state D_0")
     gas = partial_trace(p0, "gas")
-    if float(np.max(np.abs(p0.entries - product_dm(gas, d0).entries))) > PRODUCT_TOL:
+    if float(np.max(np.abs(p0.entries - _product_blocks(gas, d0)))) > PRODUCT_TOL:
         raise StateError("input is not a gas (x) D_0 product state")
     return gas, dem
 
@@ -256,5 +262,4 @@ def reset_demon(
     charge = ResetCharge(entropy=s, free_energy=k_B * T * s)
     ledger.entropy += charge.entropy
     ledger.free_energy += charge.free_energy
-    d0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    return DensityMatrix(np.outer(d0, d0)), charge
+    return DemonModel().ready, charge

@@ -30,16 +30,8 @@ from .demon import (
     reset_demon,
 )
 from .exceptions import EngineError, SzilardError
-from .infodyn import (
-    BasisLabeling,
-    DensityMatrix,
-    partial_trace,
-    post_insertion_dm,
-    product_dm,
-    thermal_dm,
-    trace_distance,
-)
-from .spectral import PhysicalParams, analytic_pairs, barrier_grid, box_levels
+from .infodyn import BasisLabeling, partial_trace, post_insertion_dm, product_dm
+from .spectral import PhysicalParams, analytic_pairs, barrier_grid
 from .thermo import StageLedger, isothermal_work, spectral_stage_check, stage_free_energies
 
 __all__ = [
@@ -63,6 +55,9 @@ _PROTOCOL_ALIASES = {
 }
 
 SWEEP_AXES = ("T", "U", "d", "N", "grid", "n_steps")
+
+# largest W - T dS_env a cycle may report and still obey the second law
+SECOND_LAW_TOL = 1e-9
 
 ADIABATIC_NOTE = (
     "single-shot adiabatic expansion: the level scaling E ~ width^-2 gives "
@@ -117,22 +112,38 @@ class CycleReport:
 
     net_balance = W_extracted - k_B*T*(S_to_environment/k_B) can never be
     positive; the isothermal protocol with ideal reset saturates it at 0.
-    closure is the trace distance between the initial and final free-stage
-    gas states.
+    Q_from_reservoir, second_law_ok and closure follow from the fields and
+    the model, so they are properties rather than stored values.
     """
 
     stages: Tuple[StageLedger, ...]
     W_extracted: float
-    Q_from_reservoir: float
     S_to_environment: float
     record: MeasurementRecord
     net_balance: float
-    second_law_ok: bool
     outcome: str
-    closure: float
     seed: int
     note: str = ""
     spectral_jump_dev: Optional[float] = None
+
+    @property
+    def Q_from_reservoir(self) -> float:
+        """Heat absorbed by the gas; the first law over a closed cycle makes it W_extracted."""
+        return self.W_extracted
+
+    @property
+    def second_law_ok(self) -> bool:
+        """net_balance <= SECOND_LAW_TOL; run_cycle raises instead of reporting False."""
+        return self.net_balance <= SECOND_LAW_TOL
+
+    @property
+    def closure(self) -> float:
+        """Trace distance between the initial and final free-stage gas states.
+
+        Every stroke is quasi-static, so the gas ends in the free-box
+        thermal state it started from and the distance is 0 by construction.
+        """
+        return 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -225,9 +236,8 @@ def run_cycle(config: CycleConfig) -> CycleReport:
         raise type(exc)(f"inserted stage: {exc}") from exc
 
     model = DemonModel()
-    d0 = DensityMatrix(np.outer(model.d0, model.d0))
     try:
-        record = premeasure(product_dm(rho_gas, d0), model)
+        record = premeasure(product_dm(rho_gas, model.ready), model)
     except SzilardError as exc:
         raise type(exc)(f"measured stage: {exc}") from exc
 
@@ -240,18 +250,9 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     reset_demon(partial_trace(record.post, "demon"), ledger, params.T, params.k_B)
     s_env = params.k_B * ledger.entropy
 
-    # the gas returns to the same thermal state it started from
-    try:
-        spec_box = box_levels(params, 2 * config.n_side)
-        start = thermal_dm(spec_box, params.beta)
-        end = thermal_dm(box_levels(params, 2 * config.n_side), params.beta)
-    except SzilardError as exc:
-        raise type(exc)(f"free stage: {exc}") from exc
-    closure = trace_distance(start, end)
-
     net = work - kt * (s_env / params.k_B)
-    ok = net <= 1e-9
-    if not ok:
+    # written so that a NaN balance raises too
+    if not net <= SECOND_LAW_TOL:
         raise EngineError(
             f"second-law balance violated: W - T dS_env = {net:.6e} > 0"
         )
@@ -278,13 +279,10 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     return CycleReport(
         stages=_stage_ledgers(params, outcome),
         W_extracted=work,
-        Q_from_reservoir=work,
         S_to_environment=s_env,
         record=record,
         net_balance=net,
-        second_law_ok=ok,
         outcome=outcome,
-        closure=closure,
         seed=config.seed,
         note="; ".join(notes),
         spectral_jump_dev=jump_dev,

@@ -6,11 +6,6 @@ holds one (L_k, R_k) block per doublet k, a gas (x) apparatus state one
 the single block K = 1.  Every function broadcasts over the block axis.
 All entropies are in units of k_B with natural logarithms; "bits" are a
 display concern.
-
-Information is defined relative to the declared truncated dimension,
-I = ln(dim) - S.  The absolute number therefore carries a truncation
-offset; every physical statement downstream uses only differences of I,
-which are offset-free.
 """
 from __future__ import annotations
 
@@ -21,16 +16,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .exceptions import StateError, TruncationError
-from .spectral import SplitPair, Spectrum
 
 __all__ = [
     "DensityMatrix",
     "BasisLabeling",
-    "thermal_dm",
     "post_insertion_dm",
-    "conditional_dm",
     "vn_entropy",
-    "information",
     "partial_trace",
     "mutual_information",
     "trace_distance",
@@ -120,38 +111,17 @@ class BasisLabeling:
         return 2 * self.n_side
 
 
-def thermal_dm(levels: Spectrum, beta: float) -> DensityMatrix:
-    """Canonical state rho = Z^-1 sum_n e^(-beta E_n) |n><n| on the given levels.
+def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMatrix:
+    """Gas state after barrier insertion: one (L_k, R_k) block per doublet.
 
-    Diagonal in the energy basis of the spectrum: one 1x1 block per level.
-    Raises TruncationError when the weight beyond the truncation (estimated
-    by continuing the last level gap geometrically) exceeds 1e-10 of Z.
+    pairs holds (E_k, delta_k) tuples.  For each doublet k with mean energy
+    E_k and half-splitting delta_k the populations on L_k and R_k are
+    w_k cosh(beta delta_k)/Z and the L_k<->R_k coherence is
+    w_k sinh(beta delta_k)/Z, with w_k = e^(-beta E_k) and
+    Z = 2 sum_k w_k cosh(beta delta_k).  coherences=False drops the sinh
+    entries: that is the state an outcome-ignorant observer uses.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    e = levels.energies
-    w = np.exp(-beta * (e - e[0]))
-    z = float(np.sum(w))
-    if len(e) > 1:
-        gap = float(e[-1] - e[-2])
-        ratio = math.exp(-beta * gap) if gap > 0 else 1.0
-        if ratio >= 1.0:
-            raise TruncationError("spectrum top is degenerate; cannot bound the tail")
-        tail = float(w[-1]) * ratio / (1.0 - ratio)
-        if tail > 1e-10 * z:
-            raise TruncationError(
-                f"discarded weight ~{tail / z:.3e} of Z exceeds 1e-10; add levels"
-            )
-    return DensityMatrix((w / z)[:, None, None])
-
-
-def _doublet_weights(pairs, beta: float) -> Tuple[np.ndarray, np.ndarray]:
-    """w_k cosh(beta delta_k) and w_k sinh(beta delta_k), w_k = e^(-beta (E_k - min E)).
-
-    pairs holds SplitPair objects or (E_k, delta_k) tuples.
-    """
-    data = [(p.energy, p.delta) if isinstance(p, SplitPair) else tuple(map(float, p))
-            for p in pairs]
+    data = [tuple(map(float, p)) for p in pairs]
     if not data:
         raise ValueError("need at least one doublet")
     for e, d in data:
@@ -161,41 +131,12 @@ def _doublet_weights(pairs, beta: float) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"beta must be positive, got {beta}")
     e0 = min(e for e, _ in data)
     w = np.array([math.exp(-beta * (e - e0)) for e, _ in data])
-    ch = np.array([math.cosh(beta * d) for _, d in data])
-    sh = np.array([math.sinh(beta * d) for _, d in data])
-    return w * ch, w * sh
-
-
-def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMatrix:
-    """Gas state after barrier insertion: one (L_k, R_k) block per doublet.
-
-    For each doublet k with mean energy E_k and half-splitting delta_k the
-    populations on L_k and R_k are w_k cosh(beta delta_k)/Z and the L_k<->R_k
-    coherence is w_k sinh(beta delta_k)/Z, with w_k = e^(-beta E_k) and
-    Z = 2 sum_k w_k cosh(beta delta_k).  coherences=False drops the sinh
-    entries: that is the state an outcome-ignorant observer uses.
-    """
-    wc, ws = _doublet_weights(pairs, beta)
+    wc = w * np.array([math.cosh(beta * d) for _, d in data])
+    ws = w * np.array([math.sinh(beta * d) for _, d in data])
     z = 2.0 * float(np.sum(wc))
     c = wc / z
     s = ws / z if coherences else np.zeros_like(c)
     return DensityMatrix(np.stack([c, s, s, c], axis=-1).reshape(-1, 2, 2))
-
-
-def conditional_dm(pairs, beta: float, side: str) -> DensityMatrix:
-    """Post-measurement gas state given the molecule is on `side` (L or R).
-
-    Supported entirely on that side's localized states with populations
-    w_k cosh(beta delta_k) / Z_side, Z_side = sum_k w_k cosh(beta delta_k);
-    block k holds its population on the L_k or R_k diagonal entry.
-    """
-    if side not in ("L", "R"):
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    wc, _ = _doublet_weights(pairs, beta)
-    blocks = np.zeros((len(wc), 2, 2))
-    i = 0 if side == "L" else 1
-    blocks[:, i, i] = wc / float(np.sum(wc))
-    return DensityMatrix(blocks)
 
 
 def vn_entropy(rho: DensityMatrix) -> float:
@@ -203,11 +144,6 @@ def vn_entropy(rho: DensityMatrix) -> float:
     w = np.clip(rho.eigenvalues, 0.0, None)
     w = w[w > 0.0]
     return max(float(-np.sum(w * np.log(w))), 0.0)
-
-
-def information(rho: DensityMatrix) -> float:
-    """I = ln(dim) - S relative to the state's truncated space."""
-    return math.log(rho.dim) - vn_entropy(rho)
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
@@ -254,10 +190,16 @@ def trace_distance(p: DensityMatrix, q: DensityMatrix) -> float:
     return 0.5 * float(np.sum(np.abs(w)))
 
 
-def product_dm(rho_gas: DensityMatrix, rho_demon: DensityMatrix) -> DensityMatrix:
-    """Each gas block tensored with a one-block demon state; subsystem_dims records the split."""
+def _product_blocks(rho_gas: DensityMatrix, rho_demon: DensityMatrix) -> np.ndarray:
+    """(K, d_gas * d_demon, same) blocks of each gas block tensored with a one-block demon state."""
     if len(rho_demon.entries) != 1:
         raise StateError(f"demon factor must be a single block, got {len(rho_demon.entries)}")
     (k, dg, _), dd = rho_gas.entries.shape, rho_demon.entries.shape[1]
     joint = np.einsum("aik,jl->aijkl", rho_gas.entries, rho_demon.entries[0])
-    return DensityMatrix(joint.reshape(k, dg * dd, dg * dd), subsystem_dims=(dg, dd))
+    return joint.reshape(k, dg * dd, dg * dd)
+
+
+def product_dm(rho_gas: DensityMatrix, rho_demon: DensityMatrix) -> DensityMatrix:
+    """Each gas block tensored with a one-block demon state; subsystem_dims records the split."""
+    dims = (rho_gas.entries.shape[1], rho_demon.entries.shape[1])
+    return DensityMatrix(_product_blocks(rho_gas, rho_demon), subsystem_dims=dims)

@@ -1,6 +1,6 @@
-"""Single-molecule spectra: analytic box levels, numerical levels with a
-rectangular barrier inserted, tunneling doublets, and the localized
-left/right basis built from each doublet.
+"""Single-molecule spectra: numerical levels of the box with a rectangular
+barrier inserted, tunneling doublets, the localized left/right basis built
+from each doublet, and the closed-form doublet family the cycle uses.
 
 Units are carried by PhysicalParams; the defaults put hbar = m = k_B = 1
 and L = 1 so that the ground-state scale is eps = pi^2/2.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,10 +18,7 @@ from .numerics import Grid, TridiagonalSymmetric, eig_tridiagonal
 
 __all__ = [
     "PhysicalParams",
-    "Level",
-    "Spectrum",
     "SplitPair",
-    "box_levels",
     "barrier_grid",
     "hamiltonian",
     "barrier_spectrum",
@@ -87,41 +84,6 @@ class PhysicalParams:
         return math.sqrt(2.0 * math.pi * self.hbar**2 * self.beta / self.mass)
 
 
-class Level(NamedTuple):
-    n: int
-    energy: float
-    vector: Optional[np.ndarray]  # None for analytic levels
-    label: str
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Ordered energy levels, optionally with grid eigenvectors."""
-
-    levels: tuple
-    grid: Optional[Grid] = None
-
-    def __post_init__(self):
-        levels = tuple(self.levels)
-        if not levels:
-            raise ValueError("a spectrum needs at least one level")
-        e = np.array([lv.energy for lv in levels])
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(e))))
-        if np.any(np.diff(e) < -tol):
-            raise ValueError("levels must be sorted ascending")
-        for lv in levels:
-            if lv.vector is not None and abs(np.linalg.norm(lv.vector) - 1.0) > 1e-8:
-                raise ValueError(f"eigenvector of level {lv.n} is not unit-norm")
-        object.__setattr__(self, "levels", levels)
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([lv.energy for lv in self.levels])
-
-    def __len__(self):
-        return len(self.levels)
-
-
 @dataclass(frozen=True)
 class SplitPair:
     """A below-barrier doublet.
@@ -148,23 +110,6 @@ class SplitPair:
                 raise ValueError(f"{name} of pair {self.k} is not unit-norm")
         if abs(float(self.left @ self.right)) > 1e-8:
             raise ValueError(f"left/right of pair {self.k} are not orthogonal")
-
-
-def box_levels(params: PhysicalParams, n_max: int) -> Spectrum:
-    """Analytic spectrum of the bare box, E_n = eps * n^2.
-
-    Eigenfunctions are the centered-box sinusoids vanishing at +/- L/2:
-    cos(n pi x / L) for odd n (even parity), sin(n pi x / L) for even n.
-    Only energies are stored; every Level carries vector None.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    eps = params.eps
-    levels = tuple(
-        Level(n, eps * n * n, None, "even" if n % 2 == 1 else "odd")
-        for n in range(1, n_max + 1)
-    )
-    return Spectrum(levels)
 
 
 def barrier_grid(params: PhysicalParams, n_target: int = 4096) -> Grid:

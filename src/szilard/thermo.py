@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from .exceptions import ThermoError
 from .numerics import eig_tridiagonal, sum_series
-from .spectral import PhysicalParams, Spectrum, barrier_grid, hamiltonian
+from .spectral import PhysicalParams, barrier_grid, hamiltonian
 
 __all__ = [
     "PartitionResult",
@@ -39,7 +39,7 @@ STAGES = ("free", "inserted", "measured-L", "measured-R", "expanded")
 class PartitionResult:
     """A partition-function value plus provenance.
 
-    method is one of exact-series | theta-approx | high-T | from-spectrum.
+    method is one of exact-series | theta-approx | high-T.
     est_error is a relative error estimate; regime_ok goes False when the
     inputs fall outside the approximation's validity window (the value is
     still returned so callers can see how the formula degrades).
@@ -68,33 +68,23 @@ def _gauss_tail(sigma: float):
     return bound
 
 
-def partition_exact(levels: Union[PhysicalParams, Spectrum], beta: float) -> PartitionResult:
-    """Z = sum over n of exp(-beta E_n).
+def partition_exact(params: PhysicalParams, beta: float) -> PartitionResult:
+    """Z = sum over n of exp(-beta E_n) for the analytic box spectrum E_n = eps n^2.
 
-    With PhysicalParams input the analytic box spectrum E_n = eps n^2 is
-    summed as a series in sigma = exp(-beta eps) with a certified Gaussian
-    tail bound.  With a Spectrum input the given (truncated) levels are
-    summed directly and the result is exact for that truncation.
+    Summed as a series in sigma = exp(-beta eps) with a certified Gaussian
+    tail bound.
     """
     if beta <= 0:
         raise ThermoError(f"beta must be positive, got {beta}")
-    if isinstance(levels, PhysicalParams):
-        sigma = math.exp(-beta * levels.eps)
-        if sigma == 0.0:
-            # beta so large the first term already underflows
-            raise ThermoError("series underflows at this beta; use a Spectrum input")
-        terms = (sigma ** (n * n) for n in range(1, 10**6))
-        res = sum_series(terms, _gauss_tail(sigma), rel_tol=1e-12)
-        if res.value <= 0:
-            raise ThermoError("partition sum underflowed to zero")
-        return PartitionResult(res.value, "exact-series", res.terms_used, 1e-12)
-    if len(levels) == 0:
-        raise ThermoError("empty spectrum")
-    e = levels.energies
-    z = float(np.sum(np.exp(-beta * (e - e[0]))) * math.exp(-beta * e[0]))
-    if z <= 0:
+    sigma = math.exp(-beta * params.eps)
+    if sigma == 0.0:
+        # beta so large the first term already underflows
+        raise ThermoError("series underflows at this beta")
+    terms = (sigma ** (n * n) for n in range(1, 10**6))
+    res = sum_series(terms, _gauss_tail(sigma), rel_tol=1e-12)
+    if res.value <= 0:
         raise ThermoError("partition sum underflowed to zero")
-    return PartitionResult(z, "from-spectrum", len(levels), 0.0)
+    return PartitionResult(res.value, "exact-series", res.terms_used, 1e-12)
 
 
 def partition_theta(sigma: float) -> PartitionResult:
@@ -188,36 +178,20 @@ def _box_moments(params: PhysicalParams, beta: float) -> Tuple[float, float]:
     return z, num.value / z
 
 
-def mean_energy(levels: Union[PhysicalParams, Spectrum], beta: float) -> float:
+def mean_energy(params: PhysicalParams, beta: float) -> float:
     """Canonical mean energy <E> = -d ln Z / d beta.
 
-    Uses the same certified series as partition_exact for analytic input;
-    direct ratio of sums for a truncated Spectrum (stable: energies are
-    shifted by the ground state before exponentiating).
+    Uses the same certified series as partition_exact.
     """
     if beta <= 0:
         raise ThermoError(f"beta must be positive, got {beta}")
-    if isinstance(levels, PhysicalParams):
-        return _box_moments(levels, beta)[1]
-    e = levels.energies
-    w = np.exp(-beta * (e - e[0]))
-    return float(np.sum(e * w) / np.sum(w))
+    return _box_moments(params, beta)[1]
 
 
-def thermo_entropy(levels: Union[PhysicalParams, Spectrum], beta: float, k_B: float = 1.0) -> float:
-    """Thermodynamic entropy S = k_B (ln Z + beta <E>).
-
-    For Spectrum input the computation is shifted by the ground-state energy
-    so it stays finite at any beta (third-law limit included).
-    """
-    if isinstance(levels, PhysicalParams):
-        z, e_mean = _box_moments(levels, beta)
-        return k_B * (math.log(z) + beta * e_mean)
-    e = levels.energies
-    w = np.exp(-beta * (e - e[0]))
-    z_shifted = float(np.sum(w))
-    e_mean_shifted = float(np.sum((e - e[0]) * w) / z_shifted)
-    return k_B * (math.log(z_shifted) + beta * e_mean_shifted)
+def thermo_entropy(params: PhysicalParams, beta: float, k_B: float = 1.0) -> float:
+    """Thermodynamic entropy S = k_B (ln Z + beta <E>)."""
+    z, e_mean = _box_moments(params, beta)
+    return k_B * (math.log(z) + beta * e_mean)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -347,3 +349,14 @@ def test_import_leaves_out_scipy_integrate(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    # tools that walk __all__ (the benchmark tracer, star imports) break on a stale name
+    missing = []
+    for info in pkgutil.iter_modules(szilard.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the CLI
+        mod = importlib.import_module(f"szilard.{info.name}")
+        missing += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []

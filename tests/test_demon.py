@@ -158,6 +158,24 @@ class TestPremeasure:
         with pytest.raises(StateError, match="ready state|product"):
             premeasure(tangled, model)
 
+    def test_rejects_non_product_with_ready_marginal(self, model):
+        # demon marginal within 1e-10 of D_0 and PSD within PSD_TOL, but the
+        # pointer coherence B ties it to the gas: only the product check sees it
+        g = post_insertion_dm([(0.0, 0.01)], 1.0).entries[0]
+        d1 = (model.d_left - model.d_right) / math.sqrt(2.0)
+        c = 1e-11
+        b = 3e-6 * np.diag([1.0, -1.0])
+        rho = (
+            (1.0 - c) * np.kron(g, np.outer(model.d0, model.d0))
+            + c * np.kron(np.eye(2) / 2.0, np.outer(d1, d1))
+            + np.kron(b, np.outer(model.d0, d1))
+            + np.kron(b.T, np.outer(d1, model.d0))
+        )
+        joint = DensityMatrix(rho, subsystem_dims=(2, 2))
+        assert np.max(np.abs(partial_trace(joint, "demon").entries - model.ready.entries)) < 1e-10
+        with pytest.raises(StateError, match="not a gas \\(x\\) D_0 product"):
+            premeasure(joint, model)
+
     def test_ideal_readoff_moves_exactly_ln2(self, model):
         p = PhysicalParams(T=25.0, d=0.02)
         gas = post_insertion_dm(analytic_pairs(p, 11), p.beta, coherences=False)

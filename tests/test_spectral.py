@@ -10,7 +10,6 @@ from szilard.spectral import (
     analytic_pairs,
     barrier_grid,
     barrier_spectrum,
-    box_levels,
     hamiltonian,
     splitting_estimate,
 )
@@ -46,11 +45,6 @@ class TestPhysicalParams:
 
 
 class TestBoxSpectrum:
-    def test_levels_are_quadratic(self, params):
-        spec = box_levels(params, 6)
-        for lv in spec.levels:
-            assert lv.energy == pytest.approx(params.eps * lv.n**2, rel=1e-14)
-
     def test_free_hamiltonian_eigenvalue_and_convergence_order(self, params):
         free = PhysicalParams(d=0.0)
         es = {}
