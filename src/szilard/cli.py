@@ -386,16 +386,8 @@ def cmd_cycle(ns: argparse.Namespace) -> int:
 
 
 def _parse_values(axis: str, text: str) -> list:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if axis in ("N", "grid", "n_steps"):
-            out.append(_coerce("N", part, "--values"))
-        else:
-            out.append(_coerce("T", part, "--values"))
-    return out
+    # every sweep axis is an option key, so the axis names its own type
+    return [_coerce(axis, part, "--values") for part in map(str.strip, text.split(",")) if part]
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:

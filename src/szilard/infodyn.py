@@ -9,7 +9,6 @@ display concern.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -129,10 +128,12 @@ def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMat
             raise ValueError(f"negative splitting {d}")
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    e0 = min(e for e, _ in data)
-    w = np.array([math.exp(-beta * (e - e0)) for e, _ in data])
-    wc = w * np.array([math.cosh(beta * d) for _, d in data])
-    ws = w * np.array([math.sinh(beta * d) for _, d in data])
+    e, d = np.array(data).T
+    # weights relative to the lowest member energy E_k - delta_k, so that no
+    # exponent is positive at any beta; expm1 keeps small beta delta exact
+    w = np.exp(-beta * (e - d - np.min(e - d)))
+    wc = w * (1.0 + np.exp(-2.0 * beta * d)) / 2.0
+    ws = -w * np.expm1(-2.0 * beta * d) / 2.0
     z = 2.0 * float(np.sum(wc))
     c = wc / z
     s = ws / z if coherences else np.zeros_like(c)

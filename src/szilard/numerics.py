@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal as _lapack_eigh_tridiagonal
 
 from .exceptions import NumericsError
 
@@ -108,11 +107,14 @@ def eig_tridiagonal(matrix: TridiagonalSymmetric, k_lowest: int):
     contract ||Mv - lambda v|| <= 1e-10 * scale; a violation raises
     NumericsError naming the offending pair.
     """
+    # imported here: scipy.linalg costs about 0.3 s and only grid eigensolves need it
+    from scipy.linalg import eigh_tridiagonal
+
     n = matrix.dim
     if not 1 <= k_lowest <= n:
         raise ValueError(f"k_lowest must lie in [1, {n}], got {k_lowest}")
     try:
-        vals, vecs = _lapack_eigh_tridiagonal(
+        vals, vecs = eigh_tridiagonal(
             matrix.diagonal,
             matrix.off_diagonal,
             select="i",

@@ -1,3 +1,4 @@
+import glob
 import importlib
 import json
 import math
@@ -16,6 +17,8 @@ LN2 = math.log(2.0)
 # the directory holding the szilard package, so child interpreters import
 # this source tree from any working directory
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(szilard.__file__)))
+# the source checkout these tests belong to
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(autouse=True)
@@ -265,6 +268,15 @@ class TestCycleCommand:
         assert table_value(out, "W_extracted") == pytest.approx(LN2, rel=1e-12)
         assert table_value(out, "measurement.ds_demon") == pytest.approx(LN2, abs=1e-10)
 
+    def test_deep_low_temperature(self, capsys):
+        # beta * delta_1 near 5e7: the insertion weights must not overflow
+        assert main(["cycle", "--T", "1e-9"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        measurement = json.loads(captured.out)["measurement"]
+        assert measurement["ds_demon"] == pytest.approx(LN2, abs=1e-12)
+        assert measurement["balance_residual"] <= 1e-10
+
 
 class TestSweepCommand:
     def test_measurement_jump_scales_with_temperature(self, capsys):
@@ -286,6 +298,13 @@ class TestSweepCommand:
         assert rows[1][-1] != ""
         w_col = SWEEP_COLUMNS.index("W_extracted")
         assert rows[1][w_col] == ""
+
+    def test_deep_low_temperature_row_has_no_error(self, capsys):
+        assert main(["sweep", "--axis", "T", "--values", "1,1e-9"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split(",", len(SWEEP_COLUMNS) - 1) for line in lines[2:]]
+        assert [row[SWEEP_COLUMNS.index("value")] for row in rows] == ["1.0", "1e-09"]
+        assert [row[-1] for row in rows] == ["", ""]
 
     def test_empty_values_give_header_only(self, capsys):
         assert main(["sweep", "--axis", "T", "--values", ""]) == 0
@@ -311,6 +330,10 @@ class TestSweepCommand:
 
     def test_unknown_axis(self, capsys):
         assert main(["sweep", "--axis", "volume", "--values", "1"]) == 1
+
+    def test_bad_value_names_its_axis(self, capsys):
+        assert main(["sweep", "--axis", "n_steps", "--values", "1.5"]) == 1
+        assert "value for n_steps" in capsys.readouterr().err
 
     def test_master_seed_header_tracks_seed(self, capsys):
         assert main(["sweep", "--axis", "T", "--values", "1.0", "--seed", "42"]) == 0
@@ -339,16 +362,54 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.startswith("# master_seed=0")
 
 
-def test_import_leaves_out_scipy_integrate(tmp_path):
+# runs szilard.cli.main on each argv given as JSON, then prints the exit codes
+# and every scipy module the process has loaded
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import szilard, szilard.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [szilard.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def scipy_modules_after(argvs, cwd):
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, szilard; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
         capture_output=True,
         text=True,
         env=child_env(),
-        cwd=tmp_path,
+        cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    codes, modules = json.loads(proc.stdout)
+    assert codes == [0] * len(argvs)
+    return modules
+
+
+def test_numpy_commands_leave_out_scipy(tmp_path):
+    # only the finite-difference eigensolve needs scipy, and it imports it on first use
+    argvs = [
+        ["thermo"],
+        ["measure", "--N", "11"],
+        ["cycle"],
+        ["sweep", "--axis", "n_steps", "--values", "1,2"],
+    ]
+    assert scipy_modules_after(argvs, tmp_path) == []
+    # positive control: the grid eigensolve does load it
+    assert "scipy.linalg" in scipy_modules_after([["spectrum", "--pairs", "1"]], tmp_path)
+
+
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs_clean(path, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, path], capture_output=True, text=True, env=child_env(), cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_every_exported_name_resolves():

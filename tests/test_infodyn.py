@@ -129,6 +129,18 @@ class TestPostInsertion:
         n = len(self.pairs)
         assert post_insertion_dm(self.pairs, self.beta).entries.shape == (n, 2, 2)
 
+    def test_deep_ground_state_does_not_overflow(self):
+        # T = 1e-9 puts beta * delta_1 near 5e7, far past where cosh overflows
+        p = PhysicalParams(T=1e-9)
+        pairs = analytic_pairs(p, 45)
+        assert p.beta * pairs[0][1] > 1e7
+        rho = post_insertion_dm(pairs, p.beta)
+        assert np.all(np.isfinite(rho.entries))
+        assert np.trace(rho.entries, axis1=1, axis2=2).sum() == pytest.approx(1.0, abs=1e-14)
+        # all weight sits in the symmetric ground state (L_1 + R_1)/sqrt(2)
+        assert np.allclose(rho.entries[0], 0.5, atol=1e-14)
+        assert np.max(np.abs(rho.entries[1:])) == 0.0
+
     def test_accepts_bare_tuples(self):
         rho = post_insertion_dm([(0.0, 0.01), (3.0, 0.001)], 1.0)
         assert rho.dim == 4
