@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -258,10 +258,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
     series_cols = ["d", "delta_1", "estimate", "ratio"]
     series = []
     for d in SPLITTING_SERIES_D:
-        pd = PhysicalParams(
-            L=s.params.L, d=d, U=s.params.U, T=s.params.T,
-            hbar=s.params.hbar, mass=s.params.mass, k_B=s.params.k_B,
-        )
+        pd = replace(s.params, d=d)
         pair = barrier_spectrum(pd, 1, barrier_grid(pd, s.grid))[0]
         est = splitting_estimate(pd, 1)
         series.append({"d": d, "delta_1": pair.delta, "estimate": est, "ratio": pair.delta / est})

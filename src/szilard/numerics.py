@@ -91,9 +91,13 @@ class TridiagonalSymmetric:
         return m
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        out[:-1] += self.off_diagonal * v[1:]
-        out[1:] += self.off_diagonal * v[:-1]
+        """M v for a vector, or M V column by column for an (n, k) array."""
+        diag, off = self.diagonal, self.off_diagonal
+        if v.ndim == 2:
+            diag, off = diag[:, None], off[:, None]
+        out = diag * v
+        out[:-1] += off * v[1:]
+        out[1:] += off * v[:-1]
         return out
 
 
@@ -107,16 +111,23 @@ def eig_tridiagonal(matrix: TridiagonalSymmetric, k_lowest: int):
     contract ||Mv - lambda v|| <= 1e-10 * scale; a violation raises
     NumericsError naming the offending pair.
     """
-    # imported here: scipy.linalg costs about 0.3 s and only grid eigensolves need it
-    from scipy.linalg import eigh_tridiagonal
-
     n = matrix.dim
     if not 1 <= k_lowest <= n:
         raise ValueError(f"k_lowest must lie in [1, {n}], got {k_lowest}")
+    vals, vecs = _stebz(matrix.diagonal, matrix.off_diagonal, k_lowest)
+    vecs = _check_residuals(matrix, vals, vecs)
+    return [(float(vals[j]), vecs[:, j]) for j in range(k_lowest)]
+
+
+def _stebz(diagonal: np.ndarray, off_diagonal: np.ndarray, k_lowest: int):
+    """Lowest k eigenvalues and (n, k) eigenvectors of the banded matrix."""
+    # imported here: scipy.linalg costs about 0.3 s and only grid eigensolves need it
+    from scipy.linalg import eigh_tridiagonal
+
     try:
-        vals, vecs = eigh_tridiagonal(
-            matrix.diagonal,
-            matrix.off_diagonal,
+        return eigh_tridiagonal(
+            diagonal,
+            off_diagonal,
             select="i",
             select_range=(0, k_lowest - 1),
             lapack_driver="stebz",
@@ -125,19 +136,26 @@ def eig_tridiagonal(matrix: TridiagonalSymmetric, k_lowest: int):
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"tridiagonal eigensolver did not converge: {exc}") from exc
 
+
+def _check_residuals(matrix: TridiagonalSymmetric, vals: np.ndarray, vecs: np.ndarray):
+    """Normalize the columns of vecs in place and enforce the residual contract.
+
+    The first column j with ||M v_j - vals[j] v_j|| > 1e-10 * scale raises
+    NumericsError; otherwise the normalized vecs are returned.
+    """
+    vecs /= np.linalg.norm(vecs, axis=0)
+    r = matrix.matvec(vecs)
+    r -= vals * vecs
+    residuals = np.linalg.norm(r, axis=0)
     limit = RESIDUAL_FACTOR * matrix.scale
-    pairs = []
-    for j in range(k_lowest):
-        v = vecs[:, j]
-        v = v / np.linalg.norm(v)
-        residual = float(np.linalg.norm(matrix.matvec(v) - vals[j] * v))
-        if residual > limit:
-            raise NumericsError(
-                f"eigenpair {j} failed the residual contract: "
-                f"{residual:.3e} > {limit:.3e}"
-            )
-        pairs.append((float(vals[j]), v))
-    return pairs
+    failed = np.flatnonzero(residuals > limit)
+    if failed.size:
+        j = failed[0]
+        raise NumericsError(
+            f"eigenpair {j} failed the residual contract: "
+            f"{residuals[j]:.3e} > {limit:.3e}"
+        )
+    return vecs
 
 
 class SeriesSum(NamedTuple):

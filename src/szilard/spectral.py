@@ -8,13 +8,13 @@ and L = 1 so that the ground-state scale is eps = pi^2/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import SpectralError
-from .numerics import Grid, TridiagonalSymmetric, eig_tridiagonal
+from .numerics import Grid, TridiagonalSymmetric, _check_residuals, _stebz
 
 __all__ = [
     "PhysicalParams",
@@ -24,13 +24,7 @@ __all__ = [
     "barrier_spectrum",
     "splitting_estimate",
     "analytic_pairs",
-    "mirror",
-    "parity",
 ]
-
-# a doublet member whose mirror expectation lies below this is treated as
-# parity-mixed and re-diagonalized within the pair subspace
-PARITY_DEFINITE = 0.99
 
 
 @dataclass(frozen=True)
@@ -51,6 +45,9 @@ class PhysicalParams:
     T: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("hbar", "mass", "k_B", "L", "U", "T"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -91,7 +88,9 @@ class SplitPair:
     energy is the arithmetic mean of the numerical pair, delta the
     half-splitting, so the two members sit at energy -/+ delta with the
     symmetric (psi_minus) member below the antisymmetric (psi_plus) one.
-    left/right are the localized combinations (psi_plus +/- psi_minus)/sqrt2.
+    Both members come from the parity-folded solve, so their parity is
+    exact.  left/right are the localized combinations
+    (psi_plus +/- psi_minus)/sqrt2.
     """
 
     k: int
@@ -151,14 +150,42 @@ def hamiltonian(params: PhysicalParams, grid: Grid) -> TridiagonalSymmetric:
     return TridiagonalSymmetric(2.0 * t + v, np.full(grid.n_points - 1, -t))
 
 
-def mirror(v: np.ndarray) -> np.ndarray:
-    """Spatial reflection x -> -x on a symmetric grid."""
-    return v[::-1]
+def _parity_eig(ham: TridiagonalSymmetric, n_even: int, n_odd: int):
+    """Lowest n_even even and n_odd odd eigenpairs of a mirror-symmetric matrix.
 
-
-def parity(v: np.ndarray) -> float:
-    """Mirror expectation <v|mirror|v>; +/-1 for definite-parity states."""
-    return float(v @ v[::-1])
+    For n = 2m+1 the even block is rows 0..m with the centre coupling scaled
+    by sqrt 2 and the odd block is rows 0..m-1; for n = 2m both are rows
+    0..m-1 with the last diagonal shifted by +/- the centre coupling.  The
+    unfolded vectors meet the residual contract of the full matrix, at its
+    scale.  Returns ((even_vals, even_vecs), (odd_vals, odd_vecs)), vectors
+    as the columns of (n, k) arrays.
+    """
+    d, o = ham.diagonal, ham.off_diagonal
+    if not (np.array_equal(d, d[::-1]) and np.array_equal(o, o[::-1])):
+        raise SpectralError("parity fold needs a mirror-symmetric Hamiltonian")
+    n, m = ham.dim, ham.dim // 2
+    if n_even + n_odd > n:
+        raise ValueError(f"{n_even + n_odd} levels requested, grid has {n}")
+    if n % 2:
+        blocks = (
+            (d[: m + 1], np.append(o[: m - 1], math.sqrt(2.0) * o[m - 1]), n_even, 1.0),
+            (d[:m], o[: m - 1], n_odd, -1.0),
+        )
+    else:
+        blocks = (
+            (np.append(d[: m - 1], d[m - 1] + o[m - 1]), o[: m - 1], n_even, 1.0),
+            (np.append(d[: m - 1], d[m - 1] - o[m - 1]), o[: m - 1], n_odd, -1.0),
+        )
+    out = []
+    for diag, off, k, sign in blocks:
+        vals, w = _stebz(diag, off, k)
+        # each off-centre block entry stands for two mirror points, hence 1/sqrt 2
+        v = np.zeros((n, k))
+        v[:m] = w[:m] / math.sqrt(2.0)
+        v[n - m :] = sign * v[m - 1 :: -1]
+        v[m : len(w)] = w[m:]  # the centre point: only the odd-n even block has one
+        out.append((vals, _check_residuals(ham, vals, v)))
+    return tuple(out)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -179,14 +206,11 @@ def _localize(psi_plus: np.ndarray, psi_minus: np.ndarray):
 def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] = None):
     """Numerical doublets of the box with the barrier inserted.
 
-    Solves the finite-difference problem for the lowest 2*n_pairs levels and
-    groups them into SplitPairs: for pair k the members are reconstructed as
-    energy -/+ delta with the symmetric member below the antisymmetric one.
-
-    Degenerate doublets (splitting at the solver's noise floor) may come
-    back as arbitrary mixtures within the pair subspace; those are
-    re-diagonalized against the mirror operator so the returned members
-    have definite parity.
+    Solves the parity-folded finite-difference problem: the lowest n_pairs
+    even and n_pairs odd levels, each from a half-size block.  Levels
+    alternate in parity (even_k < odd_k < even_k+1), so pair k is the k-th
+    even (symmetric) level with the k-th odd (antisymmetric) one, and the
+    members have exact parity whatever the splitting.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -200,64 +224,22 @@ def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] 
         raise SpectralError(
             f"grid too coarse: {under} points under the barrier, need >= 16"
         )
-    ham = hamiltonian(params, grid)
-    if 2 * n_pairs > ham.dim:
-        raise ValueError(f"{n_pairs} pairs need {2*n_pairs} levels, grid has {ham.dim}")
-    eig = eig_tridiagonal(ham, 2 * n_pairs)
+    (e_even, v_even), (e_odd, v_odd) = _parity_eig(hamiltonian(params, grid), n_pairs, n_pairs)
 
     pairs = []
     for k in range(1, n_pairs + 1):
-        e_lo, v_lo = eig[2 * k - 2]
-        e_hi, v_hi = eig[2 * k - 1]
-        p_lo, p_hi = parity(v_lo), parity(v_hi)
-
-        if min(abs(p_lo), abs(p_hi)) < PARITY_DEFINITE:
-            # mirror-diagonalize within the two-dimensional pair subspace
-            s = np.array(
-                [
-                    [p_lo, float(v_lo @ mirror(v_hi))],
-                    [float(v_hi @ mirror(v_lo)), p_hi],
-                ]
-            )
-            w, c = np.linalg.eigh(s)
-            vecs = [c[0, j] * v_lo + c[1, j] * v_hi for j in range(2)]
-            by_parity = {}
-            for u in vecs:
-                u = u / np.linalg.norm(u)
-                by_parity["sym" if parity(u) > 0 else "anti"] = u
-            if set(by_parity) != {"sym", "anti"}:
-                raise SpectralError(f"pair {k}: mirror diagonalization failed")
-            v_sym, v_anti = by_parity["sym"], by_parity["anti"]
-            # Rayleigh quotients; in this branch the pair is degenerate to
-            # solver precision, so ordering noise is expected and clamped
-            e_sym = float(v_sym @ ham.matvec(v_sym))
-            e_anti = float(v_anti @ ham.matvec(v_anti))
-        else:
-            if p_lo > 0 and p_hi < 0:
-                v_sym, v_anti, e_sym, e_anti = v_lo, v_hi, e_lo, e_hi
-            elif p_lo < 0 and p_hi > 0:
-                raise SpectralError(
-                    f"pair {k}: symmetric member above antisymmetric one"
-                )
-            else:
-                raise SpectralError(
-                    f"pair {k}: members have equal parity signs "
-                    f"({p_lo:+.3f}, {p_hi:+.3f}); no pair structure"
-                )
-
+        e_sym, e_anti = float(e_even[k - 1]), float(e_odd[k - 1])
         # pair structure requires the internal gap to stay below the gap
         # to the next doublet
-        if 2 * k < len(eig):
-            e_next = eig[2 * k][0]
-            if (e_anti - e_sym) >= (e_next - e_anti):
-                raise SpectralError(
-                    f"no pair structure at k = {k}: internal gap "
-                    f"{e_anti - e_sym:.4g} reaches the gap {e_next - e_anti:.4g} "
-                    f"to the next level (U too low?)"
-                )
+        if k < n_pairs and (e_anti - e_sym) >= (e_even[k] - e_anti):
+            raise SpectralError(
+                f"no pair structure at k = {k}: internal gap "
+                f"{e_anti - e_sym:.4g} reaches the gap {e_even[k] - e_anti:.4g} "
+                f"to the next level (U too low?)"
+            )
 
-        v_sym = _fix_sign(v_sym)
-        v_anti = _fix_sign(v_anti)
+        v_sym = _fix_sign(v_even[:, k - 1])
+        v_anti = _fix_sign(v_odd[:, k - 1])
         left, right = _localize(v_anti, v_sym)
         mean = 0.5 * (e_sym + e_anti)
         delta = max(0.5 * (e_anti - e_sym), 0.0)

@@ -14,8 +14,8 @@ from typing import Tuple
 import numpy as np
 
 from .exceptions import ThermoError
-from .numerics import eig_tridiagonal, sum_series
-from .spectral import PhysicalParams, barrier_grid, hamiltonian
+from .numerics import sum_series
+from .spectral import PhysicalParams, _parity_eig, barrier_grid, hamiltonian
 
 __all__ = [
     "PartitionResult",
@@ -246,9 +246,11 @@ class SpectralStageCheck:
 def spectral_stage_check(params: PhysicalParams, n_levels: int = 90, grid=None) -> SpectralStageCheck:
     """Compare closed-form stage free energies against a numerical spectrum.
 
-    The inserted-stage partition sum uses all n_levels raw eigenvalues; the
-    measured-stage sum uses doublet means and half-splittings, restricted to
-    doublets entirely below the barrier top, where the left/right basis is
+    The inserted-stage partition sum uses all n_levels levels of the
+    parity-folded solve, ceil(n_levels/2) even and floor(n_levels/2) odd;
+    the measured-stage sum uses doublet means and half-splittings, doublet k
+    being the k-th even with the k-th odd level, restricted to doublets
+    entirely below the barrier top, where the left/right basis is
     meaningful.  Accurate in the high-temperature window (eps*beta small)
     once beta*U is large enough that above-barrier weight is negligible.
     """
@@ -258,13 +260,12 @@ def spectral_stage_check(params: PhysicalParams, n_levels: int = 90, grid=None) 
         grid = barrier_grid(params)
     beta = params.beta
     kT = params.k_B * params.T
-    ham = hamiltonian(params, grid)
-    energies = np.array([e for e, _ in eig_tridiagonal(ham, n_levels)])
+    n_odd = n_levels // 2
+    (even, _), (odd, _) = _parity_eig(hamiltonian(params, grid), n_levels - n_odd, n_odd)
 
-    z_all = float(np.sum(np.exp(-beta * energies)))
+    z_all = float(np.sum(np.exp(-beta * even)) + np.sum(np.exp(-beta * odd)))
     pairs = []
-    for k in range(n_levels // 2):
-        e_lo, e_hi = energies[2 * k], energies[2 * k + 1]
+    for e_lo, e_hi in zip(even, odd):
         if e_hi >= params.U:
             break
         pairs.append((0.5 * (e_lo + e_hi), 0.5 * (e_hi - e_lo)))

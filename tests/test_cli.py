@@ -50,6 +50,13 @@ class TestExitCodes:
         assert code == 2
         assert "computation failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--d", "nan")])
+    def test_non_finite_parameter_is_named(self, flag, value, capsys):
+        assert main(["cycle", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert f"{flag[2:]} must be finite" in err
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["thermo", "--no-such-flag"])

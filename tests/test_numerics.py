@@ -9,6 +9,7 @@ from szilard.exceptions import NumericsError
 from szilard.numerics import (
     Grid,
     TridiagonalSymmetric,
+    _check_residuals,
     eig_tridiagonal,
     sum_series,
 )
@@ -44,6 +45,14 @@ class TestTridiagonal:
         v = np.array([1.0, -2.0, 0.5])
         assert np.allclose(m.matvec(v), dense @ v, rtol=0, atol=1e-15)
 
+    def test_matvec_on_columns_matches_per_column(self):
+        rng = np.random.default_rng(3)
+        m = TridiagonalSymmetric(rng.normal(size=7), rng.normal(size=6))
+        vs = rng.normal(size=(7, 4))
+        stacked = m.matvec(vs)
+        for j in range(4):
+            assert np.array_equal(stacked[:, j], m.matvec(vs[:, j]))
+
 
 class TestEigTridiagonal:
     def test_uniform_matrix_closed_form(self):
@@ -66,6 +75,15 @@ class TestEigTridiagonal:
             eig_tridiagonal(m, 0)
         with pytest.raises(ValueError):
             eig_tridiagonal(m, 4)
+
+    def test_residual_contract_names_first_failing_pair(self):
+        m = TridiagonalSymmetric(np.full(3, 2.0), np.full(2, -1.0))
+        vals = np.array([2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)])
+        vecs = np.column_stack([v for _, v in eig_tridiagonal(m, 3)])
+        assert np.allclose(_check_residuals(m, vals, 2.0 * vecs), vecs, rtol=0, atol=1e-15)
+        vals[1:] += 1e-6
+        with pytest.raises(NumericsError, match="eigenpair 1 failed"):
+            _check_residuals(m, vals, vecs)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(

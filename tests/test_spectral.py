@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from szilard.exceptions import SpectralError
-from szilard.numerics import eig_tridiagonal
+from szilard.numerics import Grid, eig_tridiagonal
 from szilard.spectral import (
     PhysicalParams,
     analytic_pairs,
@@ -13,6 +14,7 @@ from szilard.spectral import (
     hamiltonian,
     splitting_estimate,
 )
+from szilard.thermo import spectral_stage_check
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,12 @@ class TestPhysicalParams:
             PhysicalParams(L=-1.0)
         with pytest.raises(ValueError):
             PhysicalParams(T=0.0)
+        with pytest.raises(ValueError, match="T must be finite"):
+            PhysicalParams(T=math.inf)
+        with pytest.raises(ValueError, match="U must be finite"):
+            PhysicalParams(U=math.inf)
+        with pytest.raises(ValueError, match="d must be finite"):
+            PhysicalParams(d=math.nan)
         PhysicalParams(d=0.0)  # no barrier is a valid configuration
 
 
@@ -94,8 +102,8 @@ class TestBarrierSpectrum:
             assert abs(pair.psi_plus @ pair.psi_minus) < 1e-8
             sym = pair.psi_minus
             anti = pair.psi_plus
-            assert sym @ sym[::-1] == pytest.approx(1.0, abs=1e-6)
-            assert anti @ anti[::-1] == pytest.approx(-1.0, abs=1e-6)
+            assert sym @ sym[::-1] == pytest.approx(1.0, abs=1e-12)
+            assert anti @ anti[::-1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_left_state_lives_left(self, default_pairs):
         for pair in default_pairs:
@@ -103,7 +111,7 @@ class TestBarrierSpectrum:
             assert float(np.sum(pair.left[:half] ** 2)) > 0.99
             assert float(np.sum(pair.right[half:] ** 2)) > 0.99
             # mirror symmetry maps the two onto each other
-            assert np.max(np.abs(pair.left[::-1] - pair.right)) < 1e-6
+            assert np.max(np.abs(pair.left[::-1] - pair.right)) < 1e-12
 
     def test_localized_basis_recombines(self, default_pairs):
         inv = 1.0 / math.sqrt(2.0)
@@ -118,16 +126,58 @@ class TestBarrierSpectrum:
             barrier_spectrum(PhysicalParams(d=0.0), 1)
         # at 250 interior points only 12 fall under the d=0.05 barrier
         with pytest.raises(SpectralError, match="16"):
-            from szilard.numerics import Grid
-
             grid = Grid(n_points=250, x_min=-0.5, x_max=0.5)
             barrier_spectrum(params, 1, grid)
+
+    def test_level_count_is_bounded_by_the_grid(self, params):
+        grid = barrier_grid(params, 1024)
+        with pytest.raises(ValueError, match="levels requested"):
+            barrier_spectrum(params, 600, grid)
+        with pytest.raises(ValueError, match="levels requested"):
+            spectral_stage_check(params, 1200, grid)
 
     def test_pairs_above_the_barrier_are_rejected(self):
         low = PhysicalParams(U=50.0)
         grid = barrier_grid(low, 1024)
         with pytest.raises(SpectralError, match="barrier top"):
             barrier_spectrum(low, 2, grid)
+
+
+class TestParityFold:
+    # The fold solves half-size even/odd blocks; the oracle solves the full
+    # grid Hamiltonian in one piece and pairs its sorted levels two by two.
+
+    @pytest.mark.parametrize("n_points", [4000, 4001])
+    def test_matches_unfolded_solve(self, params, n_points):
+        grid = Grid(n_points, -0.5, 0.5)
+        pairs = barrier_spectrum(params, 5, grid)
+        levels = [e for e, _ in eig_tridiagonal(hamiltonian(params, grid), 10)]
+        for pair, lo, hi in zip(pairs, levels[0::2], levels[1::2]):
+            assert abs(pair.energy - 0.5 * (lo + hi)) <= 1e-9
+            assert pair.delta == pytest.approx(0.5 * (hi - lo), rel=1e-9)
+
+    def test_asymmetric_grid_is_rejected(self, params):
+        grid = Grid(4096, -0.5, 0.6)
+        with pytest.raises(SpectralError, match="mirror-symmetric"):
+            barrier_spectrum(params, 1, grid)
+        with pytest.raises(SpectralError, match="mirror-symmetric"):
+            spectral_stage_check(params, 10, grid)
+
+    @pytest.mark.parametrize("n_target", [1024, 1025])
+    def test_eigensolves_stay_half_sized(self, params, n_target, monkeypatch):
+        widths = []
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def recording(d, e, **kw):
+            widths.append(len(d))
+            return solve(d, e, **kw)
+
+        grid = Grid(n_target, -0.5, 0.5)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+        barrier_spectrum(params, 5, grid)
+        spectral_stage_check(params, 30, grid)
+        assert len(widths) == 4
+        assert max(widths) <= math.ceil(n_target / 2)
 
 
 @pytest.fixture(scope="module")
