@@ -119,8 +119,12 @@ def eig_tridiagonal(matrix: TridiagonalSymmetric, k_lowest: int):
     return [(float(vals[j]), vecs[:, j]) for j in range(k_lowest)]
 
 
-def _stebz(diagonal: np.ndarray, off_diagonal: np.ndarray, k_lowest: int):
-    """Lowest k eigenvalues and (n, k) eigenvectors of the banded matrix."""
+def _stebz(diagonal: np.ndarray, off_diagonal: np.ndarray, k_lowest: int, eigvals_only=False):
+    """Lowest k eigenvalues and, unless eigvals_only, their (n, k) eigenvectors.
+
+    The eigenvalues come from the same bisection either way; eigvals_only
+    only skips the inverse iteration.
+    """
     # imported here: scipy.linalg costs about 0.3 s and only grid eigensolves need it
     from scipy.linalg import eigh_tridiagonal
 
@@ -128,6 +132,7 @@ def _stebz(diagonal: np.ndarray, off_diagonal: np.ndarray, k_lowest: int):
         return eigh_tridiagonal(
             diagonal,
             off_diagonal,
+            eigvals_only=eigvals_only,
             select="i",
             select_range=(0, k_lowest - 1),
             lapack_driver="stebz",

@@ -150,15 +150,13 @@ def hamiltonian(params: PhysicalParams, grid: Grid) -> TridiagonalSymmetric:
     return TridiagonalSymmetric(2.0 * t + v, np.full(grid.n_points - 1, -t))
 
 
-def _parity_eig(ham: TridiagonalSymmetric, n_even: int, n_odd: int):
-    """Lowest n_even even and n_odd odd eigenpairs of a mirror-symmetric matrix.
+def _parity_blocks(ham: TridiagonalSymmetric, n_even: int, n_odd: int):
+    """Even and odd half blocks of a mirror-symmetric tridiagonal matrix.
 
     For n = 2m+1 the even block is rows 0..m with the centre coupling scaled
     by sqrt 2 and the odd block is rows 0..m-1; for n = 2m both are rows
-    0..m-1 with the last diagonal shifted by +/- the centre coupling.  The
-    unfolded vectors meet the residual contract of the full matrix, at its
-    scale.  Returns ((even_vals, even_vecs), (odd_vals, odd_vecs)), vectors
-    as the columns of (n, k) arrays.
+    0..m-1 with the last diagonal shifted by +/- the centre coupling.
+    Returns ((diag, off, n_even), (diag, off, n_odd)), the even block first.
     """
     d, o = ham.diagonal, ham.off_diagonal
     if not (np.array_equal(d, d[::-1]) and np.array_equal(o, o[::-1])):
@@ -167,17 +165,27 @@ def _parity_eig(ham: TridiagonalSymmetric, n_even: int, n_odd: int):
     if n_even + n_odd > n:
         raise ValueError(f"{n_even + n_odd} levels requested, grid has {n}")
     if n % 2:
-        blocks = (
-            (d[: m + 1], np.append(o[: m - 1], math.sqrt(2.0) * o[m - 1]), n_even, 1.0),
-            (d[:m], o[: m - 1], n_odd, -1.0),
+        return (
+            (d[: m + 1], np.append(o[: m - 1], math.sqrt(2.0) * o[m - 1]), n_even),
+            (d[:m], o[: m - 1], n_odd),
         )
-    else:
-        blocks = (
-            (np.append(d[: m - 1], d[m - 1] + o[m - 1]), o[: m - 1], n_even, 1.0),
-            (np.append(d[: m - 1], d[m - 1] - o[m - 1]), o[: m - 1], n_odd, -1.0),
-        )
+    return (
+        (np.append(d[: m - 1], d[m - 1] + o[m - 1]), o[: m - 1], n_even),
+        (np.append(d[: m - 1], d[m - 1] - o[m - 1]), o[: m - 1], n_odd),
+    )
+
+
+def _parity_eig(ham: TridiagonalSymmetric, n_even: int, n_odd: int):
+    """Lowest n_even even and n_odd odd eigenpairs of a mirror-symmetric matrix.
+
+    Solves the two blocks of _parity_blocks and unfolds their vectors onto
+    the full grid, where they meet the residual contract of the full matrix,
+    at its scale.  Returns ((even_vals, even_vecs), (odd_vals, odd_vecs)),
+    vectors as the columns of (n, k) arrays.
+    """
+    n, m = ham.dim, ham.dim // 2
     out = []
-    for diag, off, k, sign in blocks:
+    for (diag, off, k), sign in zip(_parity_blocks(ham, n_even, n_odd), (1.0, -1.0)):
         vals, w = _stebz(diag, off, k)
         # each off-centre block entry stands for two mirror points, hence 1/sqrt 2
         v = np.zeros((n, k))

@@ -13,9 +13,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .exceptions import ThermoError
-from .numerics import sum_series
-from .spectral import PhysicalParams, _parity_eig, barrier_grid, hamiltonian
+from .exceptions import SpectralError, ThermoError
+from .numerics import _stebz, sum_series
+from .spectral import PhysicalParams, _parity_blocks, barrier_grid, hamiltonian
 
 __all__ = [
     "PartitionResult",
@@ -229,8 +229,12 @@ class SpectralStageCheck:
 
     Z_all sums every computed level of the inserted-barrier box; Z_left
     sums the left-well populations e^(-beta E_k) cosh(beta delta_k) over the
-    doublets below the barrier top (pairs_used of them).  The closed-form
-    twins come from stage_free_energies.
+    doublets below the barrier top (pairs_used of them).  Each such term is
+    half the weight of the doublet's two levels, so Z_all = 2 Z_left and
+    jump_spectral = k_B T ln 2 by construction, up to the weight of levels
+    left unpaired or above the barrier top: the jump is no independent
+    confirmation of the closed form, only a bound on that weight.  The
+    closed-form twins come from stage_free_energies.
     """
 
     A_tilde_spectral: float
@@ -251,39 +255,47 @@ def spectral_stage_check(params: PhysicalParams, n_levels: int = 90, grid=None) 
     the measured-stage sum uses doublet means and half-splittings, doublet k
     being the k-th even with the k-th odd level, restricted to doublets
     entirely below the barrier top, where the left/right basis is
-    meaningful.  Accurate in the high-temperature window (eps*beta small)
-    once beta*U is large enough that above-barrier weight is negligible.
+    meaningful.  Only eigenvalues are solved for, each bracketed to 1e-12
+    by bisection.  The spectral jump is k_B T ln 2 by construction up to
+    unpaired and above-barrier weight (see SpectralStageCheck); the free
+    energies match the closed forms only in the high-temperature window
+    (eps*beta small).  Raises SpectralError when d = 0 (no barrier).
     """
     if n_levels < 2:
         raise ThermoError(f"need at least 2 levels, got {n_levels}")
+    if params.d <= 0:
+        raise SpectralError("spectral_stage_check needs a barrier, got d = 0")
     if grid is None:
         grid = barrier_grid(params)
     beta = params.beta
     kT = params.k_B * params.T
     n_odd = n_levels // 2
-    (even, _), (odd, _) = _parity_eig(hamiltonian(params, grid), n_levels - n_odd, n_odd)
+    blocks = _parity_blocks(hamiltonian(params, grid), n_levels - n_odd, n_odd)
+    even, odd = (_stebz(diag, off, k, eigvals_only=True) for diag, off, k in blocks)
 
-    z_all = float(np.sum(np.exp(-beta * even)) + np.sum(np.exp(-beta * odd)))
-    pairs = []
-    for e_lo, e_hi in zip(even, odd):
-        if e_hi >= params.U:
-            break
-        pairs.append((0.5 * (e_lo + e_hi), 0.5 * (e_hi - e_lo)))
-    if not pairs:
+    n_pairs = int(np.searchsorted(odd, params.U))
+    if not n_pairs:
         raise ThermoError("no doublets below the barrier top; raise U or lower T")
-    z_left = float(
-        sum(math.exp(-beta * e) * math.cosh(beta * d) for e, d in pairs)
-    )
-    a_tilde = -kT * math.log(z_all)
-    a_left = -kT * math.log(z_left)
+    # weights relative to the lowest level, so that no exponent is positive
+    # at any beta; e^(-beta E_k) cosh(beta delta_k) is the mean weight of the
+    # doublet's two members
+    e0 = float(min(even[0], odd[0]))
+    w_even = np.exp(-beta * (even - e0))
+    w_odd = np.exp(-beta * (odd - e0))
+    z_all = float(np.sum(w_even) + np.sum(w_odd))
+    z_left = 0.5 * float(np.sum(w_even[:n_pairs]) + np.sum(w_odd[:n_pairs]))
+    a_tilde = e0 - kT * math.log(z_all)
+    a_left = e0 - kT * math.log(z_left)
     closed = stage_free_energies(params)
+    # the jump from the ratio: a_left - a_tilde cancels e0, which is far
+    # larger than k_B T ln 2 at low T
     return SpectralStageCheck(
         A_tilde_spectral=a_tilde,
         A_left_spectral=a_left,
         A_tilde_closed=closed.A_tilde,
         A_left_closed=closed.A_left,
-        jump_spectral=a_left - a_tilde,
+        jump_spectral=kT * math.log(z_all / z_left),
         jump_closed=closed.measurement_jump,
-        pairs_used=len(pairs),
+        pairs_used=n_pairs,
         levels_used=n_levels,
     )

@@ -284,6 +284,21 @@ class TestCycleCommand:
         assert measurement["ds_demon"] == pytest.approx(LN2, abs=1e-12)
         assert measurement["balance_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("T", ["0.02", "1e-6"])
+    def test_spectral_check_at_low_temperature(self, T, capsys):
+        # the doublets just below the barrier top have beta * delta near 1e3
+        # at T = 0.02, and every raw weight e^(-beta E) underflows at T = 1e-6
+        assert main(["cycle", "--spectral-check", "--T", T]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["spectral_jump_dev"] <= 1e-12
+
+    def test_spectral_check_needs_a_barrier(self, capsys):
+        assert main(["cycle", "--spectral-check", "--d", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "computation failed" in err
+        assert "needs a barrier" in err
+
 
 class TestSweepCommand:
     def test_measurement_jump_scales_with_temperature(self, capsys):

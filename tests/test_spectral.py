@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from szilard import thermo
 from szilard.exceptions import SpectralError
 from szilard.numerics import Grid, eig_tridiagonal
 from szilard.spectral import (
     PhysicalParams,
+    _parity_eig,
     analytic_pairs,
     barrier_grid,
     barrier_spectrum,
@@ -165,19 +167,39 @@ class TestParityFold:
 
     @pytest.mark.parametrize("n_target", [1024, 1025])
     def test_eigensolves_stay_half_sized(self, params, n_target, monkeypatch):
-        widths = []
+        calls = []
         solve = scipy.linalg.eigh_tridiagonal
 
         def recording(d, e, **kw):
-            widths.append(len(d))
+            calls.append((len(d), kw["eigvals_only"]))
             return solve(d, e, **kw)
 
         grid = Grid(n_target, -0.5, 0.5)
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
         barrier_spectrum(params, 5, grid)
         spectral_stage_check(params, 30, grid)
-        assert len(widths) == 4
-        assert max(widths) <= math.ceil(n_target / 2)
+        assert len(calls) == 4
+        assert max(width for width, _ in calls) <= math.ceil(n_target / 2)
+        # the spectrum keeps its vectors, the stage check asks for none
+        assert [values_only for _, values_only in calls] == [False, False, True, True]
+
+    @pytest.mark.parametrize("n_points", [2048, 2049])
+    def test_stage_check_levels_match_eigenpair_solve(self, params, n_points, monkeypatch):
+        # oracle: the eigenpair solve barrier_spectrum uses, on the same blocks
+        grid = Grid(n_points, -0.5, 0.5)
+        levels = []
+        solve = thermo._stebz
+
+        def recording(*args, **kw):
+            levels.append(solve(*args, **kw))
+            return levels[-1]
+
+        monkeypatch.setattr(thermo, "_stebz", recording)
+        spectral_stage_check(params, 90, grid)
+        (even, _), (odd, _) = _parity_eig(hamiltonian(params, grid), 45, 45)
+        assert len(levels) == 2
+        assert np.array_equal(levels[0], even)
+        assert np.array_equal(levels[1], odd)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from szilard.exceptions import ThermoError
+from szilard.exceptions import SpectralError, ThermoError
 from szilard.spectral import PhysicalParams, barrier_grid
 from szilard.thermo import (
     StageLedger,
@@ -199,4 +199,9 @@ class TestSpectralStageCheck:
     def test_needs_doublets_below_barrier(self):
         p = PhysicalParams(U=10.0, T=p_for(0.01))
         with pytest.raises(ThermoError):
+            spectral_stage_check(p, n_levels=8, grid=barrier_grid(p, 1024))
+
+    def test_needs_a_barrier(self):
+        p = PhysicalParams(d=0.0)
+        with pytest.raises(SpectralError, match="needs a barrier"):
             spectral_stage_check(p, n_levels=8, grid=barrier_grid(p, 1024))
