@@ -9,20 +9,17 @@ the correlated output, but not from the product of its marginals.
 """
 import math
 
-from szilard.demon import DemonModel, premeasure, product_of_marginals, reverse_readoff
-from szilard.infodyn import post_insertion_dm, product_dm
+from szilard.demon import product_of_marginals, reverse_readoff
+from szilard.engine import CycleConfig, readoff
 from szilard.spectral import PhysicalParams, analytic_pairs
 
 
 def main():
     p = PhysicalParams(T=25.0, d=0.02)
-    pairs = analytic_pairs(p, 11)
-    print(f"T={p.T}, d={p.d}: beta*delta_1 = {p.beta * pairs[0][1]:.5f}")
-    model = DemonModel()
+    print(f"T={p.T}, d={p.d}: beta*delta_1 = {p.beta * analytic_pairs(p, 1)[0][1]:.5f}")
 
     for label, keep in (("ideal (dephased gas)", False), ("with coherences", True)):
-        gas = post_insertion_dm(pairs, p.beta, coherences=keep)
-        rec = premeasure(product_dm(gas, model.ready), model)
+        rec = readoff(CycleConfig(params=p, n_side=11, coherences=keep))
         print()
         print(f"--- {label} ---")
         print(f"  dS_demon          = {rec.ds_demon:+.12f}   (ln 2 = {math.log(2):.12f})")
@@ -31,8 +28,7 @@ def main():
         print(f"  dI_mu             = {rec.di_mu:+.12f}")
         print(f"  balance residual  = {rec.balance_residual:.2e}")
 
-    gas = post_insertion_dm(pairs, p.beta)
-    rec = premeasure(product_dm(gas, model.ready), model)
+    rec = readoff(CycleConfig(params=p, n_side=11))
     print()
     back = reverse_readoff(rec)
     print(f"reversal on the correlated state: recovered={back.recovered}, "

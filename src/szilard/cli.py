@@ -19,24 +19,19 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .demon import DemonModel, premeasure, product_of_marginals
+from .demon import product_of_marginals
 from .engine import (
     SWEEP_AXES,
     SWEEP_COLUMNS,
     CycleConfig,
+    readoff,
     run_cycle,
     sweep as run_sweep,
 )
 from .exceptions import ConfigError, SzilardError, TruncationError
-from .infodyn import (
-    BasisLabeling,
-    partial_trace,
-    post_insertion_dm,
-    product_dm,
-    trace_distance,
-)
+from .infodyn import partial_trace, trace_distance
 from .spectral import (
     PhysicalParams,
     analytic_pairs,
@@ -195,7 +190,7 @@ def _render(value) -> str:
     return str(value)
 
 
-def _emit_rows(columns, rows, settings, target: Optional[Path] = None) -> str:
+def _emit_rows(columns, rows, settings) -> str:
     """Render rows (list of dicts) as csv or aligned table text."""
     head = f"# master_seed={settings.seed}\n"
     cells = [[_render(r.get(c)) for c in columns] for r in rows]
@@ -212,15 +207,25 @@ def _emit_rows(columns, rows, settings, target: Optional[Path] = None) -> str:
     return head + "\n".join(lines) + "\n"
 
 
-def _write(text: str, out: Optional[Path]) -> None:
+def _emit(settings, schema, body, columns, rows, out, sep="") -> None:
+    """Write one payload to out, or to stdout when out is None.
+
+    JSON carries the schema and the seed ahead of body; csv and table text
+    render rows under the seed header, after sep.
+    """
+    if settings.format == "json":
+        text = json.dumps({"schema": schema, "seed": settings.seed, **body}, indent=2) + "\n"
+    else:
+        text = sep + _emit_rows(columns, rows, settings)
     if out is None:
         sys.stdout.write(text)
     else:
         out.write_text(text)
 
 
-def _series_path(out: Path) -> Path:
-    return out.with_name(out.stem + "_splitting_vs_d" + (out.suffix or ".csv"))
+def _cycle_config(s: Settings, **kw) -> CycleConfig:
+    return CycleConfig(params=s.params, n_side=s.N, protocol=s.protocol, n_steps=s.n_steps,
+                       seed=s.seed, grid_points=s.grid, **kw)
 
 
 def cmd_spectrum(ns: argparse.Namespace) -> int:
@@ -243,16 +248,11 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
                 "ratio": p.delta / est if est > 0 else None,
             }
         )
-    if s.format == "json":
-        payload = {
-            "schema": "szilard.spectrum/1",
-            "seed": s.seed,
-            "params": {"L": s.params.L, "d": s.params.d, "U": s.params.U, "T": s.params.T},
-            "pairs": rows,
-        }
-        _write(json.dumps(payload, indent=2) + "\n", s.out)
-    else:
-        _write(_emit_rows(columns, rows, s), s.out)
+    body = {
+        "params": {"L": s.params.L, "d": s.params.d, "U": s.params.U, "T": s.params.T},
+        "pairs": rows,
+    }
+    _emit(s, "szilard.spectrum/1", body, columns, rows, s.out)
 
     # companion series: ground-doublet splitting against barrier width
     series_cols = ["d", "delta_1", "estimate", "ratio"]
@@ -262,19 +262,10 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
         pair = barrier_spectrum(pd, 1, barrier_grid(pd, s.grid))[0]
         est = splitting_estimate(pd, 1)
         series.append({"d": d, "delta_1": pair.delta, "estimate": est, "ratio": pair.delta / est})
-    if s.out is not None:
-        spath = _series_path(s.out)
-        if s.format == "json":
-            spath.write_text(json.dumps({"schema": "szilard.splitting-series/1",
-                                         "seed": s.seed, "series": series}, indent=2) + "\n")
-        else:
-            spath.write_text(_emit_rows(series_cols, series, s))
-    elif s.format == "json":
-        sys.stdout.write(json.dumps({"schema": "szilard.splitting-series/1",
-                                     "seed": s.seed, "series": series}, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n# series: splitting-vs-d\n")
-        sys.stdout.write(_emit_rows(series_cols, series, s))
+    # next to --out, with the same suffix; on stdout, after the main payload
+    spath = s.out and s.out.with_name(s.out.stem + "_splitting_vs_d" + s.out.suffix)
+    _emit(s, "szilard.splitting-series/1", {"series": series}, series_cols, series, spath,
+          sep="" if s.out else "\n# series: splitting-vs-d\n")
     return 0
 
 
@@ -303,33 +294,24 @@ def cmd_thermo(ns: argparse.Namespace) -> int:
         {"quantity": "E_mean", "value": e_mean, "detail": ""},
         {"quantity": "S_thermo", "value": s_th, "detail": ""},
     ]
-    if s.format == "json":
-        payload = {
-            "schema": "szilard.thermo/1",
-            "seed": s.seed,
-            "params": {"L": p.L, "d": p.d, "U": p.U, "T": p.T},
-            "quantities": {r["quantity"]: r["value"] for r in rows},
-            "details": {r["quantity"]: r["detail"] for r in rows if r["detail"]},
-        }
-        _write(json.dumps(payload, indent=2) + "\n", s.out)
-    else:
-        _write(_emit_rows(["quantity", "value", "detail"], rows, s), s.out)
+    body = {
+        "params": {"L": p.L, "d": p.d, "U": p.U, "T": p.T},
+        "quantities": {r["quantity"]: r["value"] for r in rows},
+        "details": {r["quantity"]: r["detail"] for r in rows if r["detail"]},
+    }
+    _emit(s, "szilard.thermo/1", body, ["quantity", "value", "detail"], rows, s.out)
     return 0
 
 
 def cmd_measure(ns: argparse.Namespace) -> int:
     s = _resolve(ns)
     p = s.params
-    BasisLabeling(s.N, p.eps * p.beta)
-    pairs = analytic_pairs(p, s.N)
-    rho = post_insertion_dm(pairs, p.beta, coherences=not ns.ideal)
-    model = DemonModel()
-    record = premeasure(product_dm(rho, model.ready), model)
+    record = readoff(CycleConfig(params=p, n_side=s.N, coherences=not ns.ideal))
     td_marginal = trace_distance(
         partial_trace(record.pre, "gas"), partial_trace(record.post, "gas")
     )
     td_product = trace_distance(record.post, product_of_marginals(record.post))
-    beta_delta_1 = p.beta * pairs[0][1]
+    beta_delta_1 = p.beta * analytic_pairs(p, 1)[0][1]
     rows = [
         {"quantity": "ds_demon", "value": record.ds_demon},
         {"quantity": "ds_gas", "value": record.ds_gas},
@@ -341,44 +323,26 @@ def cmd_measure(ns: argparse.Namespace) -> int:
         {"quantity": "beta_delta_1", "value": beta_delta_1},
         {"quantity": "ln2", "value": math.log(2.0)},
     ]
-    if s.format == "json":
-        payload = {
-            "schema": "szilard.measure/1",
-            "seed": s.seed,
-            "ideal": bool(ns.ideal),
-            "params": {"L": p.L, "d": p.d, "U": p.U, "T": p.T, "N": s.N},
-            "quantities": {r["quantity"]: r["value"] for r in rows},
-        }
-        _write(json.dumps(payload, indent=2) + "\n", s.out)
-    else:
-        _write(_emit_rows(["quantity", "value"], rows, s), s.out)
+    body = {
+        "ideal": bool(ns.ideal),
+        "params": {"L": p.L, "d": p.d, "U": p.U, "T": p.T, "N": s.N},
+        "quantities": {r["quantity"]: r["value"] for r in rows},
+    }
+    _emit(s, "szilard.measure/1", body, ["quantity", "value"], rows, s.out)
     return 0
 
 
 def cmd_cycle(ns: argparse.Namespace) -> int:
     s = _resolve(ns)
-    config = CycleConfig(
-        params=s.params,
-        n_side=s.N,
-        protocol=s.protocol,
-        n_steps=s.n_steps,
-        seed=s.seed,
-        grid_points=s.grid,
-        coherences=not ns.ideal,
-        spectral_check=bool(ns.spectral_check),
-    )
-    report = run_cycle(config)
-    if s.format == "json":
-        _write(json.dumps(report.to_dict(), indent=2) + "\n", s.out)
-    else:
-        d = report.to_dict()
-        rows = [{"quantity": k, "value": v} for k, v in d.items()
-                if k not in ("stages", "measurement")]
-        for st in d["stages"]:
-            rows.append({"quantity": f"stage[{st['stage']}].A", "value": st["A"]})
-        for k, v in d["measurement"].items():
-            rows.append({"quantity": f"measurement.{k}", "value": v})
-        _write(_emit_rows(["quantity", "value"], rows, s), s.out)
+    config = _cycle_config(s, coherences=not ns.ideal, spectral_check=bool(ns.spectral_check))
+    d = run_cycle(config).to_dict()
+    rows = [{"quantity": k, "value": v} for k, v in d.items()
+            if k not in ("stages", "measurement")]
+    for st in d["stages"]:
+        rows.append({"quantity": f"stage[{st['stage']}].A", "value": st["A"]})
+    for k, v in d["measurement"].items():
+        rows.append({"quantity": f"measurement.{k}", "value": v})
+    _emit(s, d["schema"], d, ["quantity", "value"], rows, s.out)
     return 0
 
 
@@ -392,20 +356,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     if ns.axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {ns.axis!r}")
     values = _parse_values(ns.axis, ns.values)
-    template = CycleConfig(
-        params=s.params,
-        n_side=s.N,
-        protocol=s.protocol,
-        n_steps=s.n_steps,
-        seed=s.seed,
-        grid_points=s.grid,
-    )
-    rows = run_sweep(template, ns.axis, values)
-    if s.format == "json":
-        payload = {"schema": "szilard.sweep/1", "seed": s.seed, "axis": ns.axis, "rows": rows}
-        _write(json.dumps(payload, indent=2) + "\n", s.out)
-    else:
-        _write(_emit_rows(list(SWEEP_COLUMNS), rows, s), s.out)
+    rows = run_sweep(_cycle_config(s), ns.axis, values)
+    _emit(s, "szilard.sweep/1", {"axis": ns.axis, "rows": rows}, list(SWEEP_COLUMNS), rows, s.out)
     return 0
 
 
@@ -415,7 +367,7 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument("--U", help="barrier height")
     parser.add_argument("--T", help="temperature")
     parser.add_argument("--N", help="doublet truncation per side")
-    parser.add_argument("--grid", help="finite-difference grid points")
+    parser.add_argument("--grid", help="finite-difference grid points (spectrum, cycle --spectral-check)")
     parser.add_argument("--protocol", help="isothermal | stepwise-adiabatic | single-adiabatic")
     parser.add_argument("--n-steps", dest="n_steps", help="stepwise increment count")
     parser.add_argument("--seed", help="master seed")

@@ -8,8 +8,10 @@ right drives D_0 -> D_R.  The closed form of the unitary is
 
     U = cos(pi/4) 1 + sin(pi/4) (Pi_L - Pi_R) (x) J,   J = [[0, 1], [-1, 0]]
 
-which is the exact exponential exp(-i H dt / hbar) of the coupling
-H = -delta (Pi_L - Pi_R) (x) sigma_y at dt = pi hbar / (4 delta).
+which is exp(-i H dt / hbar) for the coupling H = -delta (Pi_L - Pi_R) (x)
+sigma_y at dt = pi hbar / (4 delta).  The readoff works only at that angle,
+where delta and hbar cancel, so the apparatus has no coupling-strength
+parameter.
 
 U keeps each doublet's (L_k, R_k) (x) (D_L, D_R) block closed, so it is built
 for one block and applied to all blocks of a joint state at once (gas index
@@ -54,24 +56,8 @@ RECOVERY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DemonModel:
-    """Coupling strength and pointer basis of the apparatus.
-
-    dt is not a free parameter: the readoff works only when the rotation
-    angle delta*dt/hbar is exactly pi/4.
-    """
-
-    delta: float = 1.0
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-
-    @property
-    def dt(self) -> float:
-        return math.pi * self.hbar / (4.0 * self.delta)
+    """Pointer basis D_L, D_R and ready state D_0 of the apparatus; the
+    coupling angle is fixed at pi/4, so it has no coupling-strength parameter."""
 
     @property
     def d_left(self) -> np.ndarray:
@@ -100,7 +86,6 @@ class MeasurementRecord:
     entropy fixed, so the residual is numerical noise.
     """
 
-    model: DemonModel
     pre: DensityMatrix
     post: DensityMatrix
     ds_demon: float
@@ -122,7 +107,7 @@ class ReversalResult(NamedTuple):
     distance: float
 
 
-def coupling_unitary(model: DemonModel, gas_dim: int) -> np.ndarray:
+def coupling_unitary(gas_dim: int) -> np.ndarray:
     """Closed-form readoff unitary on one gas (x) demon block.
 
     gas_dim is the gas size of one block, left states first.  Real
@@ -168,7 +153,7 @@ def premeasure(p0: DensityMatrix, model: DemonModel) -> MeasurementRecord:
     """
     gas_pre, dem_pre = _require_ready_product(p0, model)
     dg, _ = p0.subsystem_dims
-    u = coupling_unitary(model, dg)
+    u = coupling_unitary(dg)
     post = DensityMatrix(u @ p0.entries @ u.T, subsystem_dims=p0.subsystem_dims)
     s_pre = vn_entropy(p0)
     s_post = vn_entropy(post)
@@ -182,7 +167,6 @@ def premeasure(p0: DensityMatrix, model: DemonModel) -> MeasurementRecord:
     ds_gas = sg_post - sg_pre
     ds_demon = sd_post - sd_pre
     return MeasurementRecord(
-        model=model,
         pre=p0,
         post=post,
         ds_demon=ds_demon,
@@ -210,7 +194,7 @@ def reverse_readoff(
             f"block shape mismatch: {target.entries.shape} vs {record.post.entries.shape}"
         )
     dg, _ = record.pre.subsystem_dims
-    u = coupling_unitary(record.model, dg)
+    u = coupling_unitary(dg)
     back = DensityMatrix(u.T @ target.entries @ u, subsystem_dims=record.pre.subsystem_dims)
     dist = trace_distance(back, record.pre)
     return ReversalResult(state=back, recovered=dist <= RECOVERY_TOL, distance=dist)

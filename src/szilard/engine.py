@@ -38,6 +38,7 @@ __all__ = [
     "PROTOCOLS",
     "CycleConfig",
     "CycleReport",
+    "readoff",
     "run_cycle",
     "extraction_work",
     "sweep",
@@ -54,7 +55,7 @@ _PROTOCOL_ALIASES = {
     "adiabatic": "single-adiabatic",
 }
 
-SWEEP_AXES = ("T", "U", "d", "N", "grid", "n_steps")
+SWEEP_AXES = ("T", "U", "d", "N", "n_steps")
 
 # largest W - T dS_env a cycle may report and still obey the second law
 SECOND_LAW_TOL = 1e-9
@@ -219,6 +220,24 @@ def _stage_ledgers(params: PhysicalParams, outcome: str) -> Tuple[StageLedger, .
     )
 
 
+def readoff(config: CycleConfig) -> MeasurementRecord:
+    """Couple the post-insertion gas state (n_side doublets per side) to the
+    ready pointer; coherences=False reads off the dephased gas state instead.
+    """
+    params = config.params
+    try:
+        pairs = analytic_pairs(params, config.n_side)
+        rho_gas = post_insertion_dm(pairs, params.beta, coherences=config.coherences)
+    except SzilardError as exc:
+        raise type(exc)(f"inserted stage: {exc}") from exc
+
+    model = DemonModel()
+    try:
+        return premeasure(product_dm(rho_gas, model.ready), model)
+    except SzilardError as exc:
+        raise type(exc)(f"measured stage: {exc}") from exc
+
+
 def run_cycle(config: CycleConfig) -> CycleReport:
     """Execute one full cycle and return its ledger.
 
@@ -229,17 +248,7 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     """
     params = config.params
     kt = params.k_B * params.T
-    try:
-        pairs = analytic_pairs(params, config.n_side)
-        rho_gas = post_insertion_dm(pairs, params.beta, coherences=config.coherences)
-    except SzilardError as exc:
-        raise type(exc)(f"inserted stage: {exc}") from exc
-
-    model = DemonModel()
-    try:
-        record = premeasure(product_dm(rho_gas, model.ready), model)
-    except SzilardError as exc:
-        raise type(exc)(f"measured stage: {exc}") from exc
+    record = readoff(config)
 
     rng = np.random.default_rng(config.seed)
     outcome = "L" if rng.random() < 0.5 else "R"
@@ -310,8 +319,6 @@ def _apply_axis(config: CycleConfig, axis: str, value) -> CycleConfig:
         return replace(config, params=replace(config.params, **{axis: float(value)}))
     if axis == "N":
         return replace(config, n_side=int(value))
-    if axis == "grid":
-        return replace(config, grid_points=int(value))
     if axis == "n_steps":
         return replace(config, n_steps=int(value))
     raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")

@@ -211,6 +211,18 @@ def _localize(psi_plus: np.ndarray, psi_minus: np.ndarray):
     return left, right
 
 
+def _resolved_grid(params: PhysicalParams, grid: Optional[Grid]) -> Grid:
+    """grid (barrier_grid by default); SpectralError if it puts < 16 points under the barrier."""
+    if grid is None:
+        grid = barrier_grid(params)
+    under = int(np.count_nonzero(np.abs(grid.points) <= params.d / 2.0 + 1e-9 * grid.spacing))
+    if under < 16:
+        raise SpectralError(
+            f"grid too coarse: {under} points under the barrier, need >= 16"
+        )
+    return grid
+
+
 def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] = None):
     """Numerical doublets of the box with the barrier inserted.
 
@@ -224,14 +236,7 @@ def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] 
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     if params.d <= 0:
         raise SpectralError("barrier_spectrum needs a barrier, got d = 0")
-    if grid is None:
-        grid = barrier_grid(params)
-    h = grid.spacing
-    under = int(np.count_nonzero(np.abs(grid.points) <= params.d / 2.0 + 1e-9 * h))
-    if under < 16:
-        raise SpectralError(
-            f"grid too coarse: {under} points under the barrier, need >= 16"
-        )
+    grid = _resolved_grid(params, grid)
     (e_even, v_even), (e_odd, v_odd) = _parity_eig(hamiltonian(params, grid), n_pairs, n_pairs)
 
     pairs = []

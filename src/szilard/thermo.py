@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import SpectralError, ThermoError
 from .numerics import _stebz, sum_series
-from .spectral import PhysicalParams, _parity_blocks, barrier_grid, hamiltonian
+from .spectral import PhysicalParams, _parity_blocks, _resolved_grid, hamiltonian
 
 __all__ = [
     "PartitionResult",
@@ -259,14 +259,14 @@ def spectral_stage_check(params: PhysicalParams, n_levels: int = 90, grid=None) 
     by bisection.  The spectral jump is k_B T ln 2 by construction up to
     unpaired and above-barrier weight (see SpectralStageCheck); the free
     energies match the closed forms only in the high-temperature window
-    (eps*beta small).  Raises SpectralError when d = 0 (no barrier).
+    (eps*beta small).  Raises SpectralError when d = 0 (no barrier) or
+    when the grid has fewer than 16 points under the barrier.
     """
     if n_levels < 2:
         raise ThermoError(f"need at least 2 levels, got {n_levels}")
     if params.d <= 0:
         raise SpectralError("spectral_stage_check needs a barrier, got d = 0")
-    if grid is None:
-        grid = barrier_grid(params)
+    grid = _resolved_grid(params, grid)
     beta = params.beta
     kT = params.k_B * params.T
     n_odd = n_levels // 2

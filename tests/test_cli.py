@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +14,7 @@ import pytest
 import szilard
 from szilard.cli import SPLITTING_SERIES_D, main
 from szilard.engine import SWEEP_COLUMNS, CycleConfig, run_cycle
+from szilard.spectral import PhysicalParams
 
 LN2 = math.log(2.0)
 # the directory holding the szilard package, so child interpreters import
@@ -163,20 +166,26 @@ class TestSpectrumCommand:
         assert [int(r.split(",")[0]) for r in body] == [1, 3, 5, 7, 9]
         assert "# series: splitting-vs-d" in out
 
-    def test_series_file_written_next_to_output(self, tmp_path, capsys):
-        target = tmp_path / "spec.csv"
+    @pytest.mark.parametrize("name, fmt", [("spec.csv", "csv"), ("spec", "json")])
+    def test_series_file_written_next_to_output(self, name, fmt, tmp_path, capsys):
+        # the companion file takes the main file's suffix, none included
+        target = tmp_path / name
         assert main(
-            ["spectrum", "--grid", "1024", "--pairs", "2", "--out", str(target)]
+            ["spectrum", "--grid", "1024", "--pairs", "2", "--format", fmt, "--out", str(target)]
         ) == 0
-        series = tmp_path / "spec_splitting_vs_d.csv"
+        series = tmp_path / name.replace("spec", "spec_splitting_vs_d")
         assert target.exists() and series.exists()
-        lines = series.read_text().splitlines()
-        assert lines[1] == "d,delta_1,estimate,ratio"
-        rows = lines[2:]
-        assert len(rows) == len(SPLITTING_SERIES_D)
-        ds = [float(r.split(",")[0]) for r in rows]
+        if fmt == "json":
+            payload = json.loads(series.read_text())
+            assert payload["schema"] == "szilard.splitting-series/1"
+            ds = [row["d"] for row in payload["series"]]
+            deltas = [row["delta_1"] for row in payload["series"]]
+        else:
+            lines = series.read_text().splitlines()
+            assert lines[1] == "d,delta_1,estimate,ratio"
+            ds = [float(r.split(",")[0]) for r in lines[2:]]
+            deltas = [float(r.split(",")[1]) for r in lines[2:]]
         assert ds == [pytest.approx(d) for d in SPLITTING_SERIES_D]
-        deltas = [float(r.split(",")[1]) for r in rows]
         assert all(b < a for a, b in zip(deltas, deltas[1:]))  # thicker wall, smaller split
 
     def test_json_payload(self, capsys):
@@ -249,6 +258,19 @@ class TestMeasureCommand:
     def test_truncation_gate(self, capsys):
         assert main(["measure", "--T", "1000", "--N", "11"]) == 1
 
+    @pytest.mark.parametrize("argv, config", [
+        ([], CycleConfig()),
+        (["--ideal"], CycleConfig(coherences=False)),
+        (["--T", "25", "--d", "0.02", "--N", "11"],
+         CycleConfig(params=PhysicalParams(T=25.0, d=0.02), n_side=11)),
+    ], ids=["defaults", "ideal", "T25-N11"])
+    def test_readoff_matches_cycle(self, argv, config, capsys):
+        # measure and cycle share one readoff, so the figures agree bit for bit
+        assert main(["measure", "--format", "json", *argv]) == 0
+        quantities = json.loads(capsys.readouterr().out)["quantities"]
+        measurement = run_cycle(config).to_dict()["measurement"]
+        assert {k: quantities[k] for k in measurement} == measurement
+
 
 class TestCycleCommand:
     def test_json_matches_library_call(self, capsys):
@@ -298,6 +320,11 @@ class TestCycleCommand:
         err = capsys.readouterr().err
         assert "computation failed" in err
         assert "needs a barrier" in err
+
+    def test_spectral_check_needs_a_resolved_barrier(self, capsys):
+        # 7 of the 119 grid points fall under the d = 0.05 barrier
+        assert main(["cycle", "--spectral-check", "--grid", "100"]) == 2
+        assert "grid too coarse" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -351,7 +378,10 @@ class TestSweepCommand:
         assert float(lines[2].split(",")[w_col]) == LN2
 
     def test_unknown_axis(self, capsys):
-        assert main(["sweep", "--axis", "volume", "--values", "1"]) == 1
+        # grid is no axis: only the spectral check reads it, and sweeps never run one
+        for axis in ("volume", "grid"):
+            assert main(["sweep", "--axis", axis, "--values", "1024"]) == 1
+            assert "axis must be one of" in capsys.readouterr().err
 
     def test_bad_value_names_its_axis(self, capsys):
         assert main(["sweep", "--axis", "n_steps", "--values", "1.5"]) == 1
@@ -443,3 +473,19 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(f"szilard.{info.name}")
         missing += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+def readme_cli_lines() -> list:
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    assert block, "README has no fenced block under ## CLI"
+    return block.group(1).splitlines()
+
+
+@pytest.mark.parametrize("line", readme_cli_lines(), ids=lambda line: line.split()[1])
+def test_readme_cli_example_runs(line, capsys):
+    prog, *argv = shlex.split(line)
+    assert prog == "szilard"
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""

@@ -62,12 +62,12 @@ def readoff_figures(rec) -> np.ndarray:
     ])
 
 
-def coupling_hamiltonian(model: DemonModel, gas_dim: int) -> np.ndarray:
-    """H = -delta (Pi_L - Pi_R) (x) sigma_y, Hermitian on gas (x) demon."""
+def coupling_hamiltonian(gas_dim: int) -> np.ndarray:
+    """H = -(Pi_L - Pi_R) (x) sigma_y at delta = 1, Hermitian on gas (x) demon."""
     n = gas_dim // 2
     p = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
     sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    return -model.delta * np.kron(p, sigma_y)
+    return -np.kron(p, sigma_y)
 
 
 @pytest.fixture(scope="module")
@@ -84,17 +84,6 @@ def box_record(model):
 
 
 class TestApparatus:
-    def test_rotation_angle_is_locked(self):
-        for delta, hbar in [(1.0, 1.0), (0.25, 1.0), (3.0, 7.0)]:
-            m = DemonModel(delta=delta, hbar=hbar)
-            assert m.dt * m.delta / m.hbar == pytest.approx(math.pi / 4.0, rel=1e-15)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            DemonModel(delta=0.0)
-        with pytest.raises(ValueError):
-            DemonModel(hbar=-1.0)
-
     def test_pointer_states(self, model):
         assert np.dot(model.d_left, model.d_right) == 0.0
         assert np.dot(model.d0, model.d0) == pytest.approx(1.0, rel=1e-15)
@@ -102,36 +91,37 @@ class TestApparatus:
 
 
 class TestCouplingUnitary:
-    def test_is_exact_exponential_of_coupling(self, model):
-        # oracle: the closed form equals expm of the coupling Hamiltonian
+    def test_is_exact_exponential_of_coupling(self):
+        # oracle: the closed form equals expm(-i H dt / hbar) at delta = hbar = 1,
+        # where dt = pi hbar / (4 delta) is pi/4
         for dim in (2, 6):
-            h = coupling_hamiltonian(model, dim)
+            h = coupling_hamiltonian(dim)
             assert np.allclose(h, h.conj().T)
-            u = coupling_unitary(model, dim)
-            u_exp = expm(-1j * h * model.dt / model.hbar)
+            u = coupling_unitary(dim)
+            u_exp = expm(-1j * h * math.pi / 4.0)
             assert np.max(np.abs(u - u_exp)) < 1e-14
             assert np.max(np.abs(u.imag)) == 0.0
 
-    def test_unitarity(self, model):
-        u = coupling_unitary(model, 8)
+    def test_unitarity(self):
+        u = coupling_unitary(8)
         assert np.max(np.abs(u.T @ u - np.eye(16))) < 1e-14
 
     def test_steers_pointer_by_side(self, model):
-        u = coupling_unitary(model, 2)
+        u = coupling_unitary(2)
         left = np.kron([1.0, 0.0], model.d0)
         right = np.kron([0.0, 1.0], model.d0)
         assert np.allclose(u @ left, np.kron([1.0, 0.0], model.d_left), atol=1e-15)
         assert np.allclose(u @ right, np.kron([0.0, 1.0], model.d_right), atol=1e-15)
 
-    def test_not_an_involution(self, model):
-        u = coupling_unitary(model, 2)
+    def test_not_an_involution(self):
+        u = coupling_unitary(2)
         assert np.max(np.abs(u @ u - np.eye(4))) > 0.5
 
-    def test_rejects_odd_gas_dimension(self, model):
+    def test_rejects_odd_gas_dimension(self):
         with pytest.raises(ValueError):
-            coupling_unitary(model, 3)
+            coupling_unitary(3)
         with pytest.raises(ValueError):
-            coupling_unitary(model, 0)
+            coupling_unitary(0)
 
 
 class TestPremeasure:

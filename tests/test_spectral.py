@@ -127,9 +127,11 @@ class TestBarrierSpectrum:
         with pytest.raises(SpectralError):
             barrier_spectrum(PhysicalParams(d=0.0), 1)
         # at 250 interior points only 12 fall under the d=0.05 barrier
+        grid = Grid(n_points=250, x_min=-0.5, x_max=0.5)
         with pytest.raises(SpectralError, match="16"):
-            grid = Grid(n_points=250, x_min=-0.5, x_max=0.5)
             barrier_spectrum(params, 1, grid)
+        with pytest.raises(SpectralError, match="16"):
+            spectral_stage_check(params, 10, grid)
 
     def test_level_count_is_bounded_by_the_grid(self, params):
         grid = barrier_grid(params, 1024)
