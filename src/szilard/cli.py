@@ -252,9 +252,9 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
         "params": {"L": s.params.L, "d": s.params.d, "U": s.params.U, "T": s.params.T},
         "pairs": rows,
     }
-    _emit(s, "szilard.spectrum/1", body, columns, rows, s.out)
 
-    # companion series: ground-doublet splitting against barrier width
+    # companion series: ground-doublet splitting against barrier width; solved
+    # before anything is written, so a failing run leaves no partial output
     series_cols = ["d", "delta_1", "estimate", "ratio"]
     series = []
     for d in SPLITTING_SERIES_D:
@@ -262,6 +262,8 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
         pair = barrier_spectrum(pd, 1, barrier_grid(pd, s.grid))[0]
         est = splitting_estimate(pd, 1)
         series.append({"d": d, "delta_1": pair.delta, "estimate": est, "ratio": pair.delta / est})
+
+    _emit(s, "szilard.spectrum/1", body, columns, rows, s.out)
     # next to --out, with the same suffix; on stdout, after the main payload
     spath = s.out and s.out.with_name(s.out.stem + "_splitting_vs_d" + s.out.suffix)
     _emit(s, "szilard.splitting-series/1", {"series": series}, series_cols, series, spath,

@@ -20,6 +20,7 @@ units throughout.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
@@ -73,21 +74,31 @@ class DemonModel:
 
     @property
     def ready(self) -> DensityMatrix:
-        """The ready pointer state |D_0><D_0|."""
-        return DensityMatrix(np.outer(self.d0, self.d0))
+        """The ready pointer state |D_0><D_0|, one read-only instance per process."""
+        return _ready()
+
+
+@functools.cache
+def _ready() -> DensityMatrix:
+    # built on first use, so a process that runs no readoff never calls eigvalsh;
+    # the outer product, not a state filled with 0.5: (1/sqrt 2)^2 rounds below it
+    d0 = DemonModel().d0
+    return DensityMatrix(np.outer(d0, d0))
 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Joint states and entropy bookkeeping across one readoff.
 
-    All deltas are post minus pre in k_B units.  balance_residual is
-    |dI_mu - (dS_gas + dS_demon)|; a unitary readoff keeps the joint
+    demon_post is the apparatus marginal of post, the state the reset
+    erases.  All deltas are post minus pre in k_B units.  balance_residual
+    is |dI_mu - (dS_gas + dS_demon)|; a unitary readoff keeps the joint
     entropy fixed, so the residual is numerical noise.
     """
 
     pre: DensityMatrix
     post: DensityMatrix
+    demon_post: DensityMatrix
     ds_demon: float
     ds_gas: float
     ds_joint: float
@@ -112,15 +123,22 @@ def coupling_unitary(gas_dim: int) -> np.ndarray:
 
     gas_dim is the gas size of one block, left states first.  Real
     orthogonal: rotation by pi/4 in the pointer plane, sense set by the
-    gas side.
+    gas side.  Built once per gas_dim and returned read-only.
     """
     if gas_dim < 2 or gas_dim % 2:
         raise ValueError(f"gas_dim must be even and >= 2, got {gas_dim}")
+    return _coupling_unitary(gas_dim)
+
+
+@functools.cache
+def _coupling_unitary(gas_dim: int) -> np.ndarray:
     n = gas_dim // 2
     c = s = math.cos(math.pi / 4.0)
     p = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return c * np.eye(2 * gas_dim) + s * np.kron(p, j)
+    u = c * np.eye(2 * gas_dim) + s * np.kron(p, j)
+    u.setflags(write=False)
+    return u
 
 
 def _require_ready_product(
@@ -159,8 +177,9 @@ def premeasure(p0: DensityMatrix, model: DemonModel) -> MeasurementRecord:
     s_post = vn_entropy(post)
     sg_pre = vn_entropy(gas_pre)
     sg_post = vn_entropy(partial_trace(post, "gas"))
+    dem_post = partial_trace(post, "demon")
     sd_pre = vn_entropy(dem_pre)
-    sd_post = vn_entropy(partial_trace(post, "demon"))
+    sd_post = vn_entropy(dem_post)
     di = _mutual_information(sg_post, sd_post, s_post) - _mutual_information(
         sg_pre, sd_pre, s_pre
     )
@@ -169,6 +188,7 @@ def premeasure(p0: DensityMatrix, model: DemonModel) -> MeasurementRecord:
     return MeasurementRecord(
         pre=p0,
         post=post,
+        demon_post=dem_post,
         ds_demon=ds_demon,
         ds_gas=ds_gas,
         ds_joint=s_post - s_pre,
@@ -246,4 +266,4 @@ def reset_demon(
     charge = ResetCharge(entropy=s, free_energy=k_B * T * s)
     ledger.entropy += charge.entropy
     ledger.free_energy += charge.free_energy
-    return DemonModel().ready, charge
+    return _ready(), charge

@@ -30,7 +30,7 @@ from .demon import (
     reset_demon,
 )
 from .exceptions import EngineError, SzilardError
-from .infodyn import BasisLabeling, partial_trace, post_insertion_dm, product_dm
+from .infodyn import BasisLabeling, post_insertion_dm, product_dm
 from .spectral import PhysicalParams, analytic_pairs, barrier_grid
 from .thermo import StageLedger, isothermal_work, spectral_stage_check, stage_free_energies
 
@@ -256,7 +256,7 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     work = extraction_work(config.protocol, params, config.n_steps)
 
     ledger = EnvironmentLedger()
-    reset_demon(partial_trace(record.post, "demon"), ledger, params.T, params.k_B)
+    reset_demon(record.demon_post, ledger, params.T, params.k_B)
     s_env = params.k_B * ledger.entropy
 
     net = work - kt * (s_env / params.k_B)

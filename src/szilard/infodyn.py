@@ -51,10 +51,11 @@ class DensityMatrix:
         m = np.array(m, dtype=np.result_type(m, float), ndmin=3)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise StateError(f"density matrix blocks must be square, got shape {m.shape}")
-        herm = float(np.max(np.abs(m - m.conj().transpose(0, 2, 1))))
+        adj = m.conj() if np.iscomplexobj(m) else m
+        herm = float(np.max(np.abs(m - adj.transpose(0, 2, 1))))
         if herm > HERMITICITY_TOL:
             raise StateError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = complex(np.sum(np.trace(m, axis1=1, axis2=2)))
+        tr = complex(np.einsum("aii->", m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace must be 1, got {tr}")
         if self.subsystem_dims is not None:
@@ -67,6 +68,7 @@ class DensityMatrix:
         if float(eigs[0]) < PSD_TOL:
             raise StateError(f"not positive semidefinite: min eigenvalue {eigs[0]:.3e}")
         m.setflags(write=False)
+        eigs.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "_eigs", eigs)
 
@@ -113,22 +115,23 @@ class BasisLabeling:
 def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMatrix:
     """Gas state after barrier insertion: one (L_k, R_k) block per doublet.
 
-    pairs holds (E_k, delta_k) tuples.  For each doublet k with mean energy
-    E_k and half-splitting delta_k the populations on L_k and R_k are
-    w_k cosh(beta delta_k)/Z and the L_k<->R_k coherence is
-    w_k sinh(beta delta_k)/Z, with w_k = e^(-beta E_k) and
-    Z = 2 sum_k w_k cosh(beta delta_k).  coherences=False drops the sinh
+    pairs holds (E_k, delta_k) rows, as tuples or an (n, 2) array.  For
+    each doublet k with mean energy E_k and half-splitting delta_k the
+    populations on L_k and R_k are w_k cosh(beta delta_k)/Z and the
+    L_k<->R_k coherence is w_k sinh(beta delta_k)/Z, with w_k = e^(-beta E_k)
+    and Z = 2 sum_k w_k cosh(beta delta_k).  coherences=False drops the sinh
     entries: that is the state an outcome-ignorant observer uses.
     """
-    data = [tuple(map(float, p)) for p in pairs]
-    if not data:
+    data = np.array(pairs, dtype=float)
+    if not data.size:
         raise ValueError("need at least one doublet")
-    for e, d in data:
-        if d < 0:
-            raise ValueError(f"negative splitting {d}")
+    if data.ndim != 2 or data.shape[1] != 2:
+        raise ValueError(f"pairs must be (E_k, delta_k) rows, got shape {data.shape}")
+    e, d = data.T
+    if np.any(d < 0):
+        raise ValueError(f"negative splitting {float(d[np.argmax(d < 0)])}")
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    e, d = np.array(data).T
     # weights relative to the lowest member energy E_k - delta_k, so that no
     # exponent is positive at any beta; expm1 keeps small beta delta exact
     w = np.exp(-beta * (e - d - np.min(e - d)))

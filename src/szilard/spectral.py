@@ -114,16 +114,17 @@ class SplitPair:
 def barrier_grid(params: PhysicalParams, n_target: int = 4096) -> Grid:
     """Grid on (-L/2, L/2) sized so the barrier edges sit on grid points.
 
-    Scans counts near n_target and keeps the one whose grid puts x = +/- d/2
-    closest to actual grid points.  With on-grid edges the effective well
-    width is exact, which matters once U is large enough that the walls are
-    effectively hard.
+    Scans counts within n_target +/- min(64, n_target // 16) and keeps the
+    one whose grid puts x = +/- d/2 closest to actual grid points.  With
+    on-grid edges the effective well width is exact, which matters once U
+    is large enough that the walls are effectively hard.
     """
     if n_target < 3:
         raise ValueError(f"n_target must be >= 3, got {n_target}")
+    reach = min(64, n_target // 16)
     best_n = None
     best_score = None
-    for n in range(max(3, n_target - 64), n_target + 65):
+    for n in range(max(3, n_target - reach), n_target + reach + 1):
         h = params.L / (n + 1)
         # index offset of the right barrier edge from the left wall
         pos = (params.L + params.d) / 2.0 / h
@@ -304,13 +305,19 @@ def splitting_estimate(params: PhysicalParams, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    e_k = params.eps_prime * (2 * k) ** 2
+    eps_p = params.eps_prime
+    e_k = eps_p * (2 * k) ** 2
     if params.U <= e_k:
         raise SpectralError(
             f"level k={k} sits above the barrier (E_k = {e_k:.6g}, U = {params.U:.6g})"
         )
+    return _splitting(params, eps_p, e_k)
+
+
+def _splitting(params: PhysicalParams, eps_p: float, e_k: float) -> float:
+    """(4 eps'/pi) exp(-d kappa_k) for a level E_k below the barrier top."""
     kappa = math.sqrt(2.0 * params.mass * (params.U - e_k)) / params.hbar
-    return (4.0 * params.eps_prime / math.pi) * math.exp(-params.d * kappa)
+    return (4.0 * eps_p / math.pi) * math.exp(-params.d * kappa)
 
 
 def analytic_pairs(params: PhysicalParams, n_pairs: int):
@@ -322,9 +329,9 @@ def analytic_pairs(params: PhysicalParams, n_pairs: int):
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    eps_p = params.eps_prime
     out = []
     for k in range(1, n_pairs + 1):
-        e_k = params.eps_prime * (2 * k) ** 2
-        delta = splitting_estimate(params, k) if params.U > e_k else 0.0
-        out.append((e_k, delta))
+        e_k = eps_p * (2 * k) ** 2
+        out.append((e_k, _splitting(params, eps_p, e_k) if params.U > e_k else 0.0))
     return out

@@ -202,6 +202,17 @@ class TestSpectrumCommand:
     def test_requires_barrier(self, capsys):
         assert main(["spectrum", "--d", "0"]) == 1
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_failing_series_writes_nothing(self, fmt, tmp_path, capsys):
+        # 700 points resolve the d = 0.05 barrier but not the series' d = 0.02 one
+        argv = ["spectrum", "--grid", "700", "--pairs", "2", "--format", fmt]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "grid too coarse" in err
+        assert main(argv + ["--out", str(tmp_path / "spec.txt")]) == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestThermoCommand:
     def test_quantities_are_consistent(self, capsys):

@@ -89,6 +89,17 @@ class TestApparatus:
         assert np.dot(model.d0, model.d0) == pytest.approx(1.0, rel=1e-15)
         assert np.allclose(model.d0, (model.d_left + model.d_right) / math.sqrt(2.0))
 
+    def test_ready_state_is_one_read_only_outer_product(self, model):
+        ready = model.ready
+        assert ready is DemonModel().ready
+        assert reset_demon(ready, EnvironmentLedger())[0] is ready
+        # (1/sqrt 2)^2 rounds to 0.4999999999999999, not 0.5
+        assert np.array_equal(ready.entries[0], np.outer(model.d0, model.d0))
+        with pytest.raises(ValueError):
+            ready.entries[0, 0, 0] = 0.5
+        with pytest.raises(ValueError):
+            ready.eigenvalues[0] = 0.5
+
 
 class TestCouplingUnitary:
     def test_is_exact_exponential_of_coupling(self):
@@ -116,6 +127,12 @@ class TestCouplingUnitary:
     def test_not_an_involution(self):
         u = coupling_unitary(2)
         assert np.max(np.abs(u @ u - np.eye(4))) > 0.5
+
+    def test_built_once_and_read_only(self):
+        u = coupling_unitary(2)
+        assert u is coupling_unitary(2)
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
 
     def test_rejects_odd_gas_dimension(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,10 @@ import math
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szilard.engine import (
     ADIABATIC_NOTE,
@@ -10,11 +13,13 @@ from szilard.engine import (
     SWEEP_COLUMNS,
     CycleConfig,
     extraction_work,
+    readoff,
     run_cycle,
     sweep,
 )
 from szilard.exceptions import TruncationError
-from szilard.spectral import PhysicalParams
+from szilard.infodyn import DensityMatrix, partial_trace, post_insertion_dm, product_dm, vn_entropy
+from szilard.spectral import PhysicalParams, analytic_pairs
 from szilard.thermo import mean_energy
 
 LN2 = math.log(2.0)
@@ -229,3 +234,63 @@ def test_readoff_scales_to_ten_thousand_doublets():
     record = run_cycle(CycleConfig(n_side=10_000)).record
     assert abs(record.ds_demon - LN2) <= 1e-12
     assert record.balance_residual <= 1e-10
+
+
+def fresh_readoff(config: CycleConfig):
+    """Oracle: the readoff rebuilt from nothing shared, with a new ready
+    pointer and the closed-form unitary on one (L_k, R_k) (x) (D_L, D_R) block."""
+    p = config.params
+    gas = post_insertion_dm(analytic_pairs(p, config.n_side), p.beta, coherences=config.coherences)
+    d0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    pre = product_dm(gas, DensityMatrix(np.outer(d0, d0)))
+    c = math.cos(math.pi / 4.0)
+    u = c * np.eye(4) + c * np.kron(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    post = DensityMatrix(u @ pre.entries @ u.T, subsystem_dims=pre.subsystem_dims)
+    (g0, m0, j0), (g1, m1, j1) = [
+        (vn_entropy(partial_trace(rho, "gas")), vn_entropy(partial_trace(rho, "demon")), vn_entropy(rho))
+        for rho in (pre, post)
+    ]
+    figures = {"ds_demon": m1 - m0, "ds_gas": g1 - g0, "ds_joint": j1 - j0,
+               "di_mu": (g1 + m1 - j1) - (g0 + m0 - j0)}
+    return post, figures
+
+
+class TestReadoffSharing:
+    """The readoff builds the ready pointer and the coupling unitary once and
+    hands the post-readoff demon marginal to the reset."""
+
+    def test_run_cycle_builds_seven_states(self, monkeypatch):
+        run_cycle(CycleConfig(n_side=11))  # the first readoff builds the ready pointer
+        built = []
+        init = DensityMatrix.__post_init__
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        run_cycle(CycleConfig(n_side=11))
+        # gas, gas (x) D_0, its two marginals, the post state and its two marginals
+        assert len(built) == 7
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        T=st.floats(0.5, 200.0),
+        d=st.floats(0.01, 0.2),
+        extra=st.integers(0, 30),
+        coherences=st.booleans(),
+    )
+    def test_sharing_changes_no_bits(self, T, d, extra, coherences):
+        p = PhysicalParams(T=T, d=d)
+        # the smallest basis passing the N^2 eps beta >= 20 gate, plus extra doublets
+        n = math.ceil(math.sqrt(20.0 / (p.eps * p.beta)))
+        n += (n * n * p.eps * p.beta < 20.0) + extra
+        config = CycleConfig(params=p, n_side=n, coherences=coherences)
+        rec = readoff(config)
+        post, figures = fresh_readoff(config)
+        assert np.array_equal(rec.post.entries, post.entries)
+        assert {name: getattr(rec, name) for name in figures} == figures
+        pairs = analytic_pairs(p, n)
+        listed = post_insertion_dm(pairs, p.beta, coherences=coherences)
+        stacked = post_insertion_dm(np.array(pairs), p.beta, coherences=coherences)
+        assert np.array_equal(listed.entries, stacked.entries)

@@ -38,6 +38,8 @@ class TestDensityMatrix:
             DensityMatrix(np.ones((2, 3)) / 6.0)
         with pytest.raises(StateError, match="factor"):
             DensityMatrix(np.eye(6) / 6.0, subsystem_dims=(4, 2))
+        with pytest.raises(StateError, match="Hermitian"):
+            DensityMatrix(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
 
     def test_eigenvalues_cached_and_sorted(self):
         rho = dm([0.7, 0.1, 0.2])
@@ -144,6 +146,15 @@ class TestPostInsertion:
     def test_accepts_bare_tuples(self):
         rho = post_insertion_dm([(0.0, 0.01), (3.0, 0.001)], 1.0)
         assert rho.dim == 4
+
+    def test_rejects_empty_and_negative_input(self):
+        with pytest.raises(ValueError, match="^need at least one doublet$"):
+            post_insertion_dm([], 1.0)
+        # the message names the first negative splitting
+        with pytest.raises(ValueError, match=r"^negative splitting -0\.5$"):
+            post_insertion_dm([(0.0, 0.1), (1.0, -0.5), (2.0, -0.25)], 1.0)
+        with pytest.raises(ValueError, match="rows"):
+            post_insertion_dm([(0.0, 0.1, 2.0)], 1.0)
 
 
 class TestEntropyAndInformation:

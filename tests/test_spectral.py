@@ -77,6 +77,22 @@ class TestBarrierGrid:
         pos = (params.L + params.d) / 2.0 / grid.spacing
         assert abs(pos - round(pos)) < 1e-6
 
+    @pytest.mark.parametrize("d, n_target", [(0.05, 20), (0.02, 256), (0.05, 100), (0.10, 700)])
+    def test_small_target_stays_in_its_window(self, d, n_target):
+        grid = barrier_grid(PhysicalParams(d=d), n_target)
+        assert abs(grid.n_points - n_target) <= n_target // 16
+
+    @pytest.mark.parametrize("d, sizes", [
+        (0.02, (999, 1999, 4099, 8199)),
+        (0.05, (1039, 2039, 4079, 8199)),
+        (0.10, (1019, 2039, 4099, 8199)),
+    ])
+    def test_large_targets_keep_the_64_point_scan(self, d, sizes):
+        # sizes the n_target +/- 64 scan picked for 1024..8192 before the
+        # window shrank for small targets
+        grid_sizes = [barrier_grid(PhysicalParams(d=d), n).n_points for n in (1024, 2048, 4096, 8192)]
+        assert tuple(grid_sizes) == sizes
+
     def test_potential_membership(self, params):
         grid = barrier_grid(params, 1024)
         ham = hamiltonian(params, grid)
