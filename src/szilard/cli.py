@@ -259,9 +259,13 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
     series = []
     for d in SPLITTING_SERIES_D:
         pd = replace(s.params, d=d)
-        pair = barrier_spectrum(pd, 1, barrier_grid(pd, s.grid))[0]
+        try:
+            pair = barrier_spectrum(pd, 1, barrier_grid(pd, s.grid))[0]
+        except SzilardError as exc:
+            raise type(exc)(f"splitting series at d = {d}: {exc}") from exc
         est = splitting_estimate(pd, 1)
-        series.append({"d": d, "delta_1": pair.delta, "estimate": est, "ratio": pair.delta / est})
+        series.append({"d": d, "delta_1": pair.delta, "estimate": est,
+                       "ratio": pair.delta / est if est > 0 else None})
 
     _emit(s, "szilard.spectrum/1", body, columns, rows, s.out)
     # next to --out, with the same suffix; on stdout, after the main payload

@@ -119,20 +119,16 @@ def eig_tridiagonal(matrix: TridiagonalSymmetric, k_lowest: int):
     return [(float(vals[j]), vecs[:, j]) for j in range(k_lowest)]
 
 
-def _stebz(diagonal: np.ndarray, off_diagonal: np.ndarray, k_lowest: int, eigvals_only=False):
-    """Lowest k eigenvalues and, unless eigvals_only, their (n, k) eigenvectors.
-
-    The eigenvalues come from the same bisection either way; eigvals_only
-    only skips the inverse iteration.
-    """
-    # imported here: scipy.linalg costs about 0.3 s and only grid eigensolves need it
+def _stebz(diagonal: np.ndarray, off_diagonal: np.ndarray, k_lowest: int):
+    """Lowest k eigenvalues and their (n, k) eigenvectors, by LAPACK stebz."""
+    # imported here: scipy.linalg costs about 0.3 s and only eig_tridiagonal
+    # needs it; the barrier spectra are solved in closed form (spectral)
     from scipy.linalg import eigh_tridiagonal
 
     try:
         return eigh_tridiagonal(
             diagonal,
             off_diagonal,
-            eigvals_only=eigvals_only,
             select="i",
             select_range=(0, k_lowest - 1),
             lapack_driver="stebz",

@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import SpectralError
-from .numerics import Grid, TridiagonalSymmetric, _check_residuals, _stebz
+from .exceptions import NumericsError, SpectralError
+from .numerics import Grid, TridiagonalSymmetric, _check_residuals
 
 __all__ = [
     "PhysicalParams",
@@ -25,6 +25,8 @@ __all__ = [
     "splitting_estimate",
     "analytic_pairs",
 ]
+
+_MAX_STEPS = 200  # per loop of a level solve; 200 halvings take any bracket to rounding
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,8 @@ class SplitPair:
     energy is the arithmetic mean of the numerical pair, delta the
     half-splitting, so the two members sit at energy -/+ delta with the
     symmetric (psi_minus) member below the antisymmetric (psi_plus) one.
-    Both members come from the parity-folded solve, so their parity is
-    exact.  left/right are the localized combinations
+    Both members come from the closed-form solve of one parity each, so
+    their parity is exact.  left/right are the localized combinations
     (psi_plus +/- psi_minus)/sqrt2.
     """
 
@@ -122,17 +124,14 @@ def barrier_grid(params: PhysicalParams, n_target: int = 4096) -> Grid:
     if n_target < 3:
         raise ValueError(f"n_target must be >= 3, got {n_target}")
     reach = min(64, n_target // 16)
-    best_n = None
-    best_score = None
-    for n in range(max(3, n_target - reach), n_target + reach + 1):
-        h = params.L / (n + 1)
-        # index offset of the right barrier edge from the left wall
-        pos = (params.L + params.d) / 2.0 / h
-        score = abs(pos - round(pos))
-        if best_score is None or score < best_score - 1e-15 or (
-            abs(score - best_score) <= 1e-15 and abs(n - n_target) < abs(best_n - n_target)
-        ):
-            best_n, best_score = n, score
+    n = np.arange(max(3, n_target - reach), n_target + reach + 1)
+    # index offset of the right barrier edge from the left wall
+    pos = (params.L + params.d) / 2.0 / (params.L / (n + 1))
+    score = np.abs(pos - np.round(pos))
+    # scores within 1e-15 of the best tie; the tie goes to the count nearest
+    # n_target, and to the smaller count at equal distance
+    tied = n[score <= score.min() + 1e-15]
+    best_n = int(tied[np.argmin(np.abs(tied - n_target))])
     return Grid(best_n, -params.L / 2.0, params.L / 2.0)
 
 
@@ -151,50 +150,158 @@ def hamiltonian(params: PhysicalParams, grid: Grid) -> TridiagonalSymmetric:
     return TridiagonalSymmetric(2.0 * t + v, np.full(grid.n_points - 1, -t))
 
 
-def _parity_blocks(ham: TridiagonalSymmetric, n_even: int, n_odd: int):
-    """Even and odd half blocks of a mirror-symmetric tridiagonal matrix.
-
-    For n = 2m+1 the even block is rows 0..m with the centre coupling scaled
-    by sqrt 2 and the odd block is rows 0..m-1; for n = 2m both are rows
-    0..m-1 with the last diagonal shifted by +/- the centre coupling.
-    Returns ((diag, off, n_even), (diag, off, n_odd)), the even block first.
-    """
+def _chain(ham: TridiagonalSymmetric):
+    """(n, t, U, a) of a double well read off its matrix, else SpectralError: n rows,
+    hopping -t, diagonal 2t in the wells and 2t + U on rows a..n+1-a (from 1)."""
     d, o = ham.diagonal, ham.off_diagonal
-    if not (np.array_equal(d, d[::-1]) and np.array_equal(o, o[::-1])):
-        raise SpectralError("parity fold needs a mirror-symmetric Hamiltonian")
-    n, m = ham.dim, ham.dim // 2
+    n, t = ham.dim, -float(o[0])
+    rows = np.flatnonzero(d != d[0])  # the barrier, if ham is a double well
+    a = int(rows[0]) + 1 if rows.size else 0
+    if not (t > 0 and np.all(o == -t) and d[0] == 2.0 * t and 2 <= a <= n // 2
+            and rows[-1] == n - a and rows.size == n + 2 - 2 * a
+            and np.all(d[rows] == d[rows[0]]) and d[rows[0]] > d[0]):
+        raise SpectralError("closed-form solve needs a mirror-symmetric double well")
+    return n, t, float(d[rows[0]] - d[0]), a
+
+
+def _wave(z: np.ndarray, x: np.ndarray):
+    """(even, odd) solutions of psi_(j-1) + psi_(j+1) = (2 - 4z) psi_j, one row per z.
+
+    At the offsets x from the mirror point they are cos(x th) and
+    sin(x th)/sin th with z = sin^2(th/2); cosh(x ph) and sinh(x ph)/sinh ph
+    for z = -sinh^2(ph/2) < 0; and (-1)^x cosh, (-1)^(x+1) sinh/sinh ph at
+    integer x for z - 1 = sinh^2(ph/2) > 0.  Hyperbolic rows are divided by
+    cosh(max|x| ph): finite, and unlike e^(-max|x| ph) smooth through z = 0.
+    """
+    z = z[:, None]
+    # half-angle forms: arccos(1 - 2z) loses digits for small z
+    th = 2.0 * np.arcsin(np.sqrt(np.clip(z, 1e-300, 1.0)))
+    even, odd = np.cos(x * th), np.sin(x * th) / np.sin(th)
+    ph = 2.0 * np.arcsinh(np.sqrt(np.abs(z - (z > 1.0)) + 1e-300))
+    ax = np.abs(x)
+    top = ax.max(axis=-1, keepdims=True)
+    near = np.exp((ax - top) * ph) / (1.0 + np.exp(-2.0 * top * ph))
+    sign = np.where(z > 1.0, 1.0 - 2.0 * (x % 2.0), 1.0)
+    hyp_odd = np.sign(x) * near * -np.expm1(-2.0 * ax * ph) / np.sinh(ph)
+    hyp = (z < 0.0) | (z > 1.0)
+    return (np.where(hyp, sign * near * (1.0 + np.exp(-2.0 * ax * ph)), even),
+            np.where(hyp, np.where(z > 1.0, -sign, 1.0) * hyp_odd, odd))
+
+
+def _changes(first, last, steps, z):
+    """Sign changes over `steps` steps of one segment: floor(steps th/pi) or one
+    more (th = 2 arcsin sqrt z a step, none below the band, ~pi above it), by the end signs."""
+    turn = 2.0 * np.arcsin(np.sqrt(np.clip(z, 0.0, 1.0))) / np.pi
+    k0 = np.where(z > 1.0, steps - 1, np.floor(steps * turn))
+    return k0 + (k0 + (first * last < 0)) % 2
+
+
+def _probe(chain, e: np.ndarray, odd: np.ndarray, count: bool = False):
+    """Determinant of each level's parity block at e, up to a positive factor.
+
+    From the left wall psi_j = sin(j th)/sin th through row a, an eigenvector
+    iff it goes on as its parity's solution g about the mirror point: the
+    determinant is the Casoratian psi_a g(X) - psi_(a-1) g(X-1), X = (n+3)/2 - a.
+    With count, first returns the Sturm count: the sign changes of psi_1..psi_L
+    and the determinant, L the block's last row.
+    """
+    n, t, U, a = chain
+    k = e.size
+    z_well, z_bar = e / (4.0 * t), np.minimum((e - U) / (4.0 * t), 1.0)
+    span, big_x = (n + 1) // 2 - a, 0.5 * (n + 3) - a  # span: rows a..centre
+    offsets = np.array([[a - 1, a, a], [big_x - 1, big_x, big_x], [span - 1, span, span + 1]])
+    x = np.repeat(offsets[: 2 + count], k, axis=0)  # the third row only for the count
+    even, odd_sol = _wave(np.concatenate([z_well, z_bar, z_bar][: 2 + count]), x)
+    p0, p1 = odd_sol[:k, 0], odd_sol[:k, 1]  # psi_(a-1), psi_a
+    g = np.where(odd[:, None], odd_sol[k : 2 * k], even[k : 2 * k])
+    det = p1 * g[:, 1] - p0 * g[:, 0]
+    if not count:
+        return det
+    # forward into the barrier, psi_(a+s) = psi_a u(s+1) - psi_(a-1) u(s)
+    u = odd_sol[2 * k :]
+    short = odd & bool(n % 2)  # odd n: the odd block stops a row short of the centre
+    last = np.where(short, p1 * u[:, 1] - p0 * u[:, 0], p1 * u[:, 2] - p0 * u[:, 1])
+    sturm = _changes(1.0, p1, a - 1, z_well) + _changes(p1, last, span - short, z_bar)
+    sturm += last * det < 0
+    return sturm.astype(int), det
+
+
+def _levels(chain, n_even: int, n_odd: int):
+    """Lowest n_even even and n_odd odd levels of the chain, each ascending.
+
+    Level k of either parity lies at or below the hard-wall level
+    w_k = 4t sin^2(k pi/2a) (interlacing with the well) and below 4t + U.
+    Sturm counts there, halved where needed, bracket each level alone; a
+    secant on the block determinant, kept in the bracket, refines it.
+    """
+    n, t, U, a = chain
     if n_even + n_odd > n:
         raise ValueError(f"{n_even + n_odd} levels requested, grid has {n}")
-    if n % 2:
-        return (
-            (d[: m + 1], np.append(o[: m - 1], math.sqrt(2.0) * o[m - 1]), n_even),
-            (d[:m], o[: m - 1], n_odd),
-        )
-    return (
-        (np.append(d[: m - 1], d[m - 1] + o[m - 1]), o[: m - 1], n_even),
-        (np.append(d[: m - 1], d[m - 1] - o[m - 1]), o[: m - 1], n_odd),
-    )
+    k = np.concatenate([np.arange(1, n_even + 1), np.arange(1, n_odd + 1)])
+    odd = np.arange(k.size) >= n_even
+    top, n_w = 4.0 * t + U, min(int(k.max()), a - 1)
+    w = 4.0 * t * np.sin(np.arange(1, n_w + 1) * (math.pi / (2 * a))) ** 2
+    at_w = _probe(chain, np.tile(w, 2), np.repeat([False, True], n_w), True)[0]
+    # per level: the counts at 0, w_1..w_nw and top, and the first w_j with k levels below
+    counts = np.column_stack([np.zeros(k.size, int), at_w.reshape(2, n_w)[odd.astype(int)],
+                              np.where(odd, n // 2, (n + 1) // 2)])
+    j, rows = np.sum(counts[:, 1:-1] < k[:, None], axis=1), np.arange(k.size)
+    lo, hi = np.append(0.0, w)[j], np.append(w, top)[j]
+    n_lo, n_hi = counts[rows, j], counts[rows, j + 1]
+    for _ in range(_MAX_STEPS):
+        wide = np.flatnonzero((n_lo != k - 1) | (n_hi != k))
+        if not wide.size:
+            break
+        mid = 0.5 * (lo[wide] + hi[wide])
+        c = _probe(chain, mid, odd[wide], True)[0]
+        up = c >= k[wide]
+        hi[wide[up]], n_hi[wide[up]] = mid[up], c[up]
+        lo[wide[~up]], n_lo[wide[~up]] = mid[~up], c[~up]
+    else:
+        raise NumericsError("Sturm counts did not isolate every level")
+
+    # below the barrier top, start one step from the hard-wall level a th = k pi:
+    # a well with a soft wall, sin((a-1) th) = e^ph sin(a th), has a th = k pi - eps
+    th = 2.0 * np.arcsin(np.sqrt(np.minimum(hi / (4.0 * t), 1.0)))
+    ph = 2.0 * np.arcsinh(np.sqrt(np.maximum(U - hi, 0.0) / (4.0 * t)))
+    eps = np.arctan2(np.sin(th), np.exp(ph) - np.cos(th))
+    guess = 4.0 * t * np.sin((np.round(a * th / math.pi) * math.pi - eps) / (2 * a)) ** 2
+    x = np.where((hi < U) & (lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
+    # the determinant has the sign (-1)^(k-1) at lo and (-1)^k at hi, its value unused at top
+    sign_lo = np.where(k % 2 == 1, 1.0, -1.0)
+    x_prev, f_prev = hi.copy(), _probe(chain, hi, odd)
+    f_prev = np.where((hi < top) & (np.sign(f_prev) == -sign_lo), f_prev, np.nan)
+    live = np.arange(k.size)
+    for _ in range(_MAX_STEPS):
+        if not live.size:
+            return x[~odd], x[odd]
+        xl, fl = x[live], _probe(chain, x[live], odd[live])
+        left = np.sign(fl) == sign_lo[live]
+        lo[live], hi[live] = np.where(left, xl, lo[live]), np.where(left, hi[live], xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = fl * (xl - x_prev[live]) / (fl - f_prev[live])
+        # the secant converges superlinearly: after a step under 1e-13 E the error is rounding
+        done = (fl == 0.0) | (np.abs(step) <= 1e-13 * xl)
+        new = np.where(fl == 0.0, xl, xl - step)
+        bisect = ~done & ~((lo[live] < new) & (new < hi[live]))
+        x[live] = np.where(bisect, 0.5 * (lo[live] + hi[live]), new)
+        x_prev[live], f_prev[live] = xl, fl
+        live = live[~(done | (hi[live] - lo[live] <= 4.0 * np.spacing(hi[live])))]
+    raise NumericsError("secant refinement of the levels did not converge")
 
 
-def _parity_eig(ham: TridiagonalSymmetric, n_even: int, n_odd: int):
-    """Lowest n_even even and n_odd odd eigenpairs of a mirror-symmetric matrix.
-
-    Solves the two blocks of _parity_blocks and unfolds their vectors onto
-    the full grid, where they meet the residual contract of the full matrix,
-    at its scale.  Returns ((even_vals, even_vecs), (odd_vals, odd_vecs)),
-    vectors as the columns of (n, k) arrays.
-    """
-    n, m = ham.dim, ham.dim // 2
-    out = []
-    for (diag, off, k), sign in zip(_parity_blocks(ham, n_even, n_odd), (1.0, -1.0)):
-        vals, w = _stebz(diag, off, k)
-        # each off-centre block entry stands for two mirror points, hence 1/sqrt 2
-        v = np.zeros((n, k))
-        v[:m] = w[:m] / math.sqrt(2.0)
-        v[n - m :] = sign * v[m - 1 :: -1]
-        v[m : len(w)] = w[m:]  # the centre point: only the odd-n even block has one
-        out.append((vals, _check_residuals(ham, vals, v)))
-    return tuple(out)
+def _eigvecs(ham: TridiagonalSymmetric, chain, e: np.ndarray, odd: bool) -> np.ndarray:
+    """Unit eigenvectors (n, k) at the levels e of one parity, in closed form:
+    sin(j th)/sin th in the well, the parity solution scaled to it at rows a-1
+    and a (least squares) in the barrier, the mirror image beyond; residual-checked."""
+    n, t, U, a = chain
+    well = _wave(e / (4.0 * t), np.arange(1.0, a + 1))[1]
+    z_bar = np.minimum((e - U) / (4.0 * t), 1.0)
+    bar = _wave(z_bar, np.arange(a - 1, n + 3 - a) - 0.5 * (n + 1))[int(odd)]
+    amp = (well[:, -2] * bar[:, 0] + well[:, -1] * bar[:, 1]) / (bar[:, 0] ** 2 + bar[:, 1] ** 2)
+    mirror = (-1.0 if odd else 1.0) * well[:, -2::-1]
+    v = np.hstack([well[:, :-1], amp[:, None] * bar[:, 1:-1], mirror]).T
+    return _check_residuals(ham, e, v)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -227,18 +334,22 @@ def _resolved_grid(params: PhysicalParams, grid: Optional[Grid]) -> Grid:
 def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] = None):
     """Numerical doublets of the box with the barrier inserted.
 
-    Solves the parity-folded finite-difference problem: the lowest n_pairs
-    even and n_pairs odd levels, each from a half-size block.  Levels
-    alternate in parity (even_k < odd_k < even_k+1), so pair k is the k-th
-    even (symmetric) level with the k-th odd (antisymmetric) one, and the
-    members have exact parity whatever the splitting.
+    Solves the finite-difference problem in closed form: the grid
+    Hamiltonian is a chain with three constant-potential segments, so each
+    level is a root of its parity block's determinant (_levels) and each
+    vector the same sines and hyperbolic sines on the grid (_eigvecs).
+    Levels alternate in parity (even_k < odd_k < even_k+1), so pair k is the
+    k-th even (symmetric) level with the k-th odd (antisymmetric) one, and
+    the members have exact parity whatever the splitting.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     if params.d <= 0:
         raise SpectralError("barrier_spectrum needs a barrier, got d = 0")
     grid = _resolved_grid(params, grid)
-    (e_even, v_even), (e_odd, v_odd) = _parity_eig(hamiltonian(params, grid), n_pairs, n_pairs)
+    ham = hamiltonian(params, grid)
+    e_even, e_odd = _levels(chain := _chain(ham), n_pairs, n_pairs)
+    v_even, v_odd = _eigvecs(ham, chain, e_even, False), _eigvecs(ham, chain, e_odd, True)
 
     pairs = []
     for k in range(1, n_pairs + 1):

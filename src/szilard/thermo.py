@@ -14,8 +14,8 @@ from typing import Tuple
 import numpy as np
 
 from .exceptions import SpectralError, ThermoError
-from .numerics import _stebz, sum_series
-from .spectral import PhysicalParams, _parity_blocks, _resolved_grid, hamiltonian
+from .numerics import sum_series
+from .spectral import PhysicalParams, _chain, _levels, _resolved_grid, hamiltonian
 
 __all__ = [
     "PartitionResult",
@@ -250,16 +250,16 @@ class SpectralStageCheck:
 def spectral_stage_check(params: PhysicalParams, n_levels: int = 90, grid=None) -> SpectralStageCheck:
     """Compare closed-form stage free energies against a numerical spectrum.
 
-    The inserted-stage partition sum uses all n_levels levels of the
-    parity-folded solve, ceil(n_levels/2) even and floor(n_levels/2) odd;
-    the measured-stage sum uses doublet means and half-splittings, doublet k
-    being the k-th even with the k-th odd level, restricted to doublets
-    entirely below the barrier top, where the left/right basis is
-    meaningful.  Only eigenvalues are solved for, each bracketed to 1e-12
-    by bisection.  The spectral jump is k_B T ln 2 by construction up to
-    unpaired and above-barrier weight (see SpectralStageCheck); the free
-    energies match the closed forms only in the high-temperature window
-    (eps*beta small).  Raises SpectralError when d = 0 (no barrier) or
+    The inserted-stage partition sum uses all n_levels levels of
+    barrier_spectrum's closed-form solve, ceil(n_levels/2) even and
+    floor(n_levels/2) odd; the measured-stage sum uses doublet means and
+    half-splittings, doublet k being the k-th even with the k-th odd level,
+    restricted to doublets entirely below the barrier top, where the
+    left/right basis is meaningful.  Only eigenvalues are solved for.  The
+    spectral jump is k_B T ln 2 by construction up to unpaired and
+    above-barrier weight (see SpectralStageCheck); the free energies match
+    the closed forms only in the high-temperature window (eps*beta small).
+    Raises SpectralError when d = 0 (no barrier) or
     when the grid has fewer than 16 points under the barrier.
     """
     if n_levels < 2:
@@ -270,8 +270,7 @@ def spectral_stage_check(params: PhysicalParams, n_levels: int = 90, grid=None) 
     beta = params.beta
     kT = params.k_B * params.T
     n_odd = n_levels // 2
-    blocks = _parity_blocks(hamiltonian(params, grid), n_levels - n_odd, n_odd)
-    even, odd = (_stebz(diag, off, k, eigvals_only=True) for diag, off, k in blocks)
+    even, odd = _levels(_chain(hamiltonian(params, grid)), n_levels - n_odd, n_odd)
 
     n_pairs = int(np.searchsorted(odd, params.U))
     if not n_pairs:

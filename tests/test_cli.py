@@ -202,13 +202,22 @@ class TestSpectrumCommand:
     def test_requires_barrier(self, capsys):
         assert main(["spectrum", "--d", "0"]) == 1
 
+    def test_underflowing_estimate_leaves_ratio_empty(self, capsys):
+        # at U = 1e12 the closed-form splitting underflows to 0 for every pair and series row
+        assert main(["spectrum", "--U", "1e12", "--pairs", "2", "--format", "json"]) == 0
+        chunks = capsys.readouterr().out.split("\n{", 1)
+        rows = json.loads(chunks[0])["pairs"] + json.loads("{" + chunks[1])["series"]
+        assert len(rows) == 2 + len(SPLITTING_SERIES_D)
+        assert all(row["estimate"] == 0.0 and row["ratio"] is None for row in rows)
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_failing_series_writes_nothing(self, fmt, tmp_path, capsys):
         # 700 points resolve the d = 0.05 barrier but not the series' d = 0.02 one
         argv = ["spectrum", "--grid", "700", "--pairs", "2", "--format", fmt]
         assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "grid too coarse" in err
+        assert out == ""
+        assert "splitting series at d = 0.02: grid too coarse" in err
         assert main(argv + ["--out", str(tmp_path / "spec.txt")]) == 2
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
@@ -425,20 +434,21 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.startswith("# master_seed=0")
 
 
-# runs szilard.cli.main on each argv given as JSON, then prints the exit codes
-# and every scipy module the process has loaded
+# runs szilard.cli.main on each argv given as JSON, then the statement given
+# next, then prints the exit codes and every scipy module the process has loaded
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 import szilard, szilard.cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [szilard.cli.main(argv) for argv in json.loads(sys.argv[1])]
+exec(sys.argv[2])
 print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
-def scipy_modules_after(argvs, cwd):
+def scipy_modules_after(argvs, cwd, then="pass"):
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs), then],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -451,16 +461,21 @@ def scipy_modules_after(argvs, cwd):
 
 
 def test_numpy_commands_leave_out_scipy(tmp_path):
-    # only the finite-difference eigensolve needs scipy, and it imports it on first use
+    # only eig_tridiagonal needs scipy, and it imports it on first use; the
+    # barrier spectra are solved in closed form
     argvs = [
         ["thermo"],
         ["measure", "--N", "11"],
         ["cycle"],
+        ["cycle", "--spectral-check", "--grid", "1024"],
         ["sweep", "--axis", "n_steps", "--values", "1,2"],
+        ["spectrum", "--pairs", "1", "--grid", "1024"],
     ]
     assert scipy_modules_after(argvs, tmp_path) == []
-    # positive control: the grid eigensolve does load it
-    assert "scipy.linalg" in scipy_modules_after([["spectrum", "--pairs", "1"]], tmp_path)
+    # positive control: a direct eig_tridiagonal call does load it
+    tri = "szilard.TridiagonalSymmetric(np.full(3, 2.0), np.full(2, -1.0))"
+    loaded = scipy_modules_after([], tmp_path, then=f"import numpy as np; szilard.eig_tridiagonal({tri}, 1)")
+    assert "scipy.linalg" in loaded
 
 
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szilard import thermo
+from szilard.cli import SPLITTING_SERIES_D
 from szilard.exceptions import SpectralError
 from szilard.numerics import Grid, eig_tridiagonal
 from szilard.spectral import (
     PhysicalParams,
-    _parity_eig,
+    _chain,
+    _levels,
     analytic_pairs,
     barrier_grid,
     barrier_spectrum,
@@ -17,6 +21,24 @@ from szilard.spectral import (
     splitting_estimate,
 )
 from szilard.thermo import spectral_stage_check
+
+
+def rayleigh(ham, v):
+    """Oracle level of a grid vector: the gradient-form Rayleigh quotient.
+
+    (t sum (v_(j+1) - v_j)^2 + sum V_j v_j^2) / sum v_j^2, walls included,
+    is v.Hv/v.v without the cancellation of 2t v_j^2 against the hopping;
+    it is second order in the vector's error, where the bisected
+    eigenvalues of eig_tridiagonal carry an absolute error of order 1e-16 |H|.
+    """
+    t = -ham.off_diagonal[0]
+    grad = np.diff(np.concatenate([[0.0], v, [0.0]]))
+    return (t * grad @ grad + (ham.diagonal - 2.0 * t) @ v**2) / (v @ v)
+
+
+def rayleigh_levels(ham, k):
+    """Oracle: the lowest k levels, from eig_tridiagonal's vectors."""
+    return np.array([rayleigh(ham, v) for _, v in eig_tridiagonal(ham, k)])
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +115,25 @@ class TestBarrierGrid:
         grid_sizes = [barrier_grid(PhysicalParams(d=d), n).n_points for n in (1024, 2048, 4096, 8192)]
         assert tuple(grid_sizes) == sizes
 
+    @pytest.mark.parametrize("d", [0.02, 0.05, 0.10])
+    def test_scan_matches_loop(self, d):
+        # oracle: the count-by-count scan the vectorized choice replaced
+        def scan(params, n_target):
+            reach = min(64, n_target // 16)
+            best_n = best_score = None
+            for n in range(max(3, n_target - reach), n_target + reach + 1):
+                pos = (params.L + params.d) / 2.0 / (params.L / (n + 1))
+                score = abs(pos - round(pos))
+                if best_score is None or score < best_score - 1e-15 or (
+                    abs(score - best_score) <= 1e-15 and abs(n - n_target) < abs(best_n - n_target)
+                ):
+                    best_n, best_score = n, score
+            return best_n
+
+        p = PhysicalParams(d=d)
+        targets = [*range(3, 2049), 4096, 8192]
+        assert [barrier_grid(p, n).n_points for n in targets] == [scan(p, n) for n in targets]
+
     def test_potential_membership(self, params):
         grid = barrier_grid(params, 1024)
         ham = hamiltonian(params, grid)
@@ -164,14 +205,15 @@ class TestBarrierSpectrum:
 
 
 class TestParityFold:
-    # The fold solves half-size even/odd blocks; the oracle solves the full
-    # grid Hamiltonian in one piece and pairs its sorted levels two by two.
+    # barrier_spectrum and the stage check solve the even and odd halves of
+    # the mirror-symmetric grid Hamiltonian in closed form; the oracle solves
+    # the full matrix in one piece and pairs its sorted levels two by two.
 
     @pytest.mark.parametrize("n_points", [4000, 4001])
     def test_matches_unfolded_solve(self, params, n_points):
         grid = Grid(n_points, -0.5, 0.5)
         pairs = barrier_spectrum(params, 5, grid)
-        levels = [e for e, _ in eig_tridiagonal(hamiltonian(params, grid), 10)]
+        levels = rayleigh_levels(hamiltonian(params, grid), 10)
         for pair, lo, hi in zip(pairs, levels[0::2], levels[1::2]):
             assert abs(pair.energy - 0.5 * (lo + hi)) <= 1e-9
             assert pair.delta == pytest.approx(0.5 * (hi - lo), rel=1e-9)
@@ -184,40 +226,66 @@ class TestParityFold:
             spectral_stage_check(params, 10, grid)
 
     @pytest.mark.parametrize("n_target", [1024, 1025])
-    def test_eigensolves_stay_half_sized(self, params, n_target, monkeypatch):
-        calls = []
-        solve = scipy.linalg.eigh_tridiagonal
-
-        def recording(d, e, **kw):
-            calls.append((len(d), kw["eigvals_only"]))
-            return solve(d, e, **kw)
+    def test_solves_without_scipy_eigensolver(self, params, n_target, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("the closed-form solve called the LAPACK eigensolver")
 
         grid = Grid(n_target, -0.5, 0.5)
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
-        barrier_spectrum(params, 5, grid)
-        spectral_stage_check(params, 30, grid)
-        assert len(calls) == 4
-        assert max(width for width, _ in calls) <= math.ceil(n_target / 2)
-        # the spectrum keeps its vectors, the stage check asks for none
-        assert [values_only for _, values_only in calls] == [False, False, True, True]
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        assert len(barrier_spectrum(params, 5, grid)) == 5
+        assert spectral_stage_check(params, 30, grid).levels_used == 30
 
     @pytest.mark.parametrize("n_points", [2048, 2049])
-    def test_stage_check_levels_match_eigenpair_solve(self, params, n_points, monkeypatch):
-        # oracle: the eigenpair solve barrier_spectrum uses, on the same blocks
+    def test_stage_check_levels_match_full_solve(self, params, n_points, monkeypatch):
         grid = Grid(n_points, -0.5, 0.5)
-        levels = []
-        solve = thermo._stebz
+        solved = []
+        solve = thermo._levels
 
-        def recording(*args, **kw):
-            levels.append(solve(*args, **kw))
-            return levels[-1]
+        def recording(*args):
+            solved.append(solve(*args))
+            return solved[-1]
 
-        monkeypatch.setattr(thermo, "_stebz", recording)
+        monkeypatch.setattr(thermo, "_levels", recording)
         spectral_stage_check(params, 90, grid)
-        (even, _), (odd, _) = _parity_eig(hamiltonian(params, grid), 45, 45)
-        assert len(levels) == 2
-        assert np.array_equal(levels[0], even)
-        assert np.array_equal(levels[1], odd)
+        (even, odd), = solved
+        ham = hamiltonian(params, grid)
+        oracle = {True: [], False: []}  # keyed by oddness
+        for _, v in eig_tridiagonal(ham, 100):
+            oracle[v @ v[::-1] < 0].append(rayleigh(ham, v))
+        assert len(even) == len(odd) == 45
+        np.testing.assert_allclose(even, oracle[False][:45], rtol=1e-11)
+        np.testing.assert_allclose(odd, oracle[True][:45], rtol=1e-11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(24, 160),
+        d=st.floats(0.1, 0.6),
+        log_u=st.floats(math.log(50.0), math.log(1e12)),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_levels_match_full_solve_on_small_grids(self, n, d, log_u, share):
+        # every level of the grid, below, inside and above the barrier band,
+        # and any prefix of either parity
+        p = PhysicalParams(d=d, U=math.exp(log_u))
+        ham = hamiltonian(p, Grid(n, -0.5, 0.5))
+        chain = _chain(ham)
+        even, odd = _levels(chain, n - n // 2, n // 2)
+        assert (len(even), len(odd)) == (n - n // 2, n // 2)
+        levels = np.sort(np.concatenate([even, odd]))
+        oracle = rayleigh_levels(ham, n)
+        np.testing.assert_allclose(levels, oracle, rtol=1e-10, atol=1e-13 * ham.scale)
+        k_even, k_odd = max(1, round(share * len(even))), round(share * len(odd))
+        part_even, part_odd = _levels(chain, k_even, k_odd)
+        np.testing.assert_allclose(part_even, even[:k_even], rtol=1e-12, atol=1e-14 * ham.scale)
+        np.testing.assert_allclose(part_odd, odd[:k_odd], rtol=1e-12, atol=1e-14 * ham.scale)
+
+    def test_splitting_series_matches_oracle(self):
+        # the spectrum command's companion series, on its default grid
+        for d in SPLITTING_SERIES_D:
+            p = PhysicalParams(d=d)
+            grid = barrier_grid(p, 4096)
+            lo, hi = rayleigh_levels(hamiltonian(p, grid), 2)
+            assert barrier_spectrum(p, 1, grid)[0].delta == pytest.approx(0.5 * (hi - lo), rel=1e-8)
 
 
 @pytest.fixture(scope="module")
