@@ -40,7 +40,6 @@ from .thermo import (
 from .infodyn import (
     BasisLabeling,
     DensityMatrix,
-    mutual_information,
     partial_trace,
     post_insertion_dm,
     product_dm,

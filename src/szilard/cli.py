@@ -261,9 +261,9 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
         pd = replace(s.params, d=d)
         try:
             pair = barrier_spectrum(pd, 1, barrier_grid(pd, s.grid))[0]
+            est = splitting_estimate(pd, 1)
         except SzilardError as exc:
             raise type(exc)(f"splitting series at d = {d}: {exc}") from exc
-        est = splitting_estimate(pd, 1)
         series.append({"d": d, "delta_1": pair.delta, "estimate": est,
                        "ratio": pair.delta / est if est > 0 else None})
 
@@ -373,7 +373,8 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument("--U", help="barrier height")
     parser.add_argument("--T", help="temperature")
     parser.add_argument("--N", help="doublet truncation per side")
-    parser.add_argument("--grid", help="finite-difference grid points (spectrum, cycle --spectral-check)")
+    parser.add_argument("--grid", help="sampling grid points for spectrum's eigenvectors; "
+                        "no printed value depends on it, and cycle accepts it unused")
     parser.add_argument("--protocol", help="isothermal | stepwise-adiabatic | single-adiabatic")
     parser.add_argument("--n-steps", dest="n_steps", help="stepwise increment count")
     parser.add_argument("--seed", help="master seed")
@@ -400,7 +401,7 @@ def _build_parser() -> _Parser:
     _add_common(cy)
     cy.add_argument("--ideal", action="store_true", help="drop gas coherences first")
     cy.add_argument("--spectral-check", dest="spectral_check", action="store_true",
-                    help="cross-check the measurement jump against numerical spectra")
+                    help="cross-check the measurement jump against the exact barrier spectrum")
     cy.set_defaults(func=cmd_cycle)
     sw = sub.add_parser("sweep", help="run one cycle per value of an axis")
     _add_common(sw)

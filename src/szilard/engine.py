@@ -4,9 +4,9 @@ One cycle walks the gas through free -> inserted -> measured -> expanded ->
 free while a two-level apparatus reads off the side, the expansion converts
 heat to work, and the apparatus reset charges the environment.  All stage
 thermodynamics here uses the classical-limit closed forms (Z proportional
-to the available width, mean energy k_B T/2); the spectral machinery can be
-switched on to cross-check the free-energy bookkeeping against numerically
-diagonalized doublets.
+to the available width, mean energy k_B T/2); the spectral check can be
+switched on to cross-check the free-energy bookkeeping against the exact
+levels of the box with the barrier.
 
 Sign conventions: W_extracted > 0 is work delivered by the engine;
 Q_from_reservoir > 0 is heat absorbed by the gas; S_to_environment > 0 is
@@ -31,7 +31,7 @@ from .demon import (
 )
 from .exceptions import EngineError, SzilardError
 from .infodyn import BasisLabeling, post_insertion_dm, product_dm
-from .spectral import PhysicalParams, analytic_pairs, barrier_grid
+from .spectral import PhysicalParams, analytic_pairs
 from .thermo import StageLedger, isothermal_work, spectral_stage_check, stage_free_energies
 
 __all__ = [
@@ -81,9 +81,10 @@ class CycleConfig:
     """Everything one cycle run depends on.
 
     n_side is the doublet truncation per side; the gate n_side^2*eps*beta
-    >= 20 keeps the discarded thermal weight negligible.  grid_points only
-    matters when spectral_check is set.  coherences=False runs the readoff
-    on the dephased post-insertion state (the ideal-measurement limit).
+    >= 20 keeps the discarded thermal weight negligible.  grid_points is
+    accepted and changes nothing: the spectral check solves no grid.
+    coherences=False runs the readoff on the dephased post-insertion state
+    (the ideal-measurement limit).
     """
 
     params: PhysicalParams = field(default_factory=PhysicalParams)
@@ -275,8 +276,7 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     jump_dev = None
     if config.spectral_check:
         try:
-            grid = barrier_grid(params, config.grid_points)
-            chk = spectral_stage_check(params, n_levels=2 * config.n_side, grid=grid)
+            chk = spectral_stage_check(params, n_levels=2 * config.n_side)
         except SzilardError as exc:
             raise type(exc)(f"spectral check: {exc}") from exc
         jump_dev = abs(chk.jump_spectral - chk.jump_closed) / (kt * math.log(2.0))

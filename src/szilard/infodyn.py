@@ -22,7 +22,6 @@ __all__ = [
     "post_insertion_dm",
     "vn_entropy",
     "partial_trace",
-    "mutual_information",
     "trace_distance",
     "product_dm",
 ]
@@ -166,16 +165,6 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     else:
         raise ValueError(f"keep must be 'gas' or 'demon', got {keep!r}")
     return DensityMatrix(out)
-
-
-def mutual_information(rho: DensityMatrix) -> float:
-    """I_mu = S(gas) + S(demon) - S(joint), in units of k_B.
-
-    Nonnegative up to numerical noise; exactly zero on product states.
-    """
-    s_gas = vn_entropy(partial_trace(rho, "gas"))
-    s_demon = vn_entropy(partial_trace(rho, "demon"))
-    return _mutual_information(s_gas, s_demon, vn_entropy(rho))
 
 
 def _mutual_information(s_gas: float, s_demon: float, s_joint: float) -> float:

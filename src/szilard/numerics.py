@@ -104,38 +104,30 @@ class TridiagonalSymmetric:
 def eig_tridiagonal(matrix: TridiagonalSymmetric, k_lowest: int):
     """Lowest k eigenpairs of a symmetric tridiagonal matrix.
 
-    Eigenvalues come from bisection on Sturm sequences and eigenvectors from
-    inverse iteration, which keeps the cost at O(n) per requested pair.
-    Returns a list of (eigenvalue, eigenvector) tuples sorted ascending, each
-    vector unit-norm.  Every returned pair is verified against the residual
-    contract ||Mv - lambda v|| <= 1e-10 * scale; a violation raises
-    NumericsError naming the offending pair.
+    Eigenvalues come from bisection on Sturm sequences (LAPACK stebz) and
+    eigenvectors from inverse iteration, which keeps the cost at O(n) per
+    requested pair.  Returns a list of (eigenvalue, eigenvector) tuples
+    sorted ascending, each vector unit-norm.  Every returned pair is verified
+    against the residual contract ||Mv - lambda v|| <= 1e-10 * scale; a
+    violation raises NumericsError naming the offending pair.  Needs scipy,
+    which only the test extra installs: no production code calls this.
     """
     n = matrix.dim
     if not 1 <= k_lowest <= n:
         raise ValueError(f"k_lowest must lie in [1, {n}], got {k_lowest}")
-    vals, vecs = _stebz(matrix.diagonal, matrix.off_diagonal, k_lowest)
-    vecs = _check_residuals(matrix, vals, vecs)
-    return [(float(vals[j]), vecs[:, j]) for j in range(k_lowest)]
-
-
-def _stebz(diagonal: np.ndarray, off_diagonal: np.ndarray, k_lowest: int):
-    """Lowest k eigenvalues and their (n, k) eigenvectors, by LAPACK stebz."""
-    # imported here: scipy.linalg costs about 0.3 s and only eig_tridiagonal
-    # needs it; the barrier spectra are solved in closed form (spectral)
-    from scipy.linalg import eigh_tridiagonal
-
     try:
-        return eigh_tridiagonal(
-            diagonal,
-            off_diagonal,
-            select="i",
-            select_range=(0, k_lowest - 1),
-            lapack_driver="stebz",
-            tol=1e-12,
-        )
+        from scipy.linalg import eigh_tridiagonal
+    except ImportError as exc:
+        raise ImportError("eig_tridiagonal needs scipy, which the test extra installs: "
+                          "pip install -e '.[test]'") from exc
+    try:
+        vals, vecs = eigh_tridiagonal(matrix.diagonal, matrix.off_diagonal, select="i",
+                                      select_range=(0, k_lowest - 1), lapack_driver="stebz",
+                                      tol=1e-12)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"tridiagonal eigensolver did not converge: {exc}") from exc
+    vecs = _check_residuals(matrix, vals, vecs)
+    return [(float(vals[j]), vecs[:, j]) for j in range(k_lowest)]
 
 
 def _check_residuals(matrix: TridiagonalSymmetric, vals: np.ndarray, vecs: np.ndarray):

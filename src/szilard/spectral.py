@@ -1,6 +1,8 @@
-"""Single-molecule spectra: numerical levels of the box with a rectangular
-barrier inserted, tunneling doublets, the localized left/right basis built
-from each doublet, and the closed-form doublet family the cycle uses.
+"""Single-molecule spectra: the exact levels of the box with a centred
+rectangular barrier, its tunneling doublets and their eigenfunctions sampled
+on a grid, the localized left/right basis built from each doublet, and the
+closed-form model doublets the cycle uses.  The finite-difference
+Hamiltonian stays as a test oracle.
 
 Units are carried by PhysicalParams; the defaults put hbar = m = k_B = 1
 and L = 1 so that the ground-state scale is eps = pi^2/2.
@@ -14,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NumericsError, SpectralError
-from .numerics import Grid, TridiagonalSymmetric, _check_residuals
+from .numerics import Grid, TridiagonalSymmetric
 
 __all__ = [
     "PhysicalParams",
@@ -27,6 +29,8 @@ __all__ = [
 ]
 
 _MAX_STEPS = 200  # per loop of a level solve; 200 halvings take any bracket to rounding
+# a root's residual on its phase equation theta = n pi, relative to n pi
+PHASE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,13 @@ class PhysicalParams:
             raise ValueError(f"d must be nonnegative, got {self.d}")
         if not self.d < self.L:
             raise ValueError(f"d must be smaller than L (got d={self.d}, L={self.L})")
+        for name in ("eps", "beta", "lambda_th"):  # the scales every computation starts from
+            try:
+                value = getattr(self, name)
+            except ArithmeticError:  # L**2 overflows, or a division by an underflow
+                raise ValueError(f"{name} is out of floating-point range") from None
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def beta(self) -> float:
@@ -85,14 +96,13 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class SplitPair:
-    """A below-barrier doublet.
+    """A below-barrier doublet of exact levels, its members sampled on a grid.
 
-    energy is the arithmetic mean of the numerical pair, delta the
-    half-splitting, so the two members sit at energy -/+ delta with the
-    symmetric (psi_minus) member below the antisymmetric (psi_plus) one.
-    Both members come from the closed-form solve of one parity each, so
-    their parity is exact.  left/right are the localized combinations
-    (psi_plus +/- psi_minus)/sqrt2.
+    The symmetric member (psi_minus) sits at energy - delta, below the
+    antisymmetric one (psi_plus) at energy + delta; delta is solved on its
+    own, not as the difference of the two levels.  Each member is the
+    eigenfunction of one parity, so its parity is exact.  left/right are
+    the localized combinations (psi_plus +/- psi_minus)/sqrt2.
     """
 
     k: int
@@ -137,8 +147,7 @@ def barrier_grid(params: PhysicalParams, n_target: int = 4096) -> Grid:
 
 def hamiltonian(params: PhysicalParams, grid: Grid) -> TridiagonalSymmetric:
     """Second-order finite-difference Hamiltonian with Dirichlet walls."""
-    x = grid.points
-    h = grid.spacing
+    x, h = grid.points, grid.spacing
     if params.d > 0:
         # the 1e-9*h slack makes barrier membership robust to float rounding,
         # so a point computed as 0.024999999999999998 with d/2 = 0.025 counts
@@ -150,208 +159,175 @@ def hamiltonian(params: PhysicalParams, grid: Grid) -> TridiagonalSymmetric:
     return TridiagonalSymmetric(2.0 * t + v, np.full(grid.n_points - 1, -t))
 
 
-def _chain(ham: TridiagonalSymmetric):
-    """(n, t, U, a) of a double well read off its matrix, else SpectralError: n rows,
-    hopping -t, diagonal 2t in the wells and 2t + U on rows a..n+1-a (from 1)."""
-    d, o = ham.diagonal, ham.off_diagonal
-    n, t = ham.dim, -float(o[0])
-    rows = np.flatnonzero(d != d[0])  # the barrier, if ham is a double well
-    a = int(rows[0]) + 1 if rows.size else 0
-    if not (t > 0 and np.all(o == -t) and d[0] == 2.0 * t and 2 <= a <= n // 2
-            and rows[-1] == n - a and rows.size == n + 2 - 2 * a
-            and np.all(d[rows] == d[rows[0]]) and d[rows[0]] > d[0]):
-        raise SpectralError("closed-form solve needs a mirror-symmetric double well")
-    return n, t, float(d[rows[0]] - d[0]), a
+def _phase(params: PhysicalParams, e: np.ndarray, odd: np.ndarray):
+    """Phase theta(E) at the wall and dtheta/dE, for levels e of parity odd (bool array).
 
-
-def _wave(z: np.ndarray, x: np.ndarray):
-    """(even, odd) solutions of psi_(j-1) + psi_(j+1) = (2 - 4z) psi_j, one row per z.
-
-    At the offsets x from the mirror point they are cos(x th) and
-    sin(x th)/sin th with z = sin^2(th/2); cosh(x ph) and sinh(x ph)/sinh ph
-    for z = -sinh^2(ph/2) < 0; and (-1)^x cosh, (-1)^(x+1) sinh/sinh ph at
-    integer x for z - 1 = sinh^2(ph/2) > 0.  Hyperbolic rows are divided by
-    cosh(max|x| ph): finite, and unlike e^(-max|x| ph) smooth through z = 0.
+    The solution starts at the centre as cosh or sinh under the barrier top,
+    cos or sin above it, and reaches the barrier edge b = d/2 with value psi
+    and slope psi'.  Its Prufer angle atan2(k psi, psi'), on the branch
+    within pi/2 of the barrier's own phase, gains k w across the well, and
+    level n of either parity has theta = n pi.  No poles, continuous at E = U.
     """
-    z = z[:, None]
-    # half-angle forms: arccos(1 - 2z) loses digits for small z
-    th = 2.0 * np.arcsin(np.sqrt(np.clip(z, 1e-300, 1.0)))
-    even, odd = np.cos(x * th), np.sin(x * th) / np.sin(th)
-    ph = 2.0 * np.arcsinh(np.sqrt(np.abs(z - (z > 1.0)) + 1e-300))
-    ax = np.abs(x)
-    top = ax.max(axis=-1, keepdims=True)
-    near = np.exp((ax - top) * ph) / (1.0 + np.exp(-2.0 * top * ph))
-    sign = np.where(z > 1.0, 1.0 - 2.0 * (x % 2.0), 1.0)
-    hyp_odd = np.sign(x) * near * -np.expm1(-2.0 * ax * ph) / np.sinh(ph)
-    hyp = (z < 0.0) | (z > 1.0)
-    return (np.where(hyp, sign * near * (1.0 + np.exp(-2.0 * ax * ph)), even),
-            np.where(hyp, np.where(z > 1.0, -sign, 1.0) * hyp_odd, odd))
+    c2, b, w = 2.0 * params.mass / params.hbar**2, 0.5 * params.d, 0.5 * (params.L - params.d)
+    k, zeta = np.sqrt(c2 * e), c2 * (e - params.U)
+    below, r = zeta < 0.0, np.sqrt(np.abs(zeta))
+    z = r * b
+    # C, S = cos z, sin(z)/r above the top; under it cosh z and sinh(z)/r times
+    # sech z, a positive factor that leaves the angle alone and keeps U = 1e12
+    # finite.  dS/dzeta = (b C - S)/(2 zeta) for both, -b^3/6 where it cancels
+    c = np.where(below, 1.0, np.cos(z))
+    s = np.divide(np.where(below, np.tanh(z), np.sin(z)), r, out=np.full_like(z, b), where=r > 0.0)
+    ds = np.divide(b * c - s, zeta, out=np.full_like(z, -b**3 / 3.0), where=z >= 1e-4)
+    psi, slope = np.where(odd, s, c), np.where(odd, c, -zeta * s)
+    dpsi, dslope = np.where(odd, ds, -b * s), np.where(odd, -b * s, -(s + b * c))
+    x = k * psi
+    a = np.arctan2(x, slope)
+    xi = np.where(below, 0.0, z) + np.where(odd, 0.0, 0.5 * math.pi)
+    theta = a + 2.0 * math.pi * np.round((xi - a) / (2.0 * math.pi)) + k * w
+    # d(k psi)/dE = c2 (psi/k + k dpsi)/2 and dslope/dE = c2 dslope/2
+    dtheta = (slope * (psi / k + k * dpsi) - x * dslope) / (x * x + slope * slope) + w / k
+    return theta, 0.5 * c2 * dtheta
 
 
-def _changes(first, last, steps, z):
-    """Sign changes over `steps` steps of one segment: floor(steps th/pi) or one
-    more (th = 2 arcsin sqrt z a step, none below the band, ~pi above it), by the end signs."""
-    turn = 2.0 * np.arcsin(np.sqrt(np.clip(z, 0.0, 1.0))) / np.pi
-    k0 = np.where(z > 1.0, steps - 1, np.floor(steps * turn))
-    return k0 + (k0 + (first * last < 0)) % 2
+def _exact_levels(params: PhysicalParams, n_even: int, n_odd: int):
+    """Lowest n_even even and n_odd odd levels of the box with the barrier.
 
-
-def _probe(chain, e: np.ndarray, odd: np.ndarray, count: bool = False):
-    """Determinant of each level's parity block at e, up to a positive factor.
-
-    From the left wall psi_j = sin(j th)/sin th through row a, an eigenvector
-    iff it goes on as its parity's solution g about the mirror point: the
-    determinant is the Casoratian psi_a g(X) - psi_(a-1) g(X-1), X = (n+3)/2 - a.
-    With count, first returns the Sturm count: the sign changes of psi_1..psi_L
-    and the determinant, L the block's last row.
+    Level n of either parity solves theta(E) = n pi (_phase), bracketed by
+    the free box's level eps m^2 (m = 2n-1 even, 2n odd), which the barrier
+    only raises, and the hard-wall level eps' (2n)^2 of the separated wells.
+    Newton, all levels at once, starts one phase step below the latter under
+    the barrier top, k w = n pi - arctan(k/kappa), and at eps m^2 + U d/L
+    above it.  A level bisects where its step leaves the bracket or fails to
+    halve, so a resonance above the top cannot stall it.  Once every
+    residual is within PHASE_TOL n pi, or what 8 ulps of E resolve, the last
+    steps are taken; a level that never gets there raises NumericsError.
     """
-    n, t, U, a = chain
-    k = e.size
-    z_well, z_bar = e / (4.0 * t), np.minimum((e - U) / (4.0 * t), 1.0)
-    span, big_x = (n + 1) // 2 - a, 0.5 * (n + 3) - a  # span: rows a..centre
-    offsets = np.array([[a - 1, a, a], [big_x - 1, big_x, big_x], [span - 1, span, span + 1]])
-    x = np.repeat(offsets[: 2 + count], k, axis=0)  # the third row only for the count
-    even, odd_sol = _wave(np.concatenate([z_well, z_bar, z_bar][: 2 + count]), x)
-    p0, p1 = odd_sol[:k, 0], odd_sol[:k, 1]  # psi_(a-1), psi_a
-    g = np.where(odd[:, None], odd_sol[k : 2 * k], even[k : 2 * k])
-    det = p1 * g[:, 1] - p0 * g[:, 0]
-    if not count:
-        return det
-    # forward into the barrier, psi_(a+s) = psi_a u(s+1) - psi_(a-1) u(s)
-    u = odd_sol[2 * k :]
-    short = odd & bool(n % 2)  # odd n: the odd block stops a row short of the centre
-    last = np.where(short, p1 * u[:, 1] - p0 * u[:, 0], p1 * u[:, 2] - p0 * u[:, 1])
-    sturm = _changes(1.0, p1, a - 1, z_well) + _changes(p1, last, span - short, z_bar)
-    sturm += last * det < 0
-    return sturm.astype(int), det
-
-
-def _levels(chain, n_even: int, n_odd: int):
-    """Lowest n_even even and n_odd odd levels of the chain, each ascending.
-
-    Level k of either parity lies at or below the hard-wall level
-    w_k = 4t sin^2(k pi/2a) (interlacing with the well) and below 4t + U.
-    Sturm counts there, halved where needed, bracket each level alone; a
-    secant on the block determinant, kept in the bracket, refines it.
-    """
-    n, t, U, a = chain
-    if n_even + n_odd > n:
-        raise ValueError(f"{n_even + n_odd} levels requested, grid has {n}")
-    k = np.concatenate([np.arange(1, n_even + 1), np.arange(1, n_odd + 1)])
-    odd = np.arange(k.size) >= n_even
-    top, n_w = 4.0 * t + U, min(int(k.max()), a - 1)
-    w = 4.0 * t * np.sin(np.arange(1, n_w + 1) * (math.pi / (2 * a))) ** 2
-    at_w = _probe(chain, np.tile(w, 2), np.repeat([False, True], n_w), True)[0]
-    # per level: the counts at 0, w_1..w_nw and top, and the first w_j with k levels below
-    counts = np.column_stack([np.zeros(k.size, int), at_w.reshape(2, n_w)[odd.astype(int)],
-                              np.where(odd, n // 2, (n + 1) // 2)])
-    j, rows = np.sum(counts[:, 1:-1] < k[:, None], axis=1), np.arange(k.size)
-    lo, hi = np.append(0.0, w)[j], np.append(w, top)[j]
-    n_lo, n_hi = counts[rows, j], counts[rows, j + 1]
+    c2, w = 2.0 * params.mass / params.hbar**2, 0.5 * (params.L - params.d)
+    n = np.concatenate([np.arange(1, n_even + 1), np.arange(1, n_odd + 1)]).astype(float)
+    odd = np.arange(n.size) >= n_even
+    m = 2.0 * n - 1.0 + odd
+    lo, hi = params.eps * m * m, params.eps_prime * (2.0 * n) ** 2
+    k = n * math.pi / w
+    k -= np.arctan2(k, np.sqrt(np.maximum(c2 * params.U - k * k, 0.0))) / w
+    x = np.where(hi < params.U, np.maximum(k * k / c2, lo),
+                 np.minimum(lo + params.U * params.d / params.L, hi))
+    last = hi - lo
     for _ in range(_MAX_STEPS):
-        wide = np.flatnonzero((n_lo != k - 1) | (n_hi != k))
-        if not wide.size:
+        theta, slope = _phase(params, x, odd)
+        res = theta - n * math.pi
+        step, tol = res / slope, np.maximum(PHASE_TOL * n * math.pi, 8.0 * np.spacing(x) * slope)
+        done = np.abs(res) <= tol
+        if done.all():
+            return x[~odd] - step[~odd], x[odd] - step[odd]
+        lo, hi = np.where(res > 0.0, lo, x), np.where(res > 0.0, x, hi)
+        new = x - step
+        newton = done | (lo < new) & (new < hi) & (np.abs(step) <= 0.5 * last)
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        last, x = np.abs(new - x), new
+    j = int(np.argmin(done))
+    raise NumericsError(f"{'odd' if odd[j] else 'even'} level {n[j]:.0f} missed its phase "
+                        f"equation: residual {abs(res[j]):.3e} > {tol[j]:.3e}")
+
+
+def _split(params: PhysicalParams, even: np.ndarray, odd: np.ndarray):
+    """(mean, delta) of doublets below the barrier top, from their two levels.
+
+    The members solve g(E) = +s(E) (even) and g(E) = -s(E) (odd), with
+    g = k cot(kw) + kappa coth(kappa d) and s = kappa/sinh(kappa d): the tanh
+    and coth conditions rewritten with tanh(x/2) = coth x - 1/sinh x and
+    coth(x/2) = coth x + 1/sinh x.  At the mean c the difference reads
+    delta = (s(c - delta) + s(c + delta))/2G, with G = (g(c - delta) -
+    g(c + delta))/(2 delta) in closed form: delta keeps its digits far below
+    the rounding of the levels, where their difference keeps none.  Secant
+    steps from that difference solve it.
+    """
+    c, start = 0.5 * (even + odd), np.maximum(0.5 * (odd - even), 0.0)
+    c2, w, d = 2.0 * params.mass / params.hbar**2, 0.5 * (params.L - params.d), params.d
+
+    def image(delta):
+        e = np.stack([c + delta, c - delta])
+        k, kappa = np.sqrt(c2 * e), np.sqrt(c2 * (params.U - e))
+        sin, ish = np.sin(k * w), 2.0 * np.exp(-kappa * d) / -np.expm1(-2.0 * kappa * d)  # 1/sinh
+        # k and kappa of the odd member less those of the even one, from delta
+        dk, y = 2.0 * c2 * delta / (k[0] + k[1]), -2.0 * c2 * d * delta / (kappa[0] + kappa[1])
+        shc = np.divide(np.sinh(y), y, out=np.ones_like(y), where=y != 0.0)
+        g_k = (np.cos(k[0] * w) / sin[0] - k[1] * w * np.sinc(w * dk / math.pi) / (sin[0] * sin[1]))
+        g_kappa = 1.0 / np.tanh(kappa[0] * d) - kappa[1] * d * shc * ish[0] * ish[1]
+        slope = c2 * (g_k / (k[0] + k[1]) - g_kappa / (kappa[0] + kappa[1]))
+        return -0.5 * (kappa[0] * ish[0] + kappa[1] * ish[1]) / slope
+
+    x0, x1 = start, image(start)
+    r0 = x0 - x1
+    for _ in range(_MAX_STEPS):
+        r1 = x1 - image(x1)
+        if np.all(np.abs(r1) <= 1e-13 * x1):
             break
-        mid = 0.5 * (lo[wide] + hi[wide])
-        c = _probe(chain, mid, odd[wide], True)[0]
-        up = c >= k[wide]
-        hi[wide[up]], n_hi[wide[up]] = mid[up], c[up]
-        lo[wide[~up]], n_lo[wide[~up]] = mid[~up], c[~up]
-    else:
-        raise NumericsError("Sturm counts did not isolate every level")
-
-    # below the barrier top, start one step from the hard-wall level a th = k pi:
-    # a well with a soft wall, sin((a-1) th) = e^ph sin(a th), has a th = k pi - eps
-    th = 2.0 * np.arcsin(np.sqrt(np.minimum(hi / (4.0 * t), 1.0)))
-    ph = 2.0 * np.arcsinh(np.sqrt(np.maximum(U - hi, 0.0) / (4.0 * t)))
-    eps = np.arctan2(np.sin(th), np.exp(ph) - np.cos(th))
-    guess = 4.0 * t * np.sin((np.round(a * th / math.pi) * math.pi - eps) / (2 * a)) ** 2
-    x = np.where((hi < U) & (lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
-    # the determinant has the sign (-1)^(k-1) at lo and (-1)^k at hi, its value unused at top
-    sign_lo = np.where(k % 2 == 1, 1.0, -1.0)
-    x_prev, f_prev = hi.copy(), _probe(chain, hi, odd)
-    f_prev = np.where((hi < top) & (np.sign(f_prev) == -sign_lo), f_prev, np.nan)
-    live = np.arange(k.size)
-    for _ in range(_MAX_STEPS):
-        if not live.size:
-            return x[~odd], x[odd]
-        xl, fl = x[live], _probe(chain, x[live], odd[live])
-        left = np.sign(fl) == sign_lo[live]
-        lo[live], hi[live] = np.where(left, xl, lo[live]), np.where(left, hi[live], xl)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = fl * (xl - x_prev[live]) / (fl - f_prev[live])
-        # the secant converges superlinearly: after a step under 1e-13 E the error is rounding
-        done = (fl == 0.0) | (np.abs(step) <= 1e-13 * xl)
-        new = np.where(fl == 0.0, xl, xl - step)
-        bisect = ~done & ~((lo[live] < new) & (new < hi[live]))
-        x[live] = np.where(bisect, 0.5 * (lo[live] + hi[live]), new)
-        x_prev[live], f_prev[live] = xl, fl
-        live = live[~(done | (hi[live] - lo[live] <= 4.0 * np.spacing(hi[live])))]
-    raise NumericsError("secant refinement of the levels did not converge")
+        dr = r1 - r0
+        x2 = np.divide(x1 * r0 - x0 * r1, -dr, out=x1 - r1, where=dr != 0.0)
+        # keep both members inside (0, U)
+        x0, r0, x1 = x1, r1, np.clip(x2, 0.5 * x1, 0.5 * (x1 + params.U - c))
+    if not np.all(np.abs(x1 - start) <= PHASE_TOL * c):
+        raise NumericsError("the splittings do not converge onto the doublets' two levels")
+    return c, x1
 
 
-def _eigvecs(ham: TridiagonalSymmetric, chain, e: np.ndarray, odd: bool) -> np.ndarray:
-    """Unit eigenvectors (n, k) at the levels e of one parity, in closed form:
-    sin(j th)/sin th in the well, the parity solution scaled to it at rows a-1
-    and a (least squares) in the barrier, the mirror image beyond; residual-checked."""
-    n, t, U, a = chain
-    well = _wave(e / (4.0 * t), np.arange(1.0, a + 1))[1]
-    z_bar = np.minimum((e - U) / (4.0 * t), 1.0)
-    bar = _wave(z_bar, np.arange(a - 1, n + 3 - a) - 0.5 * (n + 1))[int(odd)]
-    amp = (well[:, -2] * bar[:, 0] + well[:, -1] * bar[:, 1]) / (bar[:, 0] ** 2 + bar[:, 1] ** 2)
-    mirror = (-1.0 if odd else 1.0) * well[:, -2::-1]
-    v = np.hstack([well[:, :-1], amp[:, None] * bar[:, 1:-1], mirror]).T
-    return _check_residuals(ham, e, v)
+def _sample(params: PhysicalParams, grid: Grid, e: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Unit vectors on the grid, one row per level e below the barrier top.
 
-
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    # convention: positive amplitude at the leftmost grid point
-    lead = v[0]
-    if abs(lead) < 1e-13 * float(np.max(np.abs(v))):
+    The eigenfunction of each level's parity (odd, a bool array) on the
+    x >= 0 half, mirrored: cosh or sinh in the barrier, as e^(kappa (x - b))
+    times bounded factors so that U = 1e12 cannot overflow, and
+    R sin(phi + k (x - b)) in the well, phi the Prufer angle at the edge b.
+    Built in place, since a full-size temporary costs a fresh allocation;
+    positive at the leftmost grid point.
+    """
+    c2, n, b = 2.0 * params.mass / params.hbar**2, grid.n_points, 0.5 * params.d
+    x = grid.points[n // 2:]
+    n_in = int(np.searchsorted(x, b, side="right"))
+    k, kappa, o = np.sqrt(c2 * e)[:, None], np.sqrt(c2 * (params.U - e))[:, None], odd[:, None]
+    v = np.empty((e.size, n))
+    # cosh(kappa y)/cosh(kappa b) and sinh(kappa y)/(kappa cosh(kappa b))
+    y, t = np.abs(x[:n_in]), np.tanh(kappa * b)
+    grow = np.exp(kappa * (y - b)) / (1.0 + np.exp(-2.0 * kappa * b))
+    v[:, n // 2: n // 2 + n_in] = grow * np.where(
+        o, -np.expm1(-2.0 * kappa * y) / kappa, 1.0 + np.exp(-2.0 * kappa * y))
+    psi, slope = np.where(o, t / kappa, 1.0), np.where(o, 1.0, kappa * t)
+    well = v[:, n // 2 + n_in:]
+    np.multiply(k, x[n_in:] - b, out=well)
+    well += np.arctan2(k * psi, slope)
+    np.sin(well, out=well)
+    well *= np.hypot(psi, slope / k)
+    np.multiply(v[:, n - 1: (n - 1) // 2: -1], np.where(o, -1.0, 1.0), out=v[:, : n // 2])
+    lead = v[:, 0]
+    if np.any(np.abs(lead) < 1e-13 * np.maximum(v.max(axis=1), -v.min(axis=1))):
         raise SpectralError("sign convention unresolved: vanishing amplitude at the wall")
-    return v if lead > 0 else -v
-
-
-def _localize(psi_plus: np.ndarray, psi_minus: np.ndarray):
-    inv = 1.0 / math.sqrt(2.0)
-    left = (psi_plus + psi_minus) * inv
-    right = (psi_minus - psi_plus) * inv
-    return left, right
-
-
-def _resolved_grid(params: PhysicalParams, grid: Optional[Grid]) -> Grid:
-    """grid (barrier_grid by default); SpectralError if it puts < 16 points under the barrier."""
-    if grid is None:
-        grid = barrier_grid(params)
-    under = int(np.count_nonzero(np.abs(grid.points) <= params.d / 2.0 + 1e-9 * grid.spacing))
-    if under < 16:
-        raise SpectralError(
-            f"grid too coarse: {under} points under the barrier, need >= 16"
-        )
-    return grid
+    v *= (np.sign(lead) / np.sqrt(np.einsum("ij,ij->i", v, v)))[:, None]
+    return v
 
 
 def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] = None):
-    """Numerical doublets of the box with the barrier inserted.
+    """Doublets of the box with the barrier inserted, from its exact levels.
 
-    Solves the finite-difference problem in closed form: the grid
-    Hamiltonian is a chain with three constant-potential segments, so each
-    level is a root of its parity block's determinant (_levels) and each
-    vector the same sines and hyperbolic sines on the grid (_eigvecs).
-    Levels alternate in parity (even_k < odd_k < even_k+1), so pair k is the
-    k-th even (symmetric) level with the k-th odd (antisymmetric) one, and
-    the members have exact parity whatever the splitting.
+    Each level is a root of its parity's phase equation (_exact_levels) and
+    each splitting is solved on its own (_split), so delta keeps its digits
+    however small it is.  Levels alternate in parity (even_k < odd_k <
+    even_k+1), so pair k is the k-th even (symmetric) level with the k-th
+    odd (antisymmetric) one.  The grid only samples the eigenfunctions,
+    which have exact parity: it must be the box's interior grid on
+    (-L/2, L/2) (barrier_grid by default) with at least 2 n_pairs points,
+    and no energy or splitting depends on it.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     if params.d <= 0:
         raise SpectralError("barrier_spectrum needs a barrier, got d = 0")
-    grid = _resolved_grid(params, grid)
-    ham = hamiltonian(params, grid)
-    e_even, e_odd = _levels(chain := _chain(ham), n_pairs, n_pairs)
-    v_even, v_odd = _eigvecs(ham, chain, e_even, False), _eigvecs(ham, chain, e_odd, True)
-
-    pairs = []
+    if grid is None:
+        grid = barrier_grid(params)
+    if (grid.x_min, grid.x_max) != (-params.L / 2.0, params.L / 2.0):
+        raise SpectralError("sampling needs the box's mirror-symmetric grid on (-L/2, L/2)")
+    if 2 * n_pairs > grid.n_points:
+        raise ValueError(f"{2 * n_pairs} levels requested, grid has {grid.n_points}")
+    e_even, e_odd = _exact_levels(params, n_pairs, n_pairs)
     for k in range(1, n_pairs + 1):
         e_sym, e_anti = float(e_even[k - 1]), float(e_odd[k - 1])
         # pair structure requires the internal gap to stay below the gap
@@ -362,18 +338,21 @@ def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] 
                 f"{e_anti - e_sym:.4g} reaches the gap {e_even[k] - e_anti:.4g} "
                 f"to the next level (U too low?)"
             )
-
-        v_sym = _fix_sign(v_even[:, k - 1])
-        v_anti = _fix_sign(v_odd[:, k - 1])
-        left, right = _localize(v_anti, v_sym)
-        mean = 0.5 * (e_sym + e_anti)
-        delta = max(0.5 * (e_anti - e_sym), 0.0)
-
-        if mean >= params.U:
+        if e_anti >= params.U:
             raise SpectralError(
-                f"pair {k} sits above the barrier top "
-                f"(E = {mean:.6g}, U = {params.U:.6g}); no doublet structure"
+                f"pair {k} reaches the barrier top "
+                f"(E = {0.5 * (e_sym + e_anti):.6g}, U = {params.U:.6g}); no doublet structure"
             )
+    means, deltas = _split(params, e_even, e_odd)
+    v = _sample(params, grid, np.concatenate([means - deltas, means + deltas]),
+                np.arange(2 * n_pairs) >= n_pairs)
+    half, inv = grid.n_points // 2, 1.0 / math.sqrt(2.0)  # half: the points with x < 0
+
+    pairs = []
+    for k in range(1, n_pairs + 1):
+        v_sym, v_anti = v[k - 1], v[n_pairs + k - 1]
+        left, right = (v_anti + v_sym) * inv, (v_sym - v_anti) * inv  # localized
+        mean, delta = float(means[k - 1]), float(deltas[k - 1])
 
         # localization sanity: the left state should live at x < 0 up to
         # tunneling corrections.  The deficit has two parts: level mixing
@@ -385,7 +364,6 @@ def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] 
         w_well = (params.L - params.d) / 2.0
         pen = k_wave_sq / (w_well * kappa**3) * math.exp(-kappa * params.d)
         allowed = 10.0 * (delta / mean) ** 2 + 4.0 * pen + 1e-10
-        half = grid.n_points // 2  # number of points with strictly negative x
         weight = float(np.sum(left[:half] ** 2))
         if weight < 1.0 - allowed:
             raise SpectralError(
@@ -393,17 +371,8 @@ def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] 
                 f"below the tunneling-limited bound 1 - {allowed:.3e}"
             )
 
-        pairs.append(
-            SplitPair(
-                k=k,
-                energy=mean,
-                delta=delta,
-                psi_plus=v_anti,
-                psi_minus=v_sym,
-                left=left,
-                right=right,
-            )
-        )
+        pairs.append(SplitPair(k=k, energy=mean, delta=delta, psi_plus=v_anti, psi_minus=v_sym,
+                               left=left, right=right))
     return pairs
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import SpectralError, ThermoError
 from .numerics import sum_series
-from .spectral import PhysicalParams, _chain, _levels, _resolved_grid, hamiltonian
+from .spectral import PhysicalParams, _exact_levels
 
 __all__ = [
     "PartitionResult",
@@ -225,7 +225,7 @@ class StageLedger:
 
 @dataclass(frozen=True)
 class SpectralStageCheck:
-    """Stage free energies recomputed from a numerical barrier spectrum.
+    """Stage free energies recomputed from the exact barrier spectrum.
 
     Z_all sums every computed level of the inserted-barrier box; Z_left
     sums the left-well populations e^(-beta E_k) cosh(beta delta_k) over the
@@ -248,29 +248,28 @@ class SpectralStageCheck:
 
 
 def spectral_stage_check(params: PhysicalParams, n_levels: int = 90, grid=None) -> SpectralStageCheck:
-    """Compare closed-form stage free energies against a numerical spectrum.
+    """Compare closed-form stage free energies against the exact spectrum.
 
-    The inserted-stage partition sum uses all n_levels levels of
-    barrier_spectrum's closed-form solve, ceil(n_levels/2) even and
-    floor(n_levels/2) odd; the measured-stage sum uses doublet means and
-    half-splittings, doublet k being the k-th even with the k-th odd level,
-    restricted to doublets entirely below the barrier top, where the
-    left/right basis is meaningful.  Only eigenvalues are solved for.  The
-    spectral jump is k_B T ln 2 by construction up to unpaired and
-    above-barrier weight (see SpectralStageCheck); the free energies match
-    the closed forms only in the high-temperature window (eps*beta small).
-    Raises SpectralError when d = 0 (no barrier) or
-    when the grid has fewer than 16 points under the barrier.
+    The inserted-stage partition sum uses the n_levels lowest exact levels
+    of the box with the barrier, ceil(n_levels/2) even and floor(n_levels/2)
+    odd, below and above the barrier top; the measured-stage sum uses
+    doublet means and half-splittings, doublet k being the k-th even with
+    the k-th odd level, restricted to doublets entirely below the barrier
+    top, where the left/right basis is meaningful.  No grid is solved or
+    sampled: grid stays for the call signature and does not affect the
+    result.  The spectral jump is k_B T ln 2 by construction up to unpaired
+    and above-barrier weight (see SpectralStageCheck); the free energies
+    match the closed forms only in the high-temperature window (eps*beta
+    small).  Raises SpectralError when d = 0 (no barrier).
     """
     if n_levels < 2:
         raise ThermoError(f"need at least 2 levels, got {n_levels}")
     if params.d <= 0:
         raise SpectralError("spectral_stage_check needs a barrier, got d = 0")
-    grid = _resolved_grid(params, grid)
     beta = params.beta
     kT = params.k_B * params.T
     n_odd = n_levels // 2
-    even, odd = _levels(_chain(hamiltonian(params, grid)), n_levels - n_odd, n_odd)
+    even, odd = _exact_levels(params, n_levels - n_odd, n_odd)
 
     n_pairs = int(np.searchsorted(odd, params.U))
     if not n_pairs:

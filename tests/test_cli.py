@@ -60,6 +60,13 @@ class TestExitCodes:
         assert "invalid configuration" in err
         assert f"{flag[2:]} must be finite" in err
 
+    @pytest.mark.parametrize("command", ["thermo", "measure", "cycle"])
+    def test_overflowing_box_scale_is_named(self, command, capsys):
+        # eps = pi^2 hbar^2 / (2 m L^2) leaves the float range at L = 1e300
+        assert main([command, "--L", "1e300"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["szilard: invalid configuration: eps is out of floating-point range"]
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["thermo", "--no-such-flag"])
@@ -212,15 +219,25 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_failing_series_writes_nothing(self, fmt, tmp_path, capsys):
-        # 700 points resolve the d = 0.05 barrier but not the series' d = 0.02 one
-        argv = ["spectrum", "--grid", "700", "--pairs", "2", "--format", fmt]
+        # at U = 24 the main d = 0.05 doublet and its estimate are below the
+        # top, but the series' d = 0.10 estimate puts E_1 = 24.37 above it
+        argv = ["spectrum", "--U", "24", "--pairs", "1", "--format", fmt]
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "splitting series at d = 0.02: grid too coarse" in err
+        assert "splitting series at d = 0.1: level k=1 sits above the barrier" in err
         assert main(argv + ["--out", str(tmp_path / "spec.txt")]) == 2
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_grid_only_samples(self, capsys):
+        # 700 points put 15 under the series' d = 0.02 barrier; the printed
+        # levels and splittings do not depend on the grid
+        outs = []
+        for grid in ("700", "4096"):
+            assert main(["spectrum", "--grid", grid, "--pairs", "2"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 class TestThermoCommand:
@@ -341,10 +358,14 @@ class TestCycleCommand:
         assert "computation failed" in err
         assert "needs a barrier" in err
 
-    def test_spectral_check_needs_a_resolved_barrier(self, capsys):
-        # 7 of the 119 grid points fall under the d = 0.05 barrier
-        assert main(["cycle", "--spectral-check", "--grid", "100"]) == 2
-        assert "grid too coarse" in capsys.readouterr().err
+    def test_spectral_check_ignores_the_grid(self, capsys):
+        # the stage check solves no grid: 100 points (7 under the d = 0.05
+        # barrier) give the default's report
+        outs = []
+        for grid in ("100", "4096"):
+            assert main(["cycle", "--spectral-check", "--grid", grid]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 class TestSweepCommand:

@@ -18,7 +18,6 @@ from szilard.demon import (
 from szilard.exceptions import StateError
 from szilard.infodyn import (
     DensityMatrix,
-    mutual_information,
     partial_trace,
     post_insertion_dm,
     product_dm,
@@ -26,6 +25,8 @@ from szilard.infodyn import (
     vn_entropy,
 )
 from szilard.spectral import PhysicalParams, analytic_pairs
+
+from oracles import mutual_information
 
 LN2 = math.log(2.0)
 

@@ -10,7 +10,6 @@ from szilard.exceptions import StateError, TruncationError
 from szilard.infodyn import (
     BasisLabeling,
     DensityMatrix,
-    mutual_information,
     partial_trace,
     post_insertion_dm,
     product_dm,
@@ -18,6 +17,8 @@ from szilard.infodyn import (
     vn_entropy,
 )
 from szilard.spectral import PhysicalParams, analytic_pairs
+
+from oracles import mutual_information
 
 LN2 = math.log(2.0)
 

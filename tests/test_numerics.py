@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ class TestEigTridiagonal:
             eig_tridiagonal(m, 0)
         with pytest.raises(ValueError):
             eig_tridiagonal(m, 4)
+
+    def test_names_the_test_extra_without_scipy(self, monkeypatch):
+        # scipy comes with the test extra only; a plain install has none
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+        m = TridiagonalSymmetric(np.full(3, 2.0), np.full(2, -1.0))
+        with pytest.raises(ImportError, match=r"test extra.*\[test\]"):
+            eig_tridiagonal(m, 1)
 
     def test_residual_contract_names_first_failing_pair(self):
         m = TridiagonalSymmetric(np.full(3, 2.0), np.full(2, -1.0))
