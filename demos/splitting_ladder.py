@@ -13,7 +13,6 @@ import numpy as np
 
 from szilard.spectral import (
     PhysicalParams,
-    barrier_grid,
     barrier_spectrum,
     splitting_estimate,
 )
@@ -21,10 +20,9 @@ from szilard.spectral import (
 
 def main():
     p = PhysicalParams(d=0.05, U=5000.0)
-    grid = barrier_grid(p, 2048)
-    print(f"box L={p.L}, barrier d={p.d}, U={p.U}, grid {grid.n_points} points")
+    print(f"box L={p.L}, barrier d={p.d}, U={p.U}")
     print(f"{'pair':>4}  {'energy':>12}  {'delta_k':>12}  {'estimate':>12}  {'ratio':>7}")
-    for pair in barrier_spectrum(p, 5, grid):
+    for pair in barrier_spectrum(p, 5):
         est = splitting_estimate(p, pair.k)
         print(
             f"{pair.k:>4}  {pair.energy:>12.6f}  {pair.delta:>12.6e}  "
@@ -40,7 +38,7 @@ def main():
     for i in range(9):
         d = round(0.02 + 0.01 * i, 2)
         pd = PhysicalParams(d=d, U=p.U)
-        pair = barrier_spectrum(pd, 1, barrier_grid(pd, 2048))[0]
+        pair = barrier_spectrum(pd, 1)[0]
         ds.append(d)
         deltas.append(pair.delta)
         energies.append(pair.energy)

@@ -33,9 +33,9 @@ from .engine import (
 from .exceptions import ConfigError, SzilardError, TruncationError
 from .infodyn import partial_trace, trace_distance
 from .spectral import (
+    MAX_PAIRS,
     PhysicalParams,
     analytic_pairs,
-    barrier_grid,
     barrier_spectrum,
     splitting_estimate,
 )
@@ -59,7 +59,6 @@ _OPTION_TYPES = {
     "U": float,
     "T": float,
     "N": int,
-    "grid": int,
     "protocol": str,
     "n_steps": int,
     "seed": int,
@@ -71,7 +70,6 @@ _DEFAULTS = {
     "U": 5000.0,
     "T": 1.0,
     "N": 45,
-    "grid": 4096,
     "protocol": "isothermal",
     "n_steps": 8,
     "seed": 0,
@@ -102,7 +100,6 @@ class _Parser(argparse.ArgumentParser):
 class Settings:
     params: PhysicalParams
     N: int
-    grid: int
     protocol: str
     n_steps: int
     seed: int
@@ -171,7 +168,6 @@ def _resolve(ns: argparse.Namespace) -> Settings:
     return Settings(
         params=params,
         N=values["N"],
-        grid=values["grid"],
         protocol=values["protocol"],
         n_steps=values["n_steps"],
         seed=values["seed"],
@@ -225,15 +221,14 @@ def _emit(settings, schema, body, columns, rows, out, sep="") -> None:
 
 def _cycle_config(s: Settings, **kw) -> CycleConfig:
     return CycleConfig(params=s.params, n_side=s.N, protocol=s.protocol, n_steps=s.n_steps,
-                       seed=s.seed, grid_points=s.grid, **kw)
+                       seed=s.seed, **kw)
 
 
 def cmd_spectrum(ns: argparse.Namespace) -> int:
     s = _resolve(ns)
     if s.params.d <= 0:
         raise ConfigError("spectrum needs a barrier: d must be positive")
-    grid = barrier_grid(s.params, s.grid)
-    pairs = barrier_spectrum(s.params, ns.pairs, grid)
+    pairs = barrier_spectrum(s.params, ns.pairs)
     columns = ["n", "E_n", "pair", "delta_k", "estimate", "ratio"]
     rows = []
     for p in pairs:
@@ -260,7 +255,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
     for d in SPLITTING_SERIES_D:
         pd = replace(s.params, d=d)
         try:
-            pair = barrier_spectrum(pd, 1, barrier_grid(pd, s.grid))[0]
+            pair = barrier_spectrum(pd, 1)[0]
             est = splitting_estimate(pd, 1)
         except SzilardError as exc:
             raise type(exc)(f"splitting series at d = {d}: {exc}") from exc
@@ -373,8 +368,6 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument("--U", help="barrier height")
     parser.add_argument("--T", help="temperature")
     parser.add_argument("--N", help="doublet truncation per side")
-    parser.add_argument("--grid", help="sampling grid points for spectrum's eigenvectors; "
-                        "no printed value depends on it, and cycle accepts it unused")
     parser.add_argument("--protocol", help="isothermal | stepwise-adiabatic | single-adiabatic")
     parser.add_argument("--n-steps", dest="n_steps", help="stepwise increment count")
     parser.add_argument("--seed", help="master seed")
@@ -388,7 +381,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     sp = sub.add_parser("spectrum", help="doublet energies and splittings", parents=[])
     _add_common(sp)
-    sp.add_argument("--pairs", type=int, default=5, help="doublets to report")
+    sp.add_argument("--pairs", type=int, default=5, help=f"doublets to report, at most {MAX_PAIRS}")
     sp.set_defaults(func=cmd_spectrum)
     th = sub.add_parser("thermo", help="partition functions and free energies")
     _add_common(th)

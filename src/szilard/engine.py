@@ -81,8 +81,9 @@ class CycleConfig:
     """Everything one cycle run depends on.
 
     n_side is the doublet truncation per side; the gate n_side^2*eps*beta
-    >= 20 keeps the discarded thermal weight negligible.  grid_points is
-    accepted and changes nothing: the spectral check solves no grid.
+    >= 20 keeps the discarded thermal weight negligible.  grid_points changes
+    nothing (no cycle step solves a grid); it is kept only because the
+    benchmark constructs CycleConfig with it.
     coherences=False runs the readoff on the dephased post-insertion state
     (the ideal-measurement limit).
     """

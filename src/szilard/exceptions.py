@@ -15,7 +15,7 @@ class NumericsError(SzilardError):
 
 
 class SpectralError(SzilardError):
-    """Spectrum construction failed: coarse grid, missing pair structure."""
+    """Spectrum construction failed: no barrier, missing pair structure, a pair at the top."""
 
 
 class ThermoError(SzilardError):

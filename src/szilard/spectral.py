@@ -1,8 +1,8 @@
 """Single-molecule spectra: the exact levels of the box with a centred
-rectangular barrier, its tunneling doublets and their eigenfunctions sampled
-on a grid, the localized left/right basis built from each doublet, and the
-closed-form model doublets the cycle uses.  The finite-difference
-Hamiltonian stays as a test oracle.
+rectangular barrier, its tunneling doublets (k, E_k, delta_k), and the
+closed-form model doublets the cycle uses.  No wave function is sampled:
+the readoff needs only each doublet's energy and splitting.  The
+finite-difference grid and Hamiltonian stay as a test oracle.
 
 Units are carried by PhysicalParams; the defaults put hbar = m = k_B = 1
 and L = 1 so that the ground-state scale is eps = pi^2/2.
@@ -31,6 +31,10 @@ __all__ = [
 _MAX_STEPS = 200  # per loop of a level solve; 200 halvings take any bracket to rounding
 # a root's residual on its phase equation theta = n pi, relative to n pi
 PHASE_TOL = 1e-12
+# most doublets barrier_spectrum solves in one call, so a huge request fails
+# before it allocates; 4096 levels, as many as the default 4096-point grid
+# of the finite-difference oracle has
+MAX_PAIRS = 2048
 
 
 @dataclass(frozen=True)
@@ -96,35 +100,26 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class SplitPair:
-    """A below-barrier doublet of exact levels, its members sampled on a grid.
+    """A below-barrier doublet: its members sit at energy -/+ delta.
 
-    The symmetric member (psi_minus) sits at energy - delta, below the
-    antisymmetric one (psi_plus) at energy + delta; delta is solved on its
-    own, not as the difference of the two levels.  Each member is the
-    eigenfunction of one parity, so its parity is exact.  left/right are
-    the localized combinations (psi_plus +/- psi_minus)/sqrt2.
+    The symmetric member is the lower one; delta is solved on its own, not
+    as the difference of the two levels.
     """
 
     k: int
     energy: float
     delta: float
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
 
     def __post_init__(self):
         if self.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        for name in ("psi_plus", "psi_minus", "left", "right"):
-            if abs(np.linalg.norm(getattr(self, name)) - 1.0) > 1e-8:
-                raise ValueError(f"{name} of pair {self.k} is not unit-norm")
-        if abs(float(self.left @ self.right)) > 1e-8:
-            raise ValueError(f"left/right of pair {self.k} are not orthogonal")
 
 
 def barrier_grid(params: PhysicalParams, n_target: int = 4096) -> Grid:
     """Grid on (-L/2, L/2) sized so the barrier edges sit on grid points.
+
+    For the finite-difference oracle (hamiltonian) in the tests and the
+    benchmark; no production value is computed on a grid.
 
     Scans counts within n_target +/- min(64, n_target // 16) and keeps the
     one whose grid puts x = +/- d/2 closest to actual grid points.  With
@@ -146,7 +141,11 @@ def barrier_grid(params: PhysicalParams, n_target: int = 4096) -> Grid:
 
 
 def hamiltonian(params: PhysicalParams, grid: Grid) -> TridiagonalSymmetric:
-    """Second-order finite-difference Hamiltonian with Dirichlet walls."""
+    """Second-order finite-difference Hamiltonian with Dirichlet walls.
+
+    The grid oracle for the exact levels: tests and the benchmark solve it,
+    production code does not.
+    """
     x, h = grid.points, grid.spacing
     if params.d > 0:
         # the 1e-9*h slack makes barrier membership robust to float rounding,
@@ -271,62 +270,20 @@ def _split(params: PhysicalParams, even: np.ndarray, odd: np.ndarray):
     return c, x1
 
 
-def _sample(params: PhysicalParams, grid: Grid, e: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Unit vectors on the grid, one row per level e below the barrier top.
-
-    The eigenfunction of each level's parity (odd, a bool array) on the
-    x >= 0 half, mirrored: cosh or sinh in the barrier, as e^(kappa (x - b))
-    times bounded factors so that U = 1e12 cannot overflow, and
-    R sin(phi + k (x - b)) in the well, phi the Prufer angle at the edge b.
-    Built in place, since a full-size temporary costs a fresh allocation;
-    positive at the leftmost grid point.
-    """
-    c2, n, b = 2.0 * params.mass / params.hbar**2, grid.n_points, 0.5 * params.d
-    x = grid.points[n // 2:]
-    n_in = int(np.searchsorted(x, b, side="right"))
-    k, kappa, o = np.sqrt(c2 * e)[:, None], np.sqrt(c2 * (params.U - e))[:, None], odd[:, None]
-    v = np.empty((e.size, n))
-    # cosh(kappa y)/cosh(kappa b) and sinh(kappa y)/(kappa cosh(kappa b))
-    y, t = np.abs(x[:n_in]), np.tanh(kappa * b)
-    grow = np.exp(kappa * (y - b)) / (1.0 + np.exp(-2.0 * kappa * b))
-    v[:, n // 2: n // 2 + n_in] = grow * np.where(
-        o, -np.expm1(-2.0 * kappa * y) / kappa, 1.0 + np.exp(-2.0 * kappa * y))
-    psi, slope = np.where(o, t / kappa, 1.0), np.where(o, 1.0, kappa * t)
-    well = v[:, n // 2 + n_in:]
-    np.multiply(k, x[n_in:] - b, out=well)
-    well += np.arctan2(k * psi, slope)
-    np.sin(well, out=well)
-    well *= np.hypot(psi, slope / k)
-    np.multiply(v[:, n - 1: (n - 1) // 2: -1], np.where(o, -1.0, 1.0), out=v[:, : n // 2])
-    lead = v[:, 0]
-    if np.any(np.abs(lead) < 1e-13 * np.maximum(v.max(axis=1), -v.min(axis=1))):
-        raise SpectralError("sign convention unresolved: vanishing amplitude at the wall")
-    v *= (np.sign(lead) / np.sqrt(np.einsum("ij,ij->i", v, v)))[:, None]
-    return v
-
-
 def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] = None):
-    """Doublets of the box with the barrier inserted, from its exact levels.
+    """Doublets (k, E_k, delta_k) of the box with the barrier inserted.
 
     Each level is a root of its parity's phase equation (_exact_levels) and
     each splitting is solved on its own (_split), so delta keeps its digits
     however small it is.  Levels alternate in parity (even_k < odd_k <
     even_k+1), so pair k is the k-th even (symmetric) level with the k-th
-    odd (antisymmetric) one.  The grid only samples the eigenfunctions,
-    which have exact parity: it must be the box's interior grid on
-    (-L/2, L/2) (barrier_grid by default) with at least 2 n_pairs points,
-    and no energy or splitting depends on it.
+    odd (antisymmetric) one.  n_pairs is capped at MAX_PAIRS.  grid is
+    accepted and ignored: nothing is sampled.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise ValueError(f"n_pairs must be in 1..{MAX_PAIRS}, got {n_pairs}")
     if params.d <= 0:
         raise SpectralError("barrier_spectrum needs a barrier, got d = 0")
-    if grid is None:
-        grid = barrier_grid(params)
-    if (grid.x_min, grid.x_max) != (-params.L / 2.0, params.L / 2.0):
-        raise SpectralError("sampling needs the box's mirror-symmetric grid on (-L/2, L/2)")
-    if 2 * n_pairs > grid.n_points:
-        raise ValueError(f"{2 * n_pairs} levels requested, grid has {grid.n_points}")
     e_even, e_odd = _exact_levels(params, n_pairs, n_pairs)
     for k in range(1, n_pairs + 1):
         e_sym, e_anti = float(e_even[k - 1]), float(e_odd[k - 1])
@@ -344,36 +301,7 @@ def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] 
                 f"(E = {0.5 * (e_sym + e_anti):.6g}, U = {params.U:.6g}); no doublet structure"
             )
     means, deltas = _split(params, e_even, e_odd)
-    v = _sample(params, grid, np.concatenate([means - deltas, means + deltas]),
-                np.arange(2 * n_pairs) >= n_pairs)
-    half, inv = grid.n_points // 2, 1.0 / math.sqrt(2.0)  # half: the points with x < 0
-
-    pairs = []
-    for k in range(1, n_pairs + 1):
-        v_sym, v_anti = v[k - 1], v[n_pairs + k - 1]
-        left, right = (v_anti + v_sym) * inv, (v_sym - v_anti) * inv  # localized
-        mean, delta = float(means[k - 1]), float(deltas[k - 1])
-
-        # localization sanity: the left state should live at x < 0 up to
-        # tunneling corrections.  The deficit has two parts: level mixing
-        # within the well, of order (delta/E)^2, and barrier penetration of
-        # order k^2/(w kappa^3) exp(-kappa d), which decays half as fast in
-        # d and therefore needs its own term in the bound.
-        kappa = math.sqrt(2.0 * params.mass * (params.U - mean)) / params.hbar
-        k_wave_sq = 2.0 * params.mass * mean / params.hbar**2
-        w_well = (params.L - params.d) / 2.0
-        pen = k_wave_sq / (w_well * kappa**3) * math.exp(-kappa * params.d)
-        allowed = 10.0 * (delta / mean) ** 2 + 4.0 * pen + 1e-10
-        weight = float(np.sum(left[:half] ** 2))
-        if weight < 1.0 - allowed:
-            raise SpectralError(
-                f"pair {k}: left state has weight {weight:.12f} on x < 0, "
-                f"below the tunneling-limited bound 1 - {allowed:.3e}"
-            )
-
-        pairs.append(SplitPair(k=k, energy=mean, delta=delta, psi_plus=v_anti, psi_minus=v_sym,
-                               left=left, right=right))
-    return pairs
+    return [SplitPair(k, float(e), float(dl)) for k, (e, dl) in enumerate(zip(means, deltas), 1)]
 
 
 def splitting_estimate(params: PhysicalParams, k: int) -> float:

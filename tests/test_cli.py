@@ -49,7 +49,7 @@ class TestExitCodes:
 
     def test_failed_computation(self, capsys):
         # barrier too low: the second doublet sits above it
-        code = main(["spectrum", "--U", "50", "--grid", "1024", "--pairs", "3"])
+        code = main(["spectrum", "--U", "50", "--pairs", "3"])
         assert code == 2
         assert "computation failed" in capsys.readouterr().err
 
@@ -71,6 +71,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["thermo", "--no-such-flag"])
         assert exc.value.code == 1
+
+    def test_grid_is_no_setting(self, tmp_path, monkeypatch, capsys):
+        # no printed value depends on a grid, so none can be set
+        with pytest.raises(SystemExit) as exc:
+            main(["cycle", "--grid", "100"])
+        assert exc.value.code == 1
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("grid = 100\n")
+        assert main(["cycle", "--config", str(cfg)]) == 1
+        assert "unknown config key 'grid'" in capsys.readouterr().err
+        monkeypatch.setenv("SZILARD_GRID", "not a number")
+        assert main(["thermo"]) == 0
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -154,7 +166,7 @@ class TestConfigFile:
 
 class TestSpectrumCommand:
     def test_csv_layout(self, capsys):
-        assert main(["spectrum", "--grid", "1024", "--pairs", "5"]) == 0
+        assert main(["spectrum", "--pairs", "5"]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert lines[0] == "# master_seed=0"
@@ -178,7 +190,7 @@ class TestSpectrumCommand:
         # the companion file takes the main file's suffix, none included
         target = tmp_path / name
         assert main(
-            ["spectrum", "--grid", "1024", "--pairs", "2", "--format", fmt, "--out", str(target)]
+            ["spectrum", "--pairs", "2", "--format", fmt, "--out", str(target)]
         ) == 0
         series = tmp_path / name.replace("spec", "spec_splitting_vs_d")
         assert target.exists() and series.exists()
@@ -196,9 +208,7 @@ class TestSpectrumCommand:
         assert all(b < a for a, b in zip(deltas, deltas[1:]))  # thicker wall, smaller split
 
     def test_json_payload(self, capsys):
-        assert main(
-            ["spectrum", "--grid", "1024", "--pairs", "2", "--format", "json"]
-        ) == 0
+        assert main(["spectrum", "--pairs", "2", "--format", "json"]) == 0
         chunks = capsys.readouterr().out.split("\n{", 1)
         payload = json.loads(chunks[0])
         assert payload["schema"] == "szilard.spectrum/1"
@@ -230,14 +240,15 @@ class TestSpectrumCommand:
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
-    def test_grid_only_samples(self, capsys):
-        # 700 points put 15 under the series' d = 0.02 barrier; the printed
-        # levels and splittings do not depend on the grid
-        outs = []
-        for grid in ("700", "4096"):
-            assert main(["spectrum", "--grid", grid, "--pairs", "2"]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+    def test_thin_barrier_with_many_pairs(self, capsys):
+        # thin barrier, delta_5/E_5 = 2.3e-3: every pair is a valid doublet
+        assert main(["spectrum", "--d", "0.018", "--U", "5947", "--pairs", "10"]) == 0
+        lines = capsys.readouterr().out.split("\n\n", 1)[0].splitlines()
+        assert [int(row.split(",")[2]) for row in lines[2:]] == list(range(1, 11))
+
+    def test_pair_count_is_capped(self, capsys):
+        assert main(["spectrum", "--U", "1e12", "--pairs", "2049"]) == 1
+        assert "n_pairs must be in 1..2048" in capsys.readouterr().err
 
 
 class TestThermoCommand:
@@ -358,15 +369,6 @@ class TestCycleCommand:
         assert "computation failed" in err
         assert "needs a barrier" in err
 
-    def test_spectral_check_ignores_the_grid(self, capsys):
-        # the stage check solves no grid: 100 points (7 under the d = 0.05
-        # barrier) give the default's report
-        outs = []
-        for grid in ("100", "4096"):
-            assert main(["cycle", "--spectral-check", "--grid", grid]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-
 
 class TestSweepCommand:
     def test_measurement_jump_scales_with_temperature(self, capsys):
@@ -419,7 +421,7 @@ class TestSweepCommand:
         assert float(lines[2].split(",")[w_col]) == LN2
 
     def test_unknown_axis(self, capsys):
-        # grid is no axis: only the spectral check reads it, and sweeps never run one
+        # grid is no axis, and no setting either
         for axis in ("volume", "grid"):
             assert main(["sweep", "--axis", axis, "--values", "1024"]) == 1
             assert "axis must be one of" in capsys.readouterr().err
@@ -488,9 +490,9 @@ def test_numpy_commands_leave_out_scipy(tmp_path):
         ["thermo"],
         ["measure", "--N", "11"],
         ["cycle"],
-        ["cycle", "--spectral-check", "--grid", "1024"],
+        ["cycle", "--spectral-check"],
         ["sweep", "--axis", "n_steps", "--values", "1,2"],
-        ["spectrum", "--pairs", "1", "--grid", "1024"],
+        ["spectrum", "--pairs", "1"],
     ]
     assert scipy_modules_after(argvs, tmp_path) == []
     # positive control: a direct eig_tridiagonal call does load it
