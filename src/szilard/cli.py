@@ -9,6 +9,10 @@ Floats are serialized with repr, which round-trips exactly (and always
 carries at least 15 significant digits).  Every table and CSV starts with
 a `# master_seed=` comment so a run can be reproduced from its output
 alone; JSON payloads carry the seed as a field.
+
+Each command imports the layers it computes with when it runs, and the
+parser is built from the numpy-free params module, so `thermo` starts
+without numpy and no command loads a layer it does not use.
 """
 from __future__ import annotations
 
@@ -21,32 +25,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .demon import product_of_marginals
-from .engine import (
-    SWEEP_AXES,
-    SWEEP_COLUMNS,
-    CycleConfig,
-    readoff,
-    run_cycle,
-    sweep as run_sweep,
-)
 from .exceptions import ConfigError, SzilardError, TruncationError
-from .infodyn import partial_trace, trace_distance
-from .spectral import (
-    MAX_PAIRS,
-    PhysicalParams,
-    analytic_pairs,
-    barrier_spectrum,
-    splitting_estimate,
-)
-from .thermo import (
-    mean_energy,
-    partition_exact,
-    partition_highT,
-    partition_theta,
-    stage_free_energies,
-    thermo_entropy,
-)
+from .params import MAX_N_SIDE, MAX_PAIRS, SWEEP_AXES, PhysicalParams
 
 __all__ = ["main"]
 
@@ -219,15 +199,21 @@ def _emit(settings, schema, body, columns, rows, out, sep="") -> None:
         out.write_text(text)
 
 
-def _cycle_config(s: Settings, **kw) -> CycleConfig:
+def _cycle_config(s: Settings, **kw):
+    from .engine import CycleConfig
+
     return CycleConfig(params=s.params, n_side=s.N, protocol=s.protocol, n_steps=s.n_steps,
                        seed=s.seed, **kw)
 
 
 def cmd_spectrum(ns: argparse.Namespace) -> int:
+    from .spectral import barrier_spectrum, splitting_estimate
+
     s = _resolve(ns)
     if s.params.d <= 0:
         raise ConfigError("spectrum needs a barrier: d must be positive")
+    if not 1 <= ns.pairs <= MAX_PAIRS:
+        raise ConfigError(f"--pairs must be in 1..{MAX_PAIRS}, got {ns.pairs}")
     pairs = barrier_spectrum(s.params, ns.pairs)
     columns = ["n", "E_n", "pair", "delta_k", "estimate", "ratio"]
     rows = []
@@ -271,6 +257,9 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def cmd_thermo(ns: argparse.Namespace) -> int:
+    from .thermo import (mean_energy, partition_exact, partition_highT, partition_theta,
+                         stage_free_energies, thermo_entropy)
+
     s = _resolve(ns)
     p = s.params
     beta = p.beta
@@ -305,6 +294,11 @@ def cmd_thermo(ns: argparse.Namespace) -> int:
 
 
 def cmd_measure(ns: argparse.Namespace) -> int:
+    from .demon import product_of_marginals
+    from .engine import CycleConfig, readoff
+    from .infodyn import partial_trace, trace_distance
+    from .spectral import analytic_pairs
+
     s = _resolve(ns)
     p = s.params
     record = readoff(CycleConfig(params=p, n_side=s.N, coherences=not ns.ideal))
@@ -334,6 +328,8 @@ def cmd_measure(ns: argparse.Namespace) -> int:
 
 
 def cmd_cycle(ns: argparse.Namespace) -> int:
+    from .engine import run_cycle
+
     s = _resolve(ns)
     config = _cycle_config(s, coherences=not ns.ideal, spectral_check=bool(ns.spectral_check))
     d = run_cycle(config).to_dict()
@@ -353,11 +349,13 @@ def _parse_values(axis: str, text: str) -> list:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
+    from .engine import SWEEP_COLUMNS, sweep
+
     s = _resolve(ns)
     if ns.axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {ns.axis!r}")
     values = _parse_values(ns.axis, ns.values)
-    rows = run_sweep(_cycle_config(s), ns.axis, values)
+    rows = sweep(_cycle_config(s), ns.axis, values)
     _emit(s, "szilard.sweep/1", {"axis": ns.axis, "rows": rows}, list(SWEEP_COLUMNS), rows, s.out)
     return 0
 
@@ -367,7 +365,7 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument("--d", help="barrier width")
     parser.add_argument("--U", help="barrier height")
     parser.add_argument("--T", help="temperature")
-    parser.add_argument("--N", help="doublet truncation per side")
+    parser.add_argument("--N", help=f"doublet truncation per side, at most {MAX_N_SIDE}")
     parser.add_argument("--protocol", help="isothermal | stepwise-adiabatic | single-adiabatic")
     parser.add_argument("--n-steps", dest="n_steps", help="stepwise increment count")
     parser.add_argument("--seed", help="master seed")

@@ -17,10 +17,9 @@ end of the cycle, so neither leg appears in W_extracted.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .demon import (
     DemonModel,
@@ -31,7 +30,8 @@ from .demon import (
 )
 from .exceptions import EngineError, SzilardError
 from .infodyn import BasisLabeling, post_insertion_dm, product_dm
-from .spectral import PhysicalParams, analytic_pairs
+from .params import SWEEP_AXES, PhysicalParams
+from .spectral import analytic_pairs
 from .thermo import StageLedger, isothermal_work, spectral_stage_check, stage_free_energies
 
 __all__ = [
@@ -54,8 +54,6 @@ _PROTOCOL_ALIASES = {
     "single-adiabatic": "single-adiabatic",
     "adiabatic": "single-adiabatic",
 }
-
-SWEEP_AXES = ("T", "U", "d", "N", "n_steps")
 
 # largest W - T dS_env a cycle may report and still obey the second law
 SECOND_LAW_TOL = 1e-9
@@ -244,16 +242,17 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     """Execute one full cycle and return its ledger.
 
     The gas-side thermodynamics is quasi-static bookkeeping; the readoff is
-    a genuine unitary on the truncated doublet basis, the outcome is drawn
-    from the diagonal weights with the config seed, and the reset charge is
-    what the second-law balance is checked against.
+    a genuine unitary on the truncated doublet basis, and the reset charge is
+    what the second-law balance is checked against.  The outcome is a fair
+    coin, random.Random(config.seed).random() < 0.5 for L: the post-insertion
+    state puts weight 1/2 on each side, and no number in the report depends
+    on the outcome beyond the measured stage's label.
     """
     params = config.params
     kt = params.k_B * params.T
     record = readoff(config)
 
-    rng = np.random.default_rng(config.seed)
-    outcome = "L" if rng.random() < 0.5 else "R"
+    outcome = "L" if random.Random(config.seed).random() < 0.5 else "R"
 
     work = extraction_work(config.protocol, params, config.n_steps)
 

@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .exceptions import StateError, TruncationError
+from .params import MAX_N_SIDE
 
 __all__ = [
     "DensityMatrix",
@@ -87,7 +88,8 @@ class BasisLabeling:
     """Bookkeeping for the truncated localized basis.
 
     n_side doublets per side; the gas basis is one (L_k, R_k) block per
-    doublet k = 1..n_side, so gas_dim = 2 n_side.
+    doublet k = 1..n_side, so gas_dim = 2 n_side.  n_side is capped at
+    MAX_N_SIDE, so an oversized basis is refused before any state is built.
     The truncation criterion n_side^2 * eps * beta >= 20 guarantees the
     discarded thermal weight is negligible for every state built here.
     """
@@ -96,8 +98,8 @@ class BasisLabeling:
     eps_beta: float
 
     def __post_init__(self):
-        if self.n_side < 1:
-            raise ValueError(f"n_side must be >= 1, got {self.n_side}")
+        if not 1 <= self.n_side <= MAX_N_SIDE:
+            raise ValueError(f"n_side must be in 1..{MAX_N_SIDE}, got {self.n_side}")
         if self.eps_beta <= 0:
             raise ValueError(f"eps_beta must be positive, got {self.eps_beta}")
         crit = self.n_side**2 * self.eps_beta

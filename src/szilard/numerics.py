@@ -4,15 +4,21 @@ and certified series summation.
 Everything here is a pure function of its inputs.  The eigensolver and the
 series summation both enforce their accuracy contracts before returning,
 so downstream physics code never has to second-guess them.
+
+The series summation runs on the standard library, so the partition sums
+import without numpy; the grid and eigensolver, the finite-difference
+oracle of the tests, import numpy where they use it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .exceptions import NumericsError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Grid",
@@ -53,6 +59,8 @@ class Grid:
     @property
     def points(self) -> np.ndarray:
         """Interior points x_min + h, x_min + 2h, ..., x_max - h."""
+        import numpy as np
+
         h = self.spacing
         return self.x_min + h * np.arange(1, self.n_points + 1)
 
@@ -65,6 +73,8 @@ class TridiagonalSymmetric:
     off_diagonal: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         diag = np.asarray(self.diagonal, dtype=float)
         off = np.asarray(self.off_diagonal, dtype=float)
         if diag.ndim != 1 or off.ndim != 1:
@@ -85,9 +95,9 @@ class TridiagonalSymmetric:
     @property
     def scale(self) -> float:
         """Largest absolute entry; the reference scale for residual checks."""
-        m = float(np.max(np.abs(self.diagonal)))
+        m = float(abs(self.diagonal).max())
         if len(self.off_diagonal):
-            m = max(m, float(np.max(np.abs(self.off_diagonal))))
+            m = max(m, float(abs(self.off_diagonal).max()))
         return m
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -112,6 +122,8 @@ def eig_tridiagonal(matrix: TridiagonalSymmetric, k_lowest: int):
     violation raises NumericsError naming the offending pair.  Needs scipy,
     which only the test extra installs: no production code calls this.
     """
+    import numpy as np
+
     n = matrix.dim
     if not 1 <= k_lowest <= n:
         raise ValueError(f"k_lowest must lie in [1, {n}], got {k_lowest}")
@@ -136,6 +148,8 @@ def _check_residuals(matrix: TridiagonalSymmetric, vals: np.ndarray, vecs: np.nd
     The first column j with ||M v_j - vals[j] v_j|| > 1e-10 * scale raises
     NumericsError; otherwise the normalized vecs are returned.
     """
+    import numpy as np
+
     vecs /= np.linalg.norm(vecs, axis=0)
     r = matrix.matvec(vecs)
     r -= vals * vecs
@@ -172,7 +186,7 @@ def sum_series(
     it = iter(terms)
     total = 0.0
     used = 0
-    bound = np.inf
+    bound = math.inf
     while used < max_terms:
         try:
             total += next(it)

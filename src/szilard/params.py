@@ -1,0 +1,85 @@
+"""Run parameters that need no numpy: the unit system and engine geometry,
+and the size limits and sweep axes a run is checked against.
+
+This is the layer the command line resolves its settings into before it
+imports anything that computes, so `szilard thermo` runs on the standard
+library and every command's help is built without numpy.  spectral
+re-exports PhysicalParams and engine SWEEP_AXES.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, fields
+
+__all__ = ["PhysicalParams", "MAX_PAIRS", "MAX_N_SIDE", "SWEEP_AXES"]
+
+# most doublets barrier_spectrum solves in one call, so a huge request fails
+# before it allocates; 4096 levels, as many as the default 4096-point grid
+# of the finite-difference oracle has
+MAX_PAIRS = 2048
+# most doublets per side a gas basis may hold; a joint readoff state keeps
+# one real 4x4 block per doublet, 12.8 MB at the cap
+MAX_N_SIDE = 100_000
+# the CycleConfig settings a sweep can vary
+SWEEP_AXES = ("T", "U", "d", "N", "n_steps")
+
+
+@dataclass(frozen=True)
+class PhysicalParams:
+    """Unit system and engine geometry.
+
+    hbar, mass, k_B fix the unit system; L is the box width, d and U the
+    barrier width and height, T the reservoir temperature.  d = 0 is allowed
+    and means "no barrier"; operations that need one will say so.
+    """
+
+    hbar: float = 1.0
+    mass: float = 1.0
+    k_B: float = 1.0
+    L: float = 1.0
+    d: float = 0.05
+    U: float = 5000.0
+    T: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("hbar", "mass", "k_B", "L", "U", "T"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.d < 0:
+            raise ValueError(f"d must be nonnegative, got {self.d}")
+        if not self.d < self.L:
+            raise ValueError(f"d must be smaller than L (got d={self.d}, L={self.L})")
+        for name in ("eps", "beta", "lambda_th"):  # the scales every computation starts from
+            try:
+                value = getattr(self, name)
+            except ArithmeticError:  # L**2 overflows, or a division by an underflow
+                raise ValueError(f"{name} is out of floating-point range") from None
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+
+    @property
+    def beta(self) -> float:
+        return 1.0 / (self.k_B * self.T)
+
+    @property
+    def eps(self) -> float:
+        """Ground-state energy scale of the full box, pi^2 hbar^2 / (2 m L^2)."""
+        return math.pi**2 * self.hbar**2 / (2.0 * self.mass * self.L**2)
+
+    @property
+    def eps_prime(self) -> float:
+        """Same scale for a well of width L - d: eps * L^2/(L-d)^2."""
+        return self.eps * self.L**2 / (self.L - self.d) ** 2
+
+    @property
+    def sigma(self) -> float:
+        """Boltzmann factor of the box scale, exp(-beta * eps)."""
+        return math.exp(-self.beta * self.eps)
+
+    @property
+    def lambda_th(self) -> float:
+        """Thermal de Broglie wavelength (2 pi hbar^2 beta / m)^(1/2)."""
+        return math.sqrt(2.0 * math.pi * self.hbar**2 * self.beta / self.mass)

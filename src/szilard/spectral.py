@@ -4,19 +4,21 @@ closed-form model doublets the cycle uses.  No wave function is sampled:
 the readoff needs only each doublet's energy and splitting.  The
 finite-difference grid and Hamiltonian stay as a test oracle.
 
-Units are carried by PhysicalParams; the defaults put hbar = m = k_B = 1
-and L = 1 so that the ground-state scale is eps = pi^2/2.
+Units are carried by PhysicalParams (defined in params, re-exported here);
+the defaults put hbar = m = k_B = 1 and L = 1 so that the ground-state
+scale is eps = pi^2/2.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import NumericsError, SpectralError
 from .numerics import Grid, TridiagonalSymmetric
+from .params import MAX_PAIRS, PhysicalParams
 
 __all__ = [
     "PhysicalParams",
@@ -31,71 +33,6 @@ __all__ = [
 _MAX_STEPS = 200  # per loop of a level solve; 200 halvings take any bracket to rounding
 # a root's residual on its phase equation theta = n pi, relative to n pi
 PHASE_TOL = 1e-12
-# most doublets barrier_spectrum solves in one call, so a huge request fails
-# before it allocates; 4096 levels, as many as the default 4096-point grid
-# of the finite-difference oracle has
-MAX_PAIRS = 2048
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Unit system and engine geometry.
-
-    hbar, mass, k_B fix the unit system; L is the box width, d and U the
-    barrier width and height, T the reservoir temperature.  d = 0 is allowed
-    and means "no barrier"; operations that need one will say so.
-    """
-
-    hbar: float = 1.0
-    mass: float = 1.0
-    k_B: float = 1.0
-    L: float = 1.0
-    d: float = 0.05
-    U: float = 5000.0
-    T: float = 1.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        for name in ("hbar", "mass", "k_B", "L", "U", "T"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.d < 0:
-            raise ValueError(f"d must be nonnegative, got {self.d}")
-        if not self.d < self.L:
-            raise ValueError(f"d must be smaller than L (got d={self.d}, L={self.L})")
-        for name in ("eps", "beta", "lambda_th"):  # the scales every computation starts from
-            try:
-                value = getattr(self, name)
-            except ArithmeticError:  # L**2 overflows, or a division by an underflow
-                raise ValueError(f"{name} is out of floating-point range") from None
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / (self.k_B * self.T)
-
-    @property
-    def eps(self) -> float:
-        """Ground-state energy scale of the full box, pi^2 hbar^2 / (2 m L^2)."""
-        return math.pi**2 * self.hbar**2 / (2.0 * self.mass * self.L**2)
-
-    @property
-    def eps_prime(self) -> float:
-        """Same scale for a well of width L - d: eps * L^2/(L-d)^2."""
-        return self.eps * self.L**2 / (self.L - self.d) ** 2
-
-    @property
-    def sigma(self) -> float:
-        """Boltzmann factor of the box scale, exp(-beta * eps)."""
-        return math.exp(-self.beta * self.eps)
-
-    @property
-    def lambda_th(self) -> float:
-        """Thermal de Broglie wavelength (2 pi hbar^2 beta / m)^(1/2)."""
-        return math.sqrt(2.0 * math.pi * self.hbar**2 * self.beta / self.mass)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from .exceptions import SpectralError, ThermoError
 from .numerics import sum_series
-from .spectral import PhysicalParams, _exact_levels
+from .params import PhysicalParams
 
 __all__ = [
     "PartitionResult",
@@ -266,6 +264,11 @@ def spectral_stage_check(params: PhysicalParams, n_levels: int = 90, grid=None) 
         raise ThermoError(f"need at least 2 levels, got {n_levels}")
     if params.d <= 0:
         raise SpectralError("spectral_stage_check needs a barrier, got d = 0")
+    # the only numpy user here: thermo and the partition sums run without it
+    import numpy as np
+
+    from .spectral import _exact_levels
+
     beta = params.beta
     kT = params.k_B * params.T
     n_odd = n_levels // 2

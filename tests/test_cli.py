@@ -247,8 +247,12 @@ class TestSpectrumCommand:
         assert [int(row.split(",")[2]) for row in lines[2:]] == list(range(1, 11))
 
     def test_pair_count_is_capped(self, capsys):
-        assert main(["spectrum", "--U", "1e12", "--pairs", "2049"]) == 1
-        assert "n_pairs must be in 1..2048" in capsys.readouterr().err
+        # the message names the flag, not the library's argument
+        for pairs in ("2049", "0"):
+            assert main(["spectrum", "--U", "1e12", "--pairs", pairs]) == 1
+            assert capsys.readouterr().err == (
+                f"szilard: invalid configuration: --pairs must be in 1..2048, got {pairs}\n"
+            )
 
 
 class TestThermoCommand:
@@ -305,6 +309,13 @@ class TestMeasureCommand:
 
     def test_truncation_gate(self, capsys):
         assert main(["measure", "--T", "1000", "--N", "11"]) == 1
+
+    def test_side_count_is_capped(self, capsys):
+        # refused before any state is built
+        assert main(["measure", "--N", "100001"]) == 1
+        assert capsys.readouterr().err == (
+            "szilard: invalid configuration: n_side must be in 1..100000, got 100001\n"
+        )
 
     @pytest.mark.parametrize("argv, config", [
         ([], CycleConfig()),
@@ -426,6 +437,12 @@ class TestSweepCommand:
             assert main(["sweep", "--axis", axis, "--values", "1024"]) == 1
             assert "axis must be one of" in capsys.readouterr().err
 
+    def test_capped_side_count_row_reports_error(self, capsys):
+        assert main(["sweep", "--axis", "N", "--values", "11,100001"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split(",", len(SWEEP_COLUMNS) - 1) for line in lines[2:]]
+        assert [row[-1] for row in rows] == ["", "n_side must be in 1..100000, got 100001"]
+
     def test_bad_value_names_its_axis(self, capsys):
         assert main(["sweep", "--axis", "n_steps", "--values", "1.5"]) == 1
         assert "value for n_steps" in capsys.readouterr().err
@@ -457,21 +474,27 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.startswith("# master_seed=0")
 
 
-# runs szilard.cli.main on each argv given as JSON, then the statement given
-# next, then prints the exit codes and every scipy module the process has loaded
-SCIPY_PROBE = """
+# imports szilard and szilard.cli, runs szilard.cli.main on each argv given
+# as JSON, then the statement given next, then prints the exit codes and
+# every loaded module that is one of the packages given as JSON last or
+# lies inside one
+MODULE_PROBE = """
 import contextlib, io, json, sys
 import szilard, szilard.cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [szilard.cli.main(argv) for argv in json.loads(sys.argv[1])]
 exec(sys.argv[2])
-print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+packages = json.loads(sys.argv[3])
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if any(m == p or m.startswith(p + ".") for p in packages))]))
 """
 
 
-def scipy_modules_after(argvs, cwd, then="pass"):
+def modules_after(argvs, cwd, packages, then="pass"):
+    """Modules in packages that a fresh interpreter holds after running
+    argvs through the CLI and then the statement then."""
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs), then],
+        [sys.executable, "-c", MODULE_PROBE, json.dumps(argvs), then, json.dumps(packages)],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -494,11 +517,34 @@ def test_numpy_commands_leave_out_scipy(tmp_path):
         ["sweep", "--axis", "n_steps", "--values", "1,2"],
         ["spectrum", "--pairs", "1"],
     ]
-    assert scipy_modules_after(argvs, tmp_path) == []
+    assert modules_after(argvs, tmp_path, ["scipy"]) == []
     # positive control: a direct eig_tridiagonal call does load it
     tri = "szilard.TridiagonalSymmetric(np.full(3, 2.0), np.full(2, -1.0))"
-    loaded = scipy_modules_after([], tmp_path, then=f"import numpy as np; szilard.eig_tridiagonal({tri}, 1)")
+    loaded = modules_after([], tmp_path, ["scipy"], then=f"import numpy as np; szilard.eig_tridiagonal({tri}, 1)")
     assert "scipy.linalg" in loaded
+
+
+LAYERS = ["szilard.numerics", "szilard.spectral", "szilard.thermo", "szilard.infodyn",
+          "szilard.demon", "szilard.engine"]
+
+
+@pytest.mark.parametrize("argvs, packages", [
+    # the package and the parser load no layer; thermo runs on the standard library
+    ([], ["numpy", *LAYERS]),
+    ([["thermo"]], ["numpy"]),
+    # one fair coin needs no numpy.random
+    ([["cycle"], ["sweep", "--axis", "n_steps", "--values", "1,2"]], ["numpy.random"]),
+    ([["spectrum", "--pairs", "1"]], ["szilard.demon", "szilard.infodyn", "szilard.engine", "szilard.thermo"]),
+], ids=["import", "thermo", "cycle-sweep", "spectrum"])
+def test_commands_load_only_their_layers(argvs, packages, tmp_path):
+    assert modules_after(argvs, tmp_path, packages) == []
+
+
+def test_module_probe_sees_what_is_loaded(tmp_path):
+    # positive controls: a command, and a package name on first access, load their layers
+    assert "numpy" in modules_after([["spectrum", "--pairs", "1"]], tmp_path, ["numpy"])
+    assert modules_after([], tmp_path, LAYERS, then="szilard.partition_exact") == [
+        "szilard.numerics", "szilard.thermo"]
 
 
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
@@ -522,6 +568,45 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(f"szilard.{info.name}")
         missing += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+PUBLIC_NAMES = [
+    "ConfigError", "EngineError", "NumericsError", "SpectralError", "StateError", "SzilardError",
+    "ThermoError", "TruncationError",
+    "Grid", "TridiagonalSymmetric", "eig_tridiagonal", "sum_series",
+    "PhysicalParams", "SplitPair", "analytic_pairs", "barrier_grid", "barrier_spectrum",
+    "splitting_estimate",
+    "PartitionResult", "StageFreeEnergies", "StageLedger", "isothermal_work", "mean_energy",
+    "partition_exact", "partition_highT", "partition_theta", "spectral_stage_check",
+    "stage_free_energies", "thermo_entropy",
+    "BasisLabeling", "DensityMatrix", "partial_trace", "post_insertion_dm", "product_dm",
+    "trace_distance", "vn_entropy",
+    "DemonModel", "EnvironmentLedger", "MeasurementRecord", "ReversalResult", "coupling_unitary",
+    "premeasure", "product_of_marginals", "reset_demon", "reverse_readoff",
+    "CycleConfig", "CycleReport", "extraction_work", "run_cycle", "sweep",
+]
+
+
+def test_package_names_are_their_defining_objects():
+    assert szilard.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        obj = getattr(szilard, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert szilard.PhysicalParams is importlib.import_module("szilard.spectral").PhysicalParams
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        szilard.no_such_name
+
+
+def test_package_names_follow_their_module(monkeypatch):
+    # nothing is cached in the package: a binding swapped in a layer module,
+    # as the benchmark tracer does, shows through it and so does its restore
+    engine = importlib.import_module("szilard.engine")
+    original = szilard.run_cycle
+    monkeypatch.setattr(engine, "run_cycle", "swapped")
+    assert szilard.run_cycle == "swapped"
+    monkeypatch.undo()
+    assert szilard.run_cycle is original
+    assert "run_cycle" not in vars(szilard)
 
 
 def readme_cli_lines() -> list:

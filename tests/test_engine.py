@@ -158,6 +158,10 @@ class TestRunCycle:
         outcomes = {run_cycle(CycleConfig(seed=s)).outcome for s in range(10)}
         assert outcomes == {"L", "R"}
 
+    def test_outcome_is_a_fair_coin(self):
+        share = sum(run_cycle(CycleConfig(n_side=11, seed=s)).outcome == "L" for s in range(200)) / 200
+        assert 0.4 < share < 0.6
+
     def test_single_adiabatic_flags_the_energy_accounting(self):
         r = run_cycle(CycleConfig(protocol="adiabatic"))
         assert r.W_extracted == pytest.approx(0.375, rel=1e-14)

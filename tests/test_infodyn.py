@@ -16,6 +16,7 @@ from szilard.infodyn import (
     trace_distance,
     vn_entropy,
 )
+from szilard.params import MAX_N_SIDE
 from szilard.spectral import PhysicalParams, analytic_pairs
 
 from oracles import mutual_information
@@ -79,6 +80,13 @@ class TestBasisLabeling:
 
     def test_gas_dim(self):
         assert BasisLabeling(3, 10.0).gas_dim == 6
+
+    def test_side_count_is_capped(self):
+        # a label only: no state of this size is built
+        assert BasisLabeling(MAX_N_SIDE, 1.0).gas_dim == 2 * MAX_N_SIDE
+        for n_side in (0, MAX_N_SIDE + 1):
+            with pytest.raises(ValueError, match=f"n_side must be in 1..{MAX_N_SIDE}, got {n_side}"):
+                BasisLabeling(n_side, 1.0)
 
 
 class TestPostInsertion:

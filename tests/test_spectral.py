@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szilard import thermo
+from szilard import spectral
 from szilard.cli import SPLITTING_SERIES_D
 from szilard.exceptions import SpectralError
 from szilard.numerics import Grid, eig_tridiagonal
@@ -187,13 +187,13 @@ class TestParityFold:
         # finite-difference error of the full matrix (1.6e-3 at the top level)
         grid = Grid(n_points, -0.5, 0.5)
         solved = []
-        solve = thermo._exact_levels
+        solve = spectral._exact_levels
 
         def recording(*args):
             solved.append(solve(*args))
             return solved[-1]
 
-        monkeypatch.setattr(thermo, "_exact_levels", recording)
+        monkeypatch.setattr(spectral, "_exact_levels", recording)
         chk = spectral_stage_check(params, 90, grid)
         (even, odd), = solved
         assert chk == spectral_stage_check(params, 90)  # the grid changes nothing
