@@ -17,7 +17,7 @@ _MODULES = {
     "exceptions": ("ConfigError", "EngineError", "NumericsError", "SpectralError", "StateError",
                    "SzilardError", "ThermoError", "TruncationError"),
     "numerics": ("Grid", "TridiagonalSymmetric", "eig_tridiagonal", "sum_series"),
-    "params": ("PhysicalParams",),
+    "params": ("PhysicalParams", "CycleConfig"),
     "spectral": ("SplitPair", "analytic_pairs", "barrier_grid", "barrier_spectrum",
                  "splitting_estimate"),
     "thermo": ("PartitionResult", "StageFreeEnergies", "StageLedger", "isothermal_work",
@@ -28,7 +28,7 @@ _MODULES = {
     "demon": ("DemonModel", "EnvironmentLedger", "MeasurementRecord", "ReversalResult",
               "coupling_unitary", "premeasure", "product_of_marginals", "reset_demon",
               "reverse_readoff"),
-    "engine": ("CycleConfig", "CycleReport", "extraction_work", "run_cycle", "sweep"),
+    "engine": ("CycleReport", "extraction_work", "run_cycle", "sweep"),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}
 

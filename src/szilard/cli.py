@@ -2,8 +2,10 @@
 
 Settings resolve in precedence order: command-line flags, then SZILARD_*
 environment variables, then a flat key = value config file given with
---config, then built-in defaults.  Exit status is 0 on success, 1 for
-configuration or validation problems, 2 when a computation fails.
+--config, then the library's defaults.  Every command resolves them into
+one CycleConfig, so each checks every setting it is given.  Exit status
+is 0 on success, 1 for configuration or validation problems, 2 when a
+computation fails.
 
 Floats are serialized with repr, which round-trips exactly (and always
 carries at least 15 significant digits).  Every table and CSV starts with
@@ -26,35 +28,27 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .exceptions import ConfigError, SzilardError, TruncationError
-from .params import MAX_N_SIDE, MAX_PAIRS, SWEEP_AXES, PhysicalParams
+from .params import MAX_N_SIDE, MAX_PAIRS, PROTOCOLS, SWEEP_AXES, CycleConfig, PhysicalParams
 
 __all__ = ["main"]
 
 ENV_PREFIX = "SZILARD_"
 FORMATS = ("table", "csv", "json")
 
-_OPTION_TYPES = {
-    "L": float,
-    "d": float,
-    "U": float,
-    "T": float,
-    "N": int,
-    "protocol": str,
-    "n_steps": int,
-    "seed": int,
-    "format": str,
+# every setting a flag, a SZILARD_* variable or a config key can give: its
+# type and help; unset ones take the library's defaults
+_OPTIONS = {
+    "L": (float, "box width"),
+    "d": (float, "barrier width"),
+    "U": (float, "barrier height"),
+    "T": (float, "temperature"),
+    "N": (int, f"doublet truncation per side, at most {MAX_N_SIDE}"),
+    "protocol": (str, " | ".join(PROTOCOLS)),
+    "n_steps": (int, "stepwise increment count"),
+    "seed": (int, "master seed"),
+    "format": (str, " | ".join(FORMATS)),
 }
-_DEFAULTS = {
-    "L": 1.0,
-    "d": 0.05,
-    "U": 5000.0,
-    "T": 1.0,
-    "N": 45,
-    "protocol": "isothermal",
-    "n_steps": 8,
-    "seed": 0,
-    "format": None,
-}
+_PARAMS = ("L", "d", "U", "T")
 # per-command fallback when --format is not given anywhere
 _FORMAT_DEFAULT = {
     "spectrum": "csv",
@@ -78,11 +72,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class Settings:
-    params: PhysicalParams
-    N: int
-    protocol: str
-    n_steps: int
-    seed: int
+    config: CycleConfig
     format: str
     out: Optional[Path]
 
@@ -106,17 +96,17 @@ def _read_config(path: str) -> dict:
             val = val[1:-1]
         else:
             val = val.split("#", 1)[0].strip()
-        if key not in _OPTION_TYPES:
+        if key not in _OPTIONS:
             raise ConfigError(
                 f"{path}:{lineno}: unknown config key {key!r}; "
-                f"known keys: {', '.join(sorted(_OPTION_TYPES))}"
+                f"known keys: {', '.join(sorted(_OPTIONS))}"
             )
         data[key] = val
     return data
 
 
 def _coerce(key: str, raw, source: str):
-    kind = _OPTION_TYPES[key]
+    kind = _OPTIONS[key][0]
     try:
         if kind is int:
             return int(str(raw), 10)
@@ -130,7 +120,7 @@ def _coerce(key: str, raw, source: str):
 def _resolve(ns: argparse.Namespace) -> Settings:
     config = _read_config(ns.config) if ns.config else {}
     values = {}
-    for key in _OPTION_TYPES:
+    for key in _OPTIONS:
         flag = getattr(ns, key, None)
         env = os.environ.get(ENV_PREFIX + key.upper())
         if flag is not None:
@@ -139,21 +129,15 @@ def _resolve(ns: argparse.Namespace) -> Settings:
             values[key] = _coerce(key, env, "environment")
         elif key in config:
             values[key] = _coerce(key, config[key], "config")
-        else:
-            values[key] = _DEFAULTS[key]
-    fmt = values["format"] or _FORMAT_DEFAULT[ns.command]
+    fmt = values.pop("format", None) or _FORMAT_DEFAULT[ns.command]
     if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
-    params = PhysicalParams(L=values["L"], d=values["d"], U=values["U"], T=values["T"])
-    return Settings(
-        params=params,
-        N=values["N"],
-        protocol=values["protocol"],
-        n_steps=values["n_steps"],
-        seed=values["seed"],
-        format=fmt,
-        out=Path(ns.out) if ns.out else None,
-    )
+    if "N" in values:
+        if not 1 <= values["N"] <= MAX_N_SIDE:
+            raise ConfigError(f"--N must be in 1..{MAX_N_SIDE}, got {values['N']}")
+        values["n_side"] = values.pop("N")
+    params = PhysicalParams(**{key: values.pop(key) for key in _PARAMS if key in values})
+    return Settings(CycleConfig(params, **values), fmt, Path(ns.out) if ns.out else None)
 
 
 def _render(value) -> str:
@@ -168,7 +152,7 @@ def _render(value) -> str:
 
 def _emit_rows(columns, rows, settings) -> str:
     """Render rows (list of dicts) as csv or aligned table text."""
-    head = f"# master_seed={settings.seed}\n"
+    head = f"# master_seed={settings.config.seed}\n"
     cells = [[_render(r.get(c)) for c in columns] for r in rows]
     if settings.format == "csv":
         lines = [",".join(columns)] + [",".join(row) for row in cells]
@@ -190,7 +174,7 @@ def _emit(settings, schema, body, columns, rows, out, sep="") -> None:
     render rows under the seed header, after sep.
     """
     if settings.format == "json":
-        text = json.dumps({"schema": schema, "seed": settings.seed, **body}, indent=2) + "\n"
+        text = json.dumps({"schema": schema, "seed": settings.config.seed, **body}, indent=2) + "\n"
     else:
         text = sep + _emit_rows(columns, rows, settings)
     if out is None:
@@ -199,26 +183,20 @@ def _emit(settings, schema, body, columns, rows, out, sep="") -> None:
         out.write_text(text)
 
 
-def _cycle_config(s: Settings, **kw):
-    from .engine import CycleConfig
-
-    return CycleConfig(params=s.params, n_side=s.N, protocol=s.protocol, n_steps=s.n_steps,
-                       seed=s.seed, **kw)
-
-
 def cmd_spectrum(ns: argparse.Namespace) -> int:
     from .spectral import barrier_spectrum, splitting_estimate
 
     s = _resolve(ns)
-    if s.params.d <= 0:
+    params = s.config.params
+    if params.d <= 0:
         raise ConfigError("spectrum needs a barrier: d must be positive")
     if not 1 <= ns.pairs <= MAX_PAIRS:
         raise ConfigError(f"--pairs must be in 1..{MAX_PAIRS}, got {ns.pairs}")
-    pairs = barrier_spectrum(s.params, ns.pairs)
+    pairs = barrier_spectrum(params, ns.pairs)
     columns = ["n", "E_n", "pair", "delta_k", "estimate", "ratio"]
     rows = []
     for p in pairs:
-        est = splitting_estimate(s.params, p.k)
+        est = splitting_estimate(params, p.k)
         rows.append(
             {
                 "n": 2 * p.k - 1,
@@ -230,7 +208,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
             }
         )
     body = {
-        "params": {"L": s.params.L, "d": s.params.d, "U": s.params.U, "T": s.params.T},
+        "params": {"L": params.L, "d": params.d, "U": params.U, "T": params.T},
         "pairs": rows,
     }
 
@@ -239,7 +217,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
     series_cols = ["d", "delta_1", "estimate", "ratio"]
     series = []
     for d in SPLITTING_SERIES_D:
-        pd = replace(s.params, d=d)
+        pd = replace(params, d=d)
         try:
             pair = barrier_spectrum(pd, 1)[0]
             est = splitting_estimate(pd, 1)
@@ -261,7 +239,7 @@ def cmd_thermo(ns: argparse.Namespace) -> int:
                          stage_free_energies, thermo_entropy)
 
     s = _resolve(ns)
-    p = s.params
+    p = s.config.params
     beta = p.beta
     z_exact = partition_exact(p, beta)
     z_theta = partition_theta(p.sigma)
@@ -295,13 +273,14 @@ def cmd_thermo(ns: argparse.Namespace) -> int:
 
 def cmd_measure(ns: argparse.Namespace) -> int:
     from .demon import product_of_marginals
-    from .engine import CycleConfig, readoff
+    from .engine import readoff
     from .infodyn import partial_trace, trace_distance
     from .spectral import analytic_pairs
 
     s = _resolve(ns)
-    p = s.params
-    record = readoff(CycleConfig(params=p, n_side=s.N, coherences=not ns.ideal))
+    config = replace(s.config, coherences=not ns.ideal)
+    p = config.params
+    record = readoff(config)
     td_marginal = trace_distance(
         partial_trace(record.pre, "gas"), partial_trace(record.post, "gas")
     )
@@ -320,7 +299,7 @@ def cmd_measure(ns: argparse.Namespace) -> int:
     ]
     body = {
         "ideal": bool(ns.ideal),
-        "params": {"L": p.L, "d": p.d, "U": p.U, "T": p.T, "N": s.N},
+        "params": {"L": p.L, "d": p.d, "U": p.U, "T": p.T, "N": config.n_side},
         "quantities": {r["quantity"]: r["value"] for r in rows},
     }
     _emit(s, "szilard.measure/1", body, ["quantity", "value"], rows, s.out)
@@ -331,8 +310,8 @@ def cmd_cycle(ns: argparse.Namespace) -> int:
     from .engine import run_cycle
 
     s = _resolve(ns)
-    config = _cycle_config(s, coherences=not ns.ideal, spectral_check=bool(ns.spectral_check))
-    d = run_cycle(config).to_dict()
+    d = run_cycle(replace(s.config, coherences=not ns.ideal,
+                          spectral_check=ns.spectral_check)).to_dict()
     rows = [{"quantity": k, "value": v} for k, v in d.items()
             if k not in ("stages", "measurement")]
     for st in d["stages"]:
@@ -355,21 +334,14 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     if ns.axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {ns.axis!r}")
     values = _parse_values(ns.axis, ns.values)
-    rows = sweep(_cycle_config(s), ns.axis, values)
+    rows = sweep(s.config, ns.axis, values)
     _emit(s, "szilard.sweep/1", {"axis": ns.axis, "rows": rows}, list(SWEEP_COLUMNS), rows, s.out)
     return 0
 
 
 def _add_common(parser: _Parser) -> None:
-    parser.add_argument("--L", help="box width")
-    parser.add_argument("--d", help="barrier width")
-    parser.add_argument("--U", help="barrier height")
-    parser.add_argument("--T", help="temperature")
-    parser.add_argument("--N", help=f"doublet truncation per side, at most {MAX_N_SIDE}")
-    parser.add_argument("--protocol", help="isothermal | stepwise-adiabatic | single-adiabatic")
-    parser.add_argument("--n-steps", dest="n_steps", help="stepwise increment count")
-    parser.add_argument("--seed", help="master seed")
-    parser.add_argument("--format", help="table | csv | json")
+    for key, (_, text) in _OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument("--config", help="flat key = value config file")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .demon import (
@@ -30,7 +30,7 @@ from .demon import (
 )
 from .exceptions import EngineError, SzilardError
 from .infodyn import BasisLabeling, post_insertion_dm, product_dm
-from .params import SWEEP_AXES, PhysicalParams
+from .params import PROTOCOLS, SWEEP_AXES, CycleConfig, PhysicalParams, _canon_protocol
 from .spectral import analytic_pairs
 from .thermo import StageLedger, isothermal_work, spectral_stage_check, stage_free_energies
 
@@ -46,15 +46,6 @@ __all__ = [
     "SWEEP_COLUMNS",
 ]
 
-PROTOCOLS = ("isothermal", "stepwise-adiabatic", "single-adiabatic")
-_PROTOCOL_ALIASES = {
-    "isothermal": "isothermal",
-    "stepwise-adiabatic": "stepwise-adiabatic",
-    "stepwise": "stepwise-adiabatic",
-    "single-adiabatic": "single-adiabatic",
-    "adiabatic": "single-adiabatic",
-}
-
 # largest W - T dS_env a cycle may report and still obey the second law
 SECOND_LAW_TOL = 1e-9
 
@@ -63,48 +54,6 @@ ADIABATIC_NOTE = (
     "W = (3/8) k_B T for the half-to-full stroke, not the k_B T/4 sometimes "
     "quoted; the gas leaves the stroke cold and the reservoir restores it."
 )
-
-
-def _canon_protocol(name: str) -> str:
-    try:
-        return _PROTOCOL_ALIASES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown protocol {name!r}; choose from {sorted(set(_PROTOCOL_ALIASES))}"
-        ) from None
-
-
-@dataclass(frozen=True)
-class CycleConfig:
-    """Everything one cycle run depends on.
-
-    n_side is the doublet truncation per side; the gate n_side^2*eps*beta
-    >= 20 keeps the discarded thermal weight negligible.  grid_points changes
-    nothing (no cycle step solves a grid); it is kept only because the
-    benchmark constructs CycleConfig with it.
-    coherences=False runs the readoff on the dephased post-insertion state
-    (the ideal-measurement limit).
-    """
-
-    params: PhysicalParams = field(default_factory=PhysicalParams)
-    n_side: int = 45
-    protocol: str = "isothermal"
-    n_steps: int = 8
-    seed: int = 0
-    grid_points: int = 4096
-    coherences: bool = True
-    spectral_check: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "protocol", _canon_protocol(self.protocol))
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.grid_points < 3:
-            raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
-        # raises TruncationError when the basis is too small for this T
-        BasisLabeling(self.n_side, self.params.eps * self.params.beta)
 
 
 @dataclass(frozen=True)
@@ -225,6 +174,9 @@ def readoff(config: CycleConfig) -> MeasurementRecord:
     ready pointer; coherences=False reads off the dephased gas state instead.
     """
     params = config.params
+    # the size cap and the truncation gate n_side^2 eps beta >= 20, checked
+    # before any state is built
+    BasisLabeling(config.n_side, params.eps * params.beta)
     try:
         pairs = analytic_pairs(params, config.n_side)
         rho_gas = post_insertion_dm(pairs, params.beta, coherences=config.coherences)

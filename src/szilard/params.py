@@ -1,17 +1,19 @@
-"""Run parameters that need no numpy: the unit system and engine geometry,
-and the size limits and sweep axes a run is checked against.
+"""Run definition that needs no numpy: the unit system and engine geometry,
+the cycle settings and protocol names, and the size limits and sweep axes
+a run is checked against.
 
-This is the layer the command line resolves its settings into before it
-imports anything that computes, so `szilard thermo` runs on the standard
-library and every command's help is built without numpy.  spectral
-re-exports PhysicalParams and engine SWEEP_AXES.
+This is the layer the command line resolves every command's settings into
+before it imports anything that computes, so `szilard thermo` runs on the
+standard library and every command's help is built without numpy.
+spectral re-exports PhysicalParams, and engine CycleConfig, PROTOCOLS and
+SWEEP_AXES.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
-__all__ = ["PhysicalParams", "MAX_PAIRS", "MAX_N_SIDE", "SWEEP_AXES"]
+__all__ = ["PhysicalParams", "CycleConfig", "PROTOCOLS", "MAX_PAIRS", "MAX_N_SIDE", "SWEEP_AXES"]
 
 # most doublets barrier_spectrum solves in one call, so a huge request fails
 # before it allocates; 4096 levels, as many as the default 4096-point grid
@@ -22,6 +24,24 @@ MAX_PAIRS = 2048
 MAX_N_SIDE = 100_000
 # the CycleConfig settings a sweep can vary
 SWEEP_AXES = ("T", "U", "d", "N", "n_steps")
+
+PROTOCOLS = ("isothermal", "stepwise-adiabatic", "single-adiabatic")
+_PROTOCOL_ALIASES = {
+    "isothermal": "isothermal",
+    "stepwise-adiabatic": "stepwise-adiabatic",
+    "stepwise": "stepwise-adiabatic",
+    "single-adiabatic": "single-adiabatic",
+    "adiabatic": "single-adiabatic",
+}
+
+
+def _canon_protocol(name: str) -> str:
+    try:
+        return _PROTOCOL_ALIASES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown protocol {name!r}; choose from {sorted(set(_PROTOCOL_ALIASES))}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -83,3 +103,35 @@ class PhysicalParams:
     def lambda_th(self) -> float:
         """Thermal de Broglie wavelength (2 pi hbar^2 beta / m)^(1/2)."""
         return math.sqrt(2.0 * math.pi * self.hbar**2 * self.beta / self.mass)
+
+
+@dataclass(frozen=True)
+class CycleConfig:
+    """Everything one cycle run depends on.
+
+    n_side is the doublet truncation per side.  It is checked against the
+    temperature (n_side^2*eps*beta >= 20, infodyn.BasisLabeling) by the
+    readoff, before any state is built, so a config can be made first and
+    given its temperature later.  grid_points changes nothing (no cycle step
+    solves a grid); it is kept only because the benchmark constructs
+    CycleConfig with it.  coherences=False runs the readoff on the dephased
+    post-insertion state (the ideal-measurement limit).
+    """
+
+    params: PhysicalParams = field(default_factory=PhysicalParams)
+    n_side: int = 45
+    protocol: str = "isothermal"
+    n_steps: int = 8
+    seed: int = 0
+    grid_points: int = 4096
+    coherences: bool = True
+    spectral_check: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "protocol", _canon_protocol(self.protocol))
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.grid_points < 3:
+            raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")

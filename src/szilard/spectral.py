@@ -33,6 +33,8 @@ __all__ = [
 _MAX_STEPS = 200  # per loop of a level solve; 200 halvings take any bracket to rounding
 # a root's residual on its phase equation theta = n pi, relative to n pi
 PHASE_TOL = 1e-12
+# delta/E from which a splitting is the difference of the doublet's levels (_split)
+SPLIT_SHARE = 0.05
 
 
 @dataclass(frozen=True)
@@ -175,9 +177,19 @@ def _split(params: PhysicalParams, even: np.ndarray, odd: np.ndarray):
     delta = (s(c - delta) + s(c + delta))/2G, with G = (g(c - delta) -
     g(c + delta))/(2 delta) in closed form: delta keeps its digits far below
     the rounding of the levels, where their difference keeps none.  Secant
-    steps from that difference solve it.
+    steps from that difference solve it, until the residual or the step is
+    within 1e-13 of delta: near a hard-wall level g varies so fast that
+    rounding alone leaves a residual.
+
+    A doublet whose delta is SPLIT_SHARE of its mean or more keeps the
+    difference, which carries it to a few 1e-15.  Under the thinnest
+    barriers (d below 1e-15 at L = 1) the odd member sits at its hard-wall
+    level within the rounding of k w, where no g resolves it; there delta
+    is about 0.6 E.
     """
-    c, start = 0.5 * (even + odd), np.maximum(0.5 * (odd - even), 0.0)
+    mean, delta = 0.5 * (even + odd), np.maximum(0.5 * (odd - even), 0.0)
+    solve = delta < SPLIT_SHARE * mean
+    c, start = mean[solve], delta[solve]
     c2, w, d = 2.0 * params.mass / params.hbar**2, 0.5 * (params.L - params.d), params.d
 
     def image(delta):
@@ -196,26 +208,28 @@ def _split(params: PhysicalParams, even: np.ndarray, odd: np.ndarray):
     r0 = x0 - x1
     for _ in range(_MAX_STEPS):
         r1 = x1 - image(x1)
-        if np.all(np.abs(r1) <= 1e-13 * x1):
-            break
         dr = r1 - r0
         x2 = np.divide(x1 * r0 - x0 * r1, -dr, out=x1 - r1, where=dr != 0.0)
+        if np.all(np.minimum(np.abs(r1), np.abs(x2 - x1)) <= 1e-13 * x1):
+            break
         # keep both members inside (0, U)
         x0, r0, x1 = x1, r1, np.clip(x2, 0.5 * x1, 0.5 * (x1 + params.U - c))
     if not np.all(np.abs(x1 - start) <= PHASE_TOL * c):
         raise NumericsError("the splittings do not converge onto the doublets' two levels")
-    return c, x1
+    delta[solve] = x1
+    return mean, delta
 
 
 def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] = None):
     """Doublets (k, E_k, delta_k) of the box with the barrier inserted.
 
     Each level is a root of its parity's phase equation (_exact_levels) and
-    each splitting is solved on its own (_split), so delta keeps its digits
-    however small it is.  Levels alternate in parity (even_k < odd_k <
-    even_k+1), so pair k is the k-th even (symmetric) level with the k-th
-    odd (antisymmetric) one.  n_pairs is capped at MAX_PAIRS.  grid is
-    accepted and ignored: nothing is sampled.
+    each splitting is solved on its own where the levels' difference cannot
+    carry it (_split), so delta keeps its digits however small it is.
+    Levels alternate in parity (even_k < odd_k < even_k+1), so pair k is
+    the k-th even (symmetric) level with the k-th odd (antisymmetric) one.
+    n_pairs is capped at MAX_PAIRS.  grid is accepted and ignored: nothing
+    is sampled.
     """
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ValueError(f"n_pairs must be in 1..{MAX_PAIRS}, got {n_pairs}")

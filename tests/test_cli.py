@@ -1,5 +1,7 @@
+import contextlib
 import glob
 import importlib
+import io
 import json
 import math
 import os
@@ -10,10 +12,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import szilard
 from szilard.cli import SPLITTING_SERIES_D, main
-from szilard.engine import SWEEP_COLUMNS, CycleConfig, run_cycle
+from szilard.engine import PROTOCOLS, SWEEP_AXES, SWEEP_COLUMNS, CycleConfig, run_cycle
 from szilard.spectral import PhysicalParams
 
 LN2 = math.log(2.0)
@@ -66,6 +70,20 @@ class TestExitCodes:
         assert main([command, "--L", "1e300"]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["szilard: invalid configuration: eps is out of floating-point range"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "thermo", "measure", "cycle", "sweep"])
+    @pytest.mark.parametrize("setting, message", [
+        (["--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["--protocol", "bogus"], "unknown protocol 'bogus'; choose from "
+                                  "['adiabatic', 'isothermal', 'single-adiabatic', 'stepwise', 'stepwise-adiabatic']"),
+        (["--n-steps", "0"], "n_steps must be >= 1, got 0"),
+        (["--N", "0"], "--N must be in 1..100000, got 0"),
+    ], ids=["seed", "protocol", "n_steps", "N"])
+    def test_every_command_refuses_a_bad_setting(self, command, setting, message, capsys):
+        # each command resolves every setting into one CycleConfig, used or not
+        sweep_args = ["--axis", "T", "--values", "1"] if command == "sweep" else []
+        assert main([command, *setting, *sweep_args]) == 1
+        assert capsys.readouterr() == ("", f"szilard: invalid configuration: {message}\n")
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -311,11 +329,12 @@ class TestMeasureCommand:
         assert main(["measure", "--T", "1000", "--N", "11"]) == 1
 
     def test_side_count_is_capped(self, capsys):
-        # refused before any state is built
-        assert main(["measure", "--N", "100001"]) == 1
-        assert capsys.readouterr().err == (
-            "szilard: invalid configuration: n_side must be in 1..100000, got 100001\n"
-        )
+        # refused before any state is built, naming the flag
+        for n in ("100001", "0"):
+            assert main(["measure", "--N", n]) == 1
+            assert capsys.readouterr().err == (
+                f"szilard: invalid configuration: --N must be in 1..100000, got {n}\n"
+            )
 
     @pytest.mark.parametrize("argv, config", [
         ([], CycleConfig()),
@@ -455,6 +474,66 @@ class TestSweepCommand:
         assert lines[2].split(",")[seed_col] == "42"
 
 
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: repr(10.0**x))
+
+
+# L stays 1: the physics depends only on d/L, U/eps and k_B T/eps
+_SETTINGS = {
+    "--d": _log_uniform(1e-30, 0.99),
+    "--U": _log_uniform(1e-9, 1e12),
+    "--T": _log_uniform(1e-9, 1e12),
+    "--N": st.integers(1, 1000).map(str),
+    "--n-steps": st.integers(1, 64).map(str),
+    "--protocol": st.sampled_from(PROTOCOLS),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["spectrum", "thermo", "measure", "cycle", "sweep"]))
+    argv = [command, "--format", "json"]
+    for flag, values in _SETTINGS.items():
+        argv += [flag, draw(values)]
+    if command == "spectrum":
+        argv += ["--pairs", str(draw(st.integers(1, 8)))]
+    if command in ("measure", "cycle") and draw(st.booleans()):
+        argv.append("--ideal")
+    if command == "cycle" and draw(st.booleans()):
+        argv.append("--spectral-check")
+    if command == "sweep":
+        axis = draw(st.sampled_from(SWEEP_AXES))
+        values = draw(st.lists(_SETTINGS["--" + axis.replace("_", "-")], min_size=1, max_size=3))
+        argv += ["--axis", axis, "--values", ",".join(values)]
+    return argv
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite float {name} in the JSON output")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_input_boundary(argv):
+    # every input ends in a clean payload or in one message line, never in
+    # a traceback, a warning or a NaN
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        decoder, end, docs = json.JSONDecoder(parse_constant=_reject_constant), 0, 0
+        while end < len(out):
+            _, end = decoder.raw_decode(out, end)
+            assert out[end] == "\n"
+            end, docs = end + 1, docs + 1
+        assert docs == (2 if argv[0] == "spectrum" else 1)
+    else:
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+
+
 def child_env() -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("SZILARD_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -574,7 +653,7 @@ PUBLIC_NAMES = [
     "ConfigError", "EngineError", "NumericsError", "SpectralError", "StateError", "SzilardError",
     "ThermoError", "TruncationError",
     "Grid", "TridiagonalSymmetric", "eig_tridiagonal", "sum_series",
-    "PhysicalParams", "SplitPair", "analytic_pairs", "barrier_grid", "barrier_spectrum",
+    "PhysicalParams", "CycleConfig", "SplitPair", "analytic_pairs", "barrier_grid", "barrier_spectrum",
     "splitting_estimate",
     "PartitionResult", "StageFreeEnergies", "StageLedger", "isothermal_work", "mean_energy",
     "partition_exact", "partition_highT", "partition_theta", "spectral_stage_check",
@@ -583,7 +662,7 @@ PUBLIC_NAMES = [
     "trace_distance", "vn_entropy",
     "DemonModel", "EnvironmentLedger", "MeasurementRecord", "ReversalResult", "coupling_unitary",
     "premeasure", "product_of_marginals", "reset_demon", "reverse_readoff",
-    "CycleConfig", "CycleReport", "extraction_work", "run_cycle", "sweep",
+    "CycleReport", "extraction_work", "run_cycle", "sweep",
 ]
 
 

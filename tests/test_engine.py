@@ -48,10 +48,11 @@ class TestCycleConfig:
             CycleConfig(grid_points=2)
 
     def test_basis_gate(self):
-        # at T=1 the gate n^2 eps beta >= 20 trips for n_side = 2
+        # at T=1 the gate n^2 eps beta >= 20 trips for n_side = 2, in the
+        # readoff, before any state is built
         with pytest.raises(TruncationError):
-            CycleConfig(n_side=2)
-        CycleConfig(n_side=3)
+            readoff(CycleConfig(n_side=2))
+        readoff(CycleConfig(n_side=3))
 
 
 class TestExtractionWork:

@@ -13,6 +13,7 @@ from szilard.exceptions import SpectralError
 from szilard.numerics import Grid, eig_tridiagonal
 from szilard.spectral import (
     MAX_PAIRS,
+    SPLIT_SHARE,
     PhysicalParams,
     _exact_levels,
     analytic_pairs,
@@ -296,6 +297,44 @@ class TestExactLevels:
         for err in (err_e, err_d):
             for coarse, fine in zip(err, err[1:]):
                 assert 0.85 <= math.log2(coarse / fine) <= 1.15
+
+
+class TestThinBarrier:
+    # kappa d << 1: the odd member sits at its hard-wall level to within d
+    # (to within rounding from d = 1e-16) and delta tends to 0.6 E, so the
+    # difference of the two levels carries delta
+    @pytest.mark.parametrize("d, U", [(1e-9, 5000.0), (1e-6, 50.0), (1e-8, 50.0), (1e-16, 50.0),
+                                      (1e-16, 5000.0), (1e-20, 1e12), (1e-30, 50.0)])
+    def test_splitting_is_the_level_difference(self, d, U):
+        p = PhysicalParams(d=d, U=U)
+        pair = barrier_spectrum(p, 1)[0]
+        even, odd = _exact_levels(p, 1, 1)
+        assert pair.delta == pytest.approx((odd[0] - even[0]) / 2, rel=1e-12)
+        assert pair.delta / pair.energy == pytest.approx(0.6, abs=2e-5)
+
+    def test_split_solve_stops_on_its_step(self):
+        # kappa d = 0.01 and delta/E = 0.03: the odd member is 2e-6 in k w
+        # from its hard-wall level, where rounding alone leaves a secant
+        # residual above 1e-13 delta; the oracle solves both conditions with
+        # 40 digits
+        p = PhysicalParams(d=7.0710678118654756e-07, U=1e8)
+        pair = barrier_spectrum(p, 1)[0]
+        even, odd = _exact_levels(p, 1, 1)
+        with mpmath.workdps(40):
+            w, b, u = (1 - mpmath.mpf(p.d)) / 2, mpmath.mpf(p.d) / 2, mpmath.mpf(p.U)
+
+            def condition(is_odd):
+                def f(e):
+                    q, kappa = mpmath.sqrt(2 * e), mpmath.sqrt(2 * (u - e))
+                    t = mpmath.tanh(kappa * b)
+                    return q * mpmath.cos(q * w) * (t if is_odd else 1) + kappa * mpmath.sin(q * w) * (
+                        1 if is_odd else t)
+                return f
+
+            e_sym, e_anti = (mpmath.findroot(condition(is_odd), mpmath.mpf(float(level[0])))
+                             for is_odd, level in ((False, even), (True, odd)))
+            assert pair.delta / pair.energy < SPLIT_SHARE
+            assert pair.delta == pytest.approx(float((e_anti - e_sym) / 2), rel=1e-13)
 
 
 @pytest.fixture(scope="module")
