@@ -30,8 +30,11 @@ import numpy as np
 from .exceptions import StateError
 from .infodyn import (
     DensityMatrix,
+    _entropy,
+    _marginal,
     _mutual_information,
     _product_blocks,
+    _spectrum,
     partial_trace,
     product_dm,
     trace_distance,
@@ -141,10 +144,8 @@ def _coupling_unitary(gas_dim: int) -> np.ndarray:
     return u
 
 
-def _require_ready_product(
-    p0: DensityMatrix, model: DemonModel
-) -> Tuple[DensityMatrix, DensityMatrix]:
-    """Check p0 = rho_gas (x) D_0 and return its (gas, demon) marginals."""
+def _require_ready_product(p0: DensityMatrix, model: DemonModel) -> Tuple[np.ndarray, np.ndarray]:
+    """Check p0 = rho_gas (x) D_0 and return its (gas, demon) marginal blocks."""
     if p0.subsystem_dims is None:
         raise StateError("joint state must declare subsystem_dims")
     dg, dd = p0.subsystem_dims
@@ -152,12 +153,12 @@ def _require_ready_product(
         raise StateError(f"demon factor must be two-level, got {dd}")
     if dg % 2:
         raise StateError(f"gas factor must pair left and right states, got dim {dg}")
-    d0 = model.ready
-    dem = partial_trace(p0, "demon")
-    if float(np.max(np.abs(dem.entries - d0.entries))) > PRODUCT_TOL:
+    d0 = model.ready.entries
+    dem = _marginal(p0.entries, p0.subsystem_dims, "demon")
+    if float(np.abs(dem - d0).max()) > PRODUCT_TOL:
         raise StateError("demon factor is not the ready state D_0")
-    gas = partial_trace(p0, "gas")
-    if float(np.max(np.abs(p0.entries - _product_blocks(gas, d0)))) > PRODUCT_TOL:
+    gas = _marginal(p0.entries, p0.subsystem_dims, "gas")
+    if float(np.abs(p0.entries - _product_blocks(gas, d0)).max()) > PRODUCT_TOL:
         raise StateError("input is not a gas (x) D_0 product state")
     return gas, dem
 
@@ -167,19 +168,17 @@ def premeasure(p0: DensityMatrix, model: DemonModel) -> MeasurementRecord:
 
     p0 must be rho_gas (x) |D_0><D_0| with subsystem_dims declared.  The
     post state carries full gas-demon correlations; marginal entropies and
-    the mutual-information delta are recorded.
+    the mutual-information delta are recorded.  It builds two states, post
+    and its pointer marginal; the other three marginals only give entropies.
     """
     gas_pre, dem_pre = _require_ready_product(p0, model)
-    dg, _ = p0.subsystem_dims
-    u = coupling_unitary(dg)
-    post = DensityMatrix(u @ p0.entries @ u.T, subsystem_dims=p0.subsystem_dims)
-    s_pre = vn_entropy(p0)
-    s_post = vn_entropy(post)
-    sg_pre = vn_entropy(gas_pre)
-    sg_post = vn_entropy(partial_trace(post, "gas"))
+    dims = p0.subsystem_dims
+    u = coupling_unitary(dims[0])
+    post = DensityMatrix(u @ p0.entries @ u.T, subsystem_dims=dims)
     dem_post = partial_trace(post, "demon")
-    sd_pre = vn_entropy(dem_pre)
-    sd_post = vn_entropy(dem_post)
+    s_pre, s_post, sd_post = vn_entropy(p0), vn_entropy(post), vn_entropy(dem_post)
+    gas_post = _marginal(post.entries, dims, "gas")
+    sg_pre, sd_pre, sg_post = (_entropy(_spectrum(b)) for b in (gas_pre, dem_pre, gas_post))
     di = _mutual_information(sg_post, sd_post, s_post) - _mutual_information(
         sg_pre, sd_pre, s_pre
     )

@@ -5,7 +5,9 @@ holds one (L_k, R_k) block per doublet k, a gas (x) apparatus state one
 (L_k, R_k) (x) (D_L, D_R) block per doublet, and a general dense state is
 the single block K = 1.  Every function broadcasts over the block axis.
 All entropies are in units of k_B with natural logarithms; "bits" are a
-display concern.
+display concern.  _spectrum solves 2x2 blocks (doublets, gas marginals, the
+pointer) in closed form, larger ones (gas (x) pointer: 4x4) by LAPACK.  States
+are validated once: marginals that only feed an entropy stay plain arrays.
 """
 from __future__ import annotations
 
@@ -38,9 +40,9 @@ class DensityMatrix:
 
     entries has shape (K, b, b); a (b, b) input is one block, real input
     stays real.  subsystem_dims, when set, declares the gas (x) demon
-    factorization (d_gas, d_demon) of each block, gas index slowest.  The
-    eigenvalues are computed once at construction (they double as the PSD
-    check) and cached for entropy evaluations.
+    factorization (d_gas, d_demon) of each block, gas index slowest.  One
+    Hermiticity pass, which a non-finite entry fails, then one spectrum (2x2
+    blocks in closed form, larger by LAPACK) for the trace and PSD gates.
     """
 
     entries: np.ndarray
@@ -52,11 +54,13 @@ class DensityMatrix:
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise StateError(f"density matrix blocks must be square, got shape {m.shape}")
         adj = m.conj() if np.iscomplexobj(m) else m
-        herm = float(np.max(np.abs(m - adj.transpose(0, 2, 1))))
-        if herm > HERMITICITY_TOL:
+        with np.errstate(invalid="ignore"):  # NaN or inf -> NaN, which fails `not <=`
+            herm = float(np.abs(m - adj.transpose(0, 2, 1)).max())
+        if not herm <= HERMITICITY_TOL:
             raise StateError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = complex(np.einsum("aii->", m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        eigs = _spectrum(m)
+        tr = float(eigs.sum())
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateError(f"trace must be 1, got {tr}")
         if self.subsystem_dims is not None:
             dg, dd = self.subsystem_dims
@@ -64,8 +68,7 @@ class DensityMatrix:
                 raise StateError(
                     f"subsystem dims {self.subsystem_dims} do not factor block size {m.shape[1]}"
                 )
-        eigs = np.sort(np.linalg.eigvalsh(m), axis=None)
-        if float(eigs[0]) < PSD_TOL:
+        if not eigs[0] >= PSD_TOL:
             raise StateError(f"not positive semidefinite: min eigenvalue {eigs[0]:.3e}")
         m.setflags(write=False)
         eigs.setflags(write=False)
@@ -133,22 +136,48 @@ def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMat
         raise ValueError(f"negative splitting {float(d[np.argmax(d < 0)])}")
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    # weights relative to the lowest member energy E_k - delta_k, so that no
-    # exponent is positive at any beta; expm1 keeps small beta delta exact
-    w = np.exp(-beta * (e - d - np.min(e - d)))
-    wc = w * (1.0 + np.exp(-2.0 * beta * d)) / 2.0
-    ws = -w * np.expm1(-2.0 * beta * d) / 2.0
+    # weights relative to the lowest member energy E_k - delta_k: no exponent is
+    # positive, one overflowing to -inf is a weight of 0; expm1 keeps small beta delta exact
+    with np.errstate(over="ignore"):
+        w = np.exp(-beta * (e - d - np.min(e - d)))
+        wc = w * (1.0 + np.exp(-2.0 * beta * d)) / 2.0
+        ws = -w * np.expm1(-2.0 * beta * d) / 2.0
     z = 2.0 * float(np.sum(wc))
     c = wc / z
     s = ws / z if coherences else np.zeros_like(c)
     return DensityMatrix(np.stack([c, s, s, c], axis=-1).reshape(-1, 2, 2))
 
 
+def _spectrum(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian (K, b, b) stack; a 2x2 block's are
+    (a+d)/2 -+ hypot((a-d)/2, |rho_01|), halved first so no finite entry overflows."""
+    if blocks.shape[-1] == 2:
+        a, d = blocks[:, 0, 0].real / 2.0, blocks[:, 1, 1].real / 2.0
+        r, mean = np.hypot(a - d, np.abs(blocks[:, 0, 1])), a + d
+        eigs = np.concatenate([mean - r, mean + r])
+    else:
+        eigs = np.linalg.eigvalsh(blocks).ravel()
+    eigs.sort()
+    return eigs
+
+
+def _entropy(eigs: np.ndarray) -> float:
+    """-sum w ln w over the positive eigenvalues, in the order given (0 ln 0 := 0)."""
+    w = eigs[eigs > 0.0]
+    return max(float(-(w * np.log(w)).sum()), 0.0)
+
+
 def vn_entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy -Tr rho ln rho in units of k_B (0 ln 0 := 0)."""
-    w = np.clip(rho.eigenvalues, 0.0, None)
-    w = w[w > 0.0]
-    return max(float(-np.sum(w * np.log(w))), 0.0)
+    return _entropy(rho.eigenvalues)
+
+
+def _marginal(entries: np.ndarray, dims: Tuple[int, int], keep: str) -> np.ndarray:
+    """Blocks of the gas marginal, or the demon marginal as one block; unvalidated."""
+    if keep not in ("gas", "demon"):
+        raise ValueError(f"keep must be 'gas' or 'demon', got {keep!r}")
+    t = entries.reshape(-1, dims[0], dims[1], dims[0], dims[1])
+    return np.einsum("aijkj->aik", t) if keep == "gas" else np.einsum("aijil->jl", t)[None]
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
@@ -158,15 +187,7 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """
     if rho.subsystem_dims is None:
         raise StateError("partial trace needs declared subsystem_dims")
-    dg, dd = rho.subsystem_dims
-    t = rho.entries.reshape(-1, dg, dd, dg, dd)
-    if keep == "gas":
-        out = np.einsum("aijkj->aik", t)
-    elif keep == "demon":
-        out = np.einsum("aijil->jl", t)
-    else:
-        raise ValueError(f"keep must be 'gas' or 'demon', got {keep!r}")
-    return DensityMatrix(out)
+    return DensityMatrix(_marginal(rho.entries, rho.subsystem_dims, keep))
 
 
 def _mutual_information(s_gas: float, s_demon: float, s_joint: float) -> float:
@@ -185,16 +206,16 @@ def trace_distance(p: DensityMatrix, q: DensityMatrix) -> float:
     return 0.5 * float(np.sum(np.abs(w)))
 
 
-def _product_blocks(rho_gas: DensityMatrix, rho_demon: DensityMatrix) -> np.ndarray:
+def _product_blocks(gas: np.ndarray, demon: np.ndarray) -> np.ndarray:
     """(K, d_gas * d_demon, same) blocks of each gas block tensored with a one-block demon state."""
-    if len(rho_demon.entries) != 1:
-        raise StateError(f"demon factor must be a single block, got {len(rho_demon.entries)}")
-    (k, dg, _), dd = rho_gas.entries.shape, rho_demon.entries.shape[1]
-    joint = np.einsum("aik,jl->aijkl", rho_gas.entries, rho_demon.entries[0])
+    if len(demon) != 1:
+        raise StateError(f"demon factor must be a single block, got {len(demon)}")
+    (k, dg, _), dd = gas.shape, demon.shape[1]
+    joint = np.einsum("aik,jl->aijkl", gas, demon[0])
     return joint.reshape(k, dg * dd, dg * dd)
 
 
 def product_dm(rho_gas: DensityMatrix, rho_demon: DensityMatrix) -> DensityMatrix:
     """Each gas block tensored with a one-block demon state; subsystem_dims records the split."""
     dims = (rho_gas.entries.shape[1], rho_demon.entries.shape[1])
-    return DensityMatrix(_product_blocks(rho_gas, rho_demon), subsystem_dims=dims)
+    return DensityMatrix(_product_blocks(rho_gas.entries, rho_demon.entries), subsystem_dims=dims)

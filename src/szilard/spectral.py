@@ -112,10 +112,10 @@ def _phase(params: PhysicalParams, e: np.ndarray, odd: np.ndarray):
     z = r * b
     # C, S = cos z, sin(z)/r above the top; under it cosh z and sinh(z)/r times
     # sech z, a positive factor that leaves the angle alone and keeps U = 1e12
-    # finite.  dS/dzeta = (b C - S)/(2 zeta) for both, -b^3/6 where it cancels
+    # finite.  dS/dzeta = (b C - S)/(2 zeta), -b b b/6 where it cancels (b**3 raises)
     c = np.where(below, 1.0, np.cos(z))
     s = np.divide(np.where(below, np.tanh(z), np.sin(z)), r, out=np.full_like(z, b), where=r > 0.0)
-    ds = np.divide(b * c - s, zeta, out=np.full_like(z, -b**3 / 3.0), where=z >= 1e-4)
+    ds = np.divide(b * c - s, zeta, out=np.full_like(z, -b * b * b / 3.0), where=z >= 1e-4)
     psi, slope = np.where(odd, s, c), np.where(odd, c, -zeta * s)
     dpsi, dslope = np.where(odd, ds, -b * s), np.where(odd, -b * s, -(s + b * c))
     x = k * psi

@@ -1,5 +1,15 @@
 """Second routes to quantities the package computes one way, for tests only."""
+import numpy as np
+
 from szilard.infodyn import DensityMatrix, partial_trace, vn_entropy
+
+
+def block_spectrum(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian (K, b, b) stack by LAPACK, 2x2 blocks included.
+
+    DensityMatrix takes 2x2 blocks in closed form; this is the general route.
+    """
+    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
 def mutual_information(rho: DensityMatrix) -> float:

@@ -264,6 +264,11 @@ class TestSpectrumCommand:
         lines = capsys.readouterr().out.split("\n\n", 1)[0].splitlines()
         assert [int(row.split(",")[2]) for row in lines[2:]] == list(range(1, 11))
 
+    def test_barrier_too_wide_to_cube(self, capsys):
+        # b = d/2 = 5e115, so b^3 in the phase slope leaves the float range
+        assert main(["spectrum", "--L", "1e118", "--d", "1e116", "--U", "1e9", "--pairs", "50"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_pair_count_is_capped(self, capsys):
         # the message names the flag, not the library's argument
         for pairs in ("2049", "0"):
@@ -383,6 +388,12 @@ class TestCycleCommand:
         measurement = json.loads(captured.out)["measurement"]
         assert measurement["ds_demon"] == pytest.approx(LN2, abs=1e-12)
         assert measurement["balance_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("command", ["cycle", "measure"])
+    def test_overflowing_weight_exponent_underflows_quietly(self, command, capsys):
+        # beta (E_k - E_1) overflows for every upper doublet: its weight is 0
+        assert main([command, "--L", "2e-85", "--d", "1.6e-119", "--T", "1e-288"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("T", ["0.02", "1e-6"])
     def test_spectral_check_at_low_temperature(self, T, capsys):

@@ -264,7 +264,7 @@ class TestReadoffSharing:
     """The readoff builds the ready pointer and the coupling unitary once and
     hands the post-readoff demon marginal to the reset."""
 
-    def test_run_cycle_builds_seven_states(self, monkeypatch):
+    def test_run_cycle_builds_four_states(self, monkeypatch):
         run_cycle(CycleConfig(n_side=11))  # the first readoff builds the ready pointer
         built = []
         init = DensityMatrix.__post_init__
@@ -275,8 +275,24 @@ class TestReadoffSharing:
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
         run_cycle(CycleConfig(n_side=11))
-        # gas, gas (x) D_0, its two marginals, the post state and its two marginals
-        assert len(built) == 7
+        # gas, gas (x) D_0, the post state and its pointer marginal; the other
+        # three marginals are partial traces of these, taken as plain blocks
+        assert len(built) == 4
+
+    def test_run_cycle_calls_lapack_twice(self, monkeypatch):
+        run_cycle(CycleConfig(n_side=11))
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        run_cycle(CycleConfig(n_side=11))
+        # the two 4x4 gas (x) pointer stacks, before and after the readoff;
+        # every 2x2 block takes the closed form
+        assert shapes == [(11, 4, 4), (11, 4, 4)]
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(

@@ -19,7 +19,7 @@ from szilard.infodyn import (
 from szilard.params import MAX_N_SIDE
 from szilard.spectral import PhysicalParams, analytic_pairs
 
-from oracles import mutual_information
+from oracles import block_spectrum, mutual_information
 
 LN2 = math.log(2.0)
 
@@ -43,6 +43,18 @@ class TestDensityMatrix:
         with pytest.raises(StateError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
 
+    @pytest.mark.parametrize("entries", [
+        [[math.nan, 0.0], [0.0, 1.0]],
+        np.full((2, 2), math.nan),
+        [[0.5, math.inf], [math.inf, 0.5]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+        [[0.5, complex(math.inf, 1.0)], [complex(math.inf, -1.0), 0.5]],
+        np.diag([0.25, 0.25, math.nan, 0.5]),
+    ])
+    def test_non_finite_entries_are_refused(self, entries):
+        with pytest.raises(StateError, match="Hermitian"):
+            DensityMatrix(np.array(entries))
+
     def test_eigenvalues_cached_and_sorted(self):
         rho = dm([0.7, 0.1, 0.2])
         assert np.allclose(rho.eigenvalues, [0.1, 0.2, 0.7])
@@ -65,6 +77,29 @@ class TestDensityMatrix:
             DensityMatrix(np.array([[[0.5, 0.1], [0.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]))
         with pytest.raises(StateError, match="trace"):
             DensityMatrix(2.0 * blocks)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 300), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_two_level_spectrum_matches_lapack(self, k, complex_, seed):
+        # random PSD 2x2 blocks lam |v><v| + (1 - lam) |w><w| (v, w orthonormal)
+        # with weights summing to 1; about a third rank 1, a third diagonal
+        rng = np.random.default_rng(seed)
+        kind = rng.integers(0, 3, size=k)
+        lam = np.where(kind == 1, 1.0, rng.uniform(size=k))
+        t = np.where(kind == 2, 0.0, rng.uniform(0.0, math.pi, size=k))
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=k)) if complex_ else np.ones(k)
+        v = np.stack([np.cos(t), phase * np.sin(t)], axis=-1)
+        w = np.stack([-phase.conj() * np.sin(t), np.cos(t)], axis=-1)
+
+        def proj(x):
+            return x[:, :, None] * x.conj()[:, None, :]
+
+        p = rng.uniform(size=k)
+        blocks = lam[:, None, None] * proj(v) + (1.0 - lam)[:, None, None] * proj(w)
+        blocks *= (p / p.sum())[:, None, None]
+        rho = DensityMatrix(blocks)
+        assert rho.entries.dtype == (np.complex128 if complex_ else np.float64)
+        assert np.allclose(rho.eigenvalues, block_spectrum(blocks), rtol=0, atol=1e-15)
 
     def test_accepts_complex_states(self):
         v = np.array([1.0, 1.0j]) / math.sqrt(2.0)
