@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .exceptions import ConfigError, SzilardError, TruncationError
+from .exceptions import ConfigError, SpectralError, SzilardError, TruncationError
 from .params import MAX_N_SIDE, MAX_PAIRS, PROTOCOLS, SWEEP_AXES, CycleConfig, PhysicalParams
 
 __all__ = ["main"]
@@ -192,25 +192,20 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
         raise ConfigError("spectrum needs a barrier: d must be positive")
     if not 1 <= ns.pairs <= MAX_PAIRS:
         raise ConfigError(f"--pairs must be in 1..{MAX_PAIRS}, got {ns.pairs}")
-    pairs = barrier_spectrum(params, ns.pairs)
+
+    def estimate(p: PhysicalParams, k: int, delta: float) -> dict:
+        # the model level eps'(2k)^2 can reach the top below which the exact
+        # pair lies: no estimate there, and no ratio
+        try:
+            est = splitting_estimate(p, k)
+        except SpectralError:
+            return {"estimate": None, "ratio": None}
+        return {"estimate": est, "ratio": delta / est if est > 0 else None}
+
     columns = ["n", "E_n", "pair", "delta_k", "estimate", "ratio"]
-    rows = []
-    for p in pairs:
-        est = splitting_estimate(params, p.k)
-        rows.append(
-            {
-                "n": 2 * p.k - 1,
-                "E_n": p.energy,
-                "pair": p.k,
-                "delta_k": p.delta,
-                "estimate": est,
-                "ratio": p.delta / est if est > 0 else None,
-            }
-        )
-    body = {
-        "params": {"L": params.L, "d": params.d, "U": params.U, "T": params.T},
-        "pairs": rows,
-    }
+    rows = [{"n": 2 * p.k - 1, "E_n": p.energy, "pair": p.k, "delta_k": p.delta,
+             **estimate(params, p.k, p.delta)} for p in barrier_spectrum(params, ns.pairs)]
+    body = {"params": {"L": params.L, "d": params.d, "U": params.U, "T": params.T}, "pairs": rows}
 
     # companion series: ground-doublet splitting against barrier width; solved
     # before anything is written, so a failing run leaves no partial output
@@ -220,11 +215,9 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
         pd = replace(params, d=d)
         try:
             pair = barrier_spectrum(pd, 1)[0]
-            est = splitting_estimate(pd, 1)
         except SzilardError as exc:
             raise type(exc)(f"splitting series at d = {d}: {exc}") from exc
-        series.append({"d": d, "delta_1": pair.delta, "estimate": est,
-                       "ratio": pair.delta / est if est > 0 else None})
+        series.append({"d": d, "delta_1": pair.delta, **estimate(pd, 1, pair.delta)})
 
     _emit(s, "szilard.spectrum/1", body, columns, rows, s.out)
     # next to --out, with the same suffix; on stdout, after the main payload

@@ -36,7 +36,6 @@ from .infodyn import (
     _product_blocks,
     _spectrum,
     partial_trace,
-    product_dm,
     trace_distance,
     vn_entropy,
 )
@@ -224,10 +223,12 @@ def product_of_marginals(p: DensityMatrix) -> DensityMatrix:
 
     Same marginals as p, zero mutual information.  For the post-readoff
     state this is what an observer holding no record would write down.
+    Only the product is validated: p's marginals are plain blocks.
     """
     if p.subsystem_dims is None:
         raise StateError("product of marginals needs declared subsystem_dims")
-    return product_dm(partial_trace(p, "gas"), partial_trace(p, "demon"))
+    gas, demon = (_marginal(p.entries, p.subsystem_dims, keep) for keep in ("gas", "demon"))
+    return DensityMatrix(_product_blocks(gas, demon), subsystem_dims=p.subsystem_dims)
 
 
 @dataclass

@@ -4,9 +4,9 @@ One cycle walks the gas through free -> inserted -> measured -> expanded ->
 free while a two-level apparatus reads off the side, the expansion converts
 heat to work, and the apparatus reset charges the environment.  All stage
 thermodynamics here uses the classical-limit closed forms (Z proportional
-to the available width, mean energy k_B T/2); the spectral check can be
-switched on to cross-check the free-energy bookkeeping against the exact
-levels of the box with the barrier.
+to the available width, mean energy k_B T/2).  The optional spectral check
+is no cross-check of that bookkeeping: its jump is k_B T ln 2 by
+construction, so its deviation bounds only unpaired and above-top weight.
 
 Sign conventions: W_extracted > 0 is work delivered by the engine;
 Q_from_reservoir > 0 is heat absorbed by the gas; S_to_environment > 0 is

@@ -1,8 +1,11 @@
 """Single-molecule spectra: the exact levels of the box with a centred
 rectangular barrier, its tunneling doublets (k, E_k, delta_k), and the
 closed-form model doublets the cycle uses.  No wave function is sampled:
-the readoff needs only each doublet's energy and splitting.  The
-finite-difference grid and Hamiltonian stay as a test oracle.
+the readoff needs only each doublet's energy and splitting.  Below the
+barrier top each level solves its phase deficit, k w = n pi - phi, and each
+splitting the non-cancelling difference of its members' deficits; above the
+top a level solves its Prufer phase.  The finite-difference grid and
+Hamiltonian stay as a test oracle.
 
 Units are carried by PhysicalParams (defined in params, re-exported here);
 the defaults put hbar = m = k_B = 1 and L = 1 so that the ground-state
@@ -31,19 +34,13 @@ __all__ = [
 ]
 
 _MAX_STEPS = 200  # per loop of a level solve; 200 halvings take any bracket to rounding
-# a root's residual on its phase equation theta = n pi, relative to n pi
+# a root's residual on its phase equation, relative to n pi
 PHASE_TOL = 1e-12
-# delta/E from which a splitting is the difference of the doublet's levels (_split)
-SPLIT_SHARE = 0.05
 
 
 @dataclass(frozen=True)
 class SplitPair:
-    """A below-barrier doublet: its members sit at energy -/+ delta.
-
-    The symmetric member is the lower one; delta is solved on its own, not
-    as the difference of the two levels.
-    """
+    """A below-barrier doublet: its members sit at energy -/+ delta, the symmetric one lower."""
 
     k: int
     energy: float
@@ -97,161 +94,184 @@ def hamiltonian(params: PhysicalParams, grid: Grid) -> TridiagonalSymmetric:
     return TridiagonalSymmetric(2.0 * t + v, np.full(grid.n_points - 1, -t))
 
 
-def _phase(params: PhysicalParams, e: np.ndarray, odd: np.ndarray):
-    """Phase theta(E) at the wall and dtheta/dE, for levels e of parity odd (bool array).
+def _phase(params: PhysicalParams, k: np.ndarray, n: np.ndarray, odd: np.ndarray):
+    """Residual theta - n pi of levels k >= k_U of parity odd (bool array), and d/dk.
 
-    The solution starts at the centre as cosh or sinh under the barrier top,
-    cos or sin above it, and reaches the barrier edge b = d/2 with value psi
-    and slope psi'.  Its Prufer angle atan2(k psi, psi'), on the branch
-    within pi/2 of the barrier's own phase, gains k w across the well, and
-    level n of either parity has theta = n pi.  No poles, continuous at E = U.
+    The barrier solution, cos or sin from the centre, reaches the edge b =
+    d/2 with value psi and slope psi'; its Prufer angle atan2(k psi, psi'),
+    on the branch within pi/2 of the barrier's own phase, gains k w across
+    the well to theta.  No poles; at E = U the barrier solution is 1 or x.
     """
-    c2, b, w = 2.0 * params.mass / params.hbar**2, 0.5 * params.d, 0.5 * (params.L - params.d)
-    k, zeta = np.sqrt(c2 * e), c2 * (e - params.U)
-    below, r = zeta < 0.0, np.sqrt(np.abs(zeta))
+    b, w = 0.5 * params.d, 0.5 * (params.L - params.d)
+    zeta = np.maximum(k * k - 2.0 * params.mass / params.hbar**2 * params.U, 0.0)
+    r = np.sqrt(zeta)
     z = r * b
-    # C, S = cos z, sin(z)/r above the top; under it cosh z and sinh(z)/r times
-    # sech z, a positive factor that leaves the angle alone and keeps U = 1e12
-    # finite.  dS/dzeta = (b C - S)/(2 zeta), -b b b/6 where it cancels (b**3 raises)
-    c = np.where(below, 1.0, np.cos(z))
-    s = np.divide(np.where(below, np.tanh(z), np.sin(z)), r, out=np.full_like(z, b), where=r > 0.0)
+    # C, S = cos z, sin(z)/r; dS/dzeta = (b C - S)/(2 zeta), -b b b/6 where it cancels
+    c = np.cos(z)
+    s = np.divide(np.sin(z), r, out=np.full_like(z, b), where=r > 0.0)
     ds = np.divide(b * c - s, zeta, out=np.full_like(z, -b * b * b / 3.0), where=z >= 1e-4)
     psi, slope = np.where(odd, s, c), np.where(odd, c, -zeta * s)
     dpsi, dslope = np.where(odd, ds, -b * s), np.where(odd, -b * s, -(s + b * c))
     x = k * psi
     a = np.arctan2(x, slope)
-    xi = np.where(below, 0.0, z) + np.where(odd, 0.0, 0.5 * math.pi)
-    theta = a + 2.0 * math.pi * np.round((xi - a) / (2.0 * math.pi)) + k * w
-    # d(k psi)/dE = c2 (psi/k + k dpsi)/2 and dslope/dE = c2 dslope/2
-    dtheta = (slope * (psi / k + k * dpsi) - x * dslope) / (x * x + slope * slope) + w / k
-    return theta, 0.5 * c2 * dtheta
+    xi = z + np.where(odd, 0.0, 0.5 * math.pi)
+    theta = a + 2.0 * math.pi * np.round((xi - a) / (2.0 * math.pi)) + k * w - n * math.pi
+    # d(k psi)/dk = psi + k^2 dpsi and dslope/dk = k dslope (dpsi, dslope: 2 d/dzeta)
+    return theta, k * (slope * (psi / k + k * dpsi) - x * dslope) / (x * x + slope * slope) + w
+
+
+def _deficit(params: PhysicalParams, k: np.ndarray, n: np.ndarray, s: np.ndarray):
+    """Residual k w + phi - n pi of levels k below the barrier top, and d/dk.
+
+    The deficit phi = atan2(k, rho), with rho = kappa tanh(kappa b)**s the
+    barrier's log-derivative at its edge (s = 1 even, -1 odd), rises with k
+    and tends to 0 as U grows: nothing cancels at the hard wall.
+    """
+    # a barrier thinner than 1e-300 acts as one of 1e-300: no level can tell,
+    # and 1/tanh(kappa b) stays finite
+    b, w = max(0.5 * params.d, 1e-300), 0.5 * (params.L - params.d)
+    kk = k * k
+    kappa = np.sqrt(2.0 * params.mass / params.hbar**2 * params.U - kk)
+    y = kappa * b
+    t = np.tanh(y)
+    rho = kappa * t**s
+    # dphi/dk = (rho - k drho/dk)/(k^2 + rho^2), with dkappa/dk = -k/kappa and
+    # drho/dkappa = (rho/kappa) (1 + s y (1 - t^2)/t); rho^2 overflows under thin barriers
+    slope = w + (1.0 + kk / (kappa * kappa) * (1.0 + s * y * (1.0 - t * t) / t)) / (rho + kk / rho)
+    return k * w + np.arctan2(k, rho) - n * math.pi, slope
+
+
+def _newton(level, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: np.ndarray, odd: np.ndarray):
+    """Roots in [lo, hi] of level(x) -> (residual, slope), all levels at once.
+
+    A level bisects where its Newton step leaves the bracket or fails to
+    halve.  It is done once its residual is within PHASE_TOL n pi or what 8
+    ulps of x resolve, or within 1e-6 n pi with the step after next,
+    |f''| step^2/2f' (f'' from the last two slopes), under 8 ulps.  Then the
+    last steps are taken; a level that never gets there raises NumericsError.
+    """
+    last, rtol = hi - lo, PHASE_TOL * math.pi * n
+    near, s0 = 1e6 * rtol, None
+    for _ in range(_MAX_STEPS):
+        res, slope = level(x)
+        step, err = res / slope, np.abs(res)
+        new, tol = x - step, 8.0 * np.spacing(x) * slope
+        done = err <= np.maximum(rtol, tol)
+        if s0 is not None:
+            done |= (err <= near) & (np.abs((slope - s0) * step * step) <= 2.0 * tol * last)
+        # count_nonzero: a tenth of the dispatch cost of all() on a few levels
+        if np.count_nonzero(done) == x.size:
+            return new
+        up = res > 0.0
+        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
+        newton = done | (lo <= new) & (new <= hi) & (np.abs(step) <= 0.5 * last)
+        if np.count_nonzero(newton) < x.size:
+            new = np.where(newton, new, 0.5 * (lo + hi))
+        s0, last, x = slope, np.abs(new - x), new
+    j = int(np.argmin(done))
+    raise NumericsError(f"{'odd' if odd[j] else 'even'} level {n[j]:.0f} missed its phase "
+                        f"equation: residual {err[j]:.3e} > {rtol[j]:.3e}")
+
+
+def _under_top(params: PhysicalParams):
+    """How many even and how many odd levels lie below the barrier top: those whose
+    residual k_U w + phi - n pi is positive at E = U, phi = pi/2 (even) or arctan(k_U b)."""
+    k_u = math.sqrt(2.0 * params.mass / params.hbar**2 * params.U)
+    if not math.isfinite(k_u):
+        raise SpectralError(f"U = {params.U:.6g} overflows the barrier's wavenumber")
+    base = k_u * 0.5 * (params.L - params.d)
+    return (math.ceil((base + 0.5 * math.pi) / math.pi) - 1,
+            math.ceil((base + math.atan(0.5 * k_u * params.d)) / math.pi) - 1)
 
 
 def _exact_levels(params: PhysicalParams, n_even: int, n_odd: int):
     """Lowest n_even even and n_odd odd levels of the box with the barrier.
 
-    Level n of either parity solves theta(E) = n pi (_phase), bracketed by
-    the free box's level eps m^2 (m = 2n-1 even, 2n odd), which the barrier
-    only raises, and the hard-wall level eps' (2n)^2 of the separated wells.
-    Newton, all levels at once, starts one phase step below the latter under
-    the barrier top, k w = n pi - arctan(k/kappa), and at eps m^2 + U d/L
-    above it.  A level bisects where its step leaves the bracket or fails to
-    halve, so a resonance above the top cannot stall it.  Once every
-    residual is within PHASE_TOL n pi, or what 8 ulps of E resolve, the last
-    steps are taken; a level that never gets there raises NumericsError.
+    Placed once at E = U (_under_top), all levels take one Newton solve in k.
+    Below the top: the deficit (_deficit) in ((n - 1/2) pi/w, min(n pi/w,
+    k_U)), from one phase step below n pi/w.  Above: theta = n pi (_phase)
+    from eps m^2 + U d/L, between U, the free level eps m^2 (m = 2n-1 even,
+    2n odd) and the separated wells' level eps' (2n)^2.
     """
-    c2, w = 2.0 * params.mass / params.hbar**2, 0.5 * (params.L - params.d)
-    n = np.concatenate([np.arange(1, n_even + 1), np.arange(1, n_odd + 1)]).astype(float)
-    odd = np.arange(n.size) >= n_even
-    m = 2.0 * n - 1.0 + odd
-    lo, hi = params.eps * m * m, params.eps_prime * (2.0 * n) ** 2
-    k = n * math.pi / w
-    k -= np.arctan2(k, np.sqrt(np.maximum(c2 * params.U - k * k, 0.0))) / w
-    x = np.where(hi < params.U, np.maximum(k * k / c2, lo),
-                 np.minimum(lo + params.U * params.d / params.L, hi))
-    last = hi - lo
-    for _ in range(_MAX_STEPS):
-        theta, slope = _phase(params, x, odd)
-        res = theta - n * math.pi
-        step, tol = res / slope, np.maximum(PHASE_TOL * n * math.pi, 8.0 * np.spacing(x) * slope)
-        done = np.abs(res) <= tol
-        if done.all():
-            return x[~odd] - step[~odd], x[odd] - step[odd]
-        lo, hi = np.where(res > 0.0, lo, x), np.where(res > 0.0, x, hi)
-        new = x - step
-        newton = done | (lo < new) & (new < hi) & (np.abs(step) <= 0.5 * last)
-        new = np.where(newton, new, 0.5 * (lo + hi))
-        last, x = np.abs(new - x), new
-    j = int(np.argmin(done))
-    raise NumericsError(f"{'odd' if odd[j] else 'even'} level {n[j]:.0f} missed its phase "
-                        f"equation: residual {abs(res[j]):.3e} > {tol[j]:.3e}")
+    c2, b, w = 2.0 * params.mass / params.hbar**2, 0.5 * params.d, 0.5 * (params.L - params.d)
+    cu = c2 * params.U
+    ne, no = (min(n, top) for n, top in zip((n_even, n_odd), _under_top(params)))
+    j = ne + no  # the levels below the top come first
+    n = np.concatenate((np.arange(1, ne + 1), np.arange(1, no + 1),
+                        np.arange(ne + 1, n_even + 1), np.arange(no + 1, n_odd + 1))).astype(float)
+    odd = np.repeat([False, True, False, True], [ne, no, n_even - ne, n_odd - no])
+    s = 1.0 - 2.0 * odd[:j]
+    hard = n[:j] * math.pi / w
+    kappa = np.sqrt(np.maximum(cu - hard * hard, 0.0))
+    x = hard - np.arctan2(hard, kappa * np.tanh(np.maximum(kappa * b, 1e-300)) ** s) / w
+    lo, hi = hard - 0.5 * math.pi / w, np.minimum(hard, math.sqrt(cu))
+    if j < n.size:
+        m = 2.0 * n[j:] - 1.0 + odd[j:]
+        e_lo, e_hi = params.eps * m * m, np.maximum(params.eps_prime * (2.0 * n[j:]) ** 2, params.U)
+        e_x = np.clip(e_lo + params.U * params.d / params.L, params.U, e_hi)
+        x, lo, hi = (np.concatenate((a, np.sqrt(c2 * e))) for a, e in
+                     ((x, e_x), (lo, np.maximum(e_lo, params.U)), (hi, e_hi)))
+
+    def level(k):
+        if not j:
+            return _phase(params, k, n, odd)
+        res, slope = _deficit(params, k[:j], n[:j], s)
+        if j == k.size:
+            return res, slope
+        above = _phase(params, k[j:], n[j:], odd[j:])
+        return np.concatenate((res, above[0])), np.concatenate((slope, above[1]))
+
+    e = _newton(level, x, lo, hi, n, odd) ** 2 / c2
+    return np.concatenate((e[:ne], e[j:j + n_even - ne])), np.concatenate((e[ne:j], e[j + n_even - ne:]))
 
 
 def _split(params: PhysicalParams, even: np.ndarray, odd: np.ndarray):
     """(mean, delta) of doublets below the barrier top, from their two levels.
 
-    The members solve g(E) = +s(E) (even) and g(E) = -s(E) (odd), with
-    g = k cot(kw) + kappa coth(kappa d) and s = kappa/sinh(kappa d): the tanh
-    and coth conditions rewritten with tanh(x/2) = coth x - 1/sinh x and
-    coth(x/2) = coth x + 1/sinh x.  At the mean c the difference reads
-    delta = (s(c - delta) + s(c + delta))/2G, with G = (g(c - delta) -
-    g(c + delta))/(2 delta) in closed form: delta keeps its digits far below
-    the rounding of the levels, where their difference keeps none.  Secant
-    steps from that difference solve it, until the residual or the step is
-    within 1e-13 of delta: near a hard-wall level g varies so fast that
-    rounding alone leaves a residual.
-
-    A doublet whose delta is SPLIT_SHARE of its mean or more keeps the
-    difference, which carries it to a few 1e-15.  Under the thinnest
-    barriers (d below 1e-15 at L = 1) the odd member sits at its hard-wall
-    level within the rounding of k w, where no g resolves it; there delta
-    is about 0.6 E.
+    The members' deficits, atan of a = k/(kappa t) (even) and k t/kappa
+    (odd), differ by dk w = D - S dk (dk = k_o - k_e): D = arctan(k kappa
+    (2/sinh 2 kappa b)/k_U^2) at k_e by the arctan difference identity, and
+    S the odd deficit's secant slope, in closed form.  Nothing cancels, so
+    delta keeps its digits far below the levels' rounding.  One step dk =
+    D/(w + S(dk)) from the levels' difference, a few ulps of k off, solves it.
     """
-    mean, delta = 0.5 * (even + odd), np.maximum(0.5 * (odd - even), 0.0)
-    solve = delta < SPLIT_SHARE * mean
-    c, start = mean[solve], delta[solve]
-    c2, w, d = 2.0 * params.mass / params.hbar**2, 0.5 * (params.L - params.d), params.d
-
-    def image(delta):
-        e = np.stack([c + delta, c - delta])
-        k, kappa = np.sqrt(c2 * e), np.sqrt(c2 * (params.U - e))
-        sin, ish = np.sin(k * w), 2.0 * np.exp(-kappa * d) / -np.expm1(-2.0 * kappa * d)  # 1/sinh
-        # k and kappa of the odd member less those of the even one, from delta
-        dk, y = 2.0 * c2 * delta / (k[0] + k[1]), -2.0 * c2 * d * delta / (kappa[0] + kappa[1])
-        shc = np.divide(np.sinh(y), y, out=np.ones_like(y), where=y != 0.0)
-        g_k = (np.cos(k[0] * w) / sin[0] - k[1] * w * np.sinc(w * dk / math.pi) / (sin[0] * sin[1]))
-        g_kappa = 1.0 / np.tanh(kappa[0] * d) - kappa[1] * d * shc * ish[0] * ish[1]
-        slope = c2 * (g_k / (k[0] + k[1]) - g_kappa / (kappa[0] + kappa[1]))
-        return -0.5 * (kappa[0] * ish[0] + kappa[1] * ish[1]) / slope
-
-    x0, x1 = start, image(start)
-    r0 = x0 - x1
-    for _ in range(_MAX_STEPS):
-        r1 = x1 - image(x1)
-        dr = r1 - r0
-        x2 = np.divide(x1 * r0 - x0 * r1, -dr, out=x1 - r1, where=dr != 0.0)
-        if np.all(np.minimum(np.abs(r1), np.abs(x2 - x1)) <= 1e-13 * x1):
-            break
-        # keep both members inside (0, U)
-        x0, r0, x1 = x1, r1, np.clip(x2, 0.5 * x1, 0.5 * (x1 + params.U - c))
-    if not np.all(np.abs(x1 - start) <= PHASE_TOL * c):
-        raise NumericsError("the splittings do not converge onto the doublets' two levels")
-    delta[solve] = x1
-    return mean, delta
+    c2, w = 2.0 * params.mass / params.hbar**2, 0.5 * (params.L - params.d)
+    b, cu = max(0.5 * params.d, 1e-300), c2 * params.U  # as in _deficit
+    k1 = np.sqrt(c2 * even)
+    dk = np.maximum(np.sqrt(c2 * odd) - k1, np.spacing(k1))
+    k2 = k1 + dk
+    kap1, kap2 = np.sqrt(cu - k1 * k1), np.sqrt(cu - k2 * k2)
+    y1 = kap1 * b
+    t1, t2 = np.tanh(y1), np.tanh(kap2 * b)
+    # 2/sinh(2y) = 4 e^-2y/(1 - e^-4y): finite from y -> 0 to underflow
+    d_phi = np.arctan(k1 * kap1 / cu * 4.0 * np.exp(-2.0 * y1) / -np.expm1(-4.0 * y1))
+    # (a_o(k2) - a_o(k1))/dk, with x = (kappa1 - kappa2) b and tanh y2 - tanh y1 = -sinh x sech y1 sech y2
+    ksum = k1 + k2
+    x = b * dk * ksum / (kap1 + kap2)
+    rise = (cu / (k2 * kap1 + k1 * kap2) * ksum * t2
+            - k1 * kap2 * np.sinh(x) / dk * np.sqrt((1.0 - t1 * t1) * (1.0 - t2 * t2)))
+    q = rise / (kap1 * kap2 + k1 * k2 * t1 * t2)
+    dk = d_phi / (w + np.arctan(q * dk) / dk)
+    delta = dk * (k1 + 0.5 * dk) / c2
+    return even + delta, delta
 
 
 def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] = None):
     """Doublets (k, E_k, delta_k) of the box with the barrier inserted.
 
-    Each level is a root of its parity's phase equation (_exact_levels) and
-    each splitting is solved on its own where the levels' difference cannot
-    carry it (_split), so delta keeps its digits however small it is.
-    Levels alternate in parity (even_k < odd_k < even_k+1), so pair k is
-    the k-th even (symmetric) level with the k-th odd (antisymmetric) one.
-    n_pairs is capped at MAX_PAIRS.  grid is accepted and ignored: nothing
-    is sampled.
+    Every member must lie below the barrier top (_under_top).  Pair k is the
+    k-th even (symmetric) level with the k-th odd one (_exact_levels), its
+    delta solved on its own (_split).  n_pairs is capped at MAX_PAIRS.  grid
+    is accepted and ignored: nothing is sampled.
     """
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ValueError(f"n_pairs must be in 1..{MAX_PAIRS}, got {n_pairs}")
     if params.d <= 0:
         raise SpectralError("barrier_spectrum needs a barrier, got d = 0")
-    e_even, e_odd = _exact_levels(params, n_pairs, n_pairs)
-    for k in range(1, n_pairs + 1):
-        e_sym, e_anti = float(e_even[k - 1]), float(e_odd[k - 1])
-        # pair structure requires the internal gap to stay below the gap
-        # to the next doublet
-        if k < n_pairs and (e_anti - e_sym) >= (e_even[k] - e_anti):
-            raise SpectralError(
-                f"no pair structure at k = {k}: internal gap "
-                f"{e_anti - e_sym:.4g} reaches the gap {e_even[k] - e_anti:.4g} "
-                f"to the next level (U too low?)"
-            )
-        if e_anti >= params.U:
-            raise SpectralError(
-                f"pair {k} reaches the barrier top "
-                f"(E = {0.5 * (e_sym + e_anti):.6g}, U = {params.U:.6g}); no doublet structure"
-            )
-    means, deltas = _split(params, e_even, e_odd)
+    top = _under_top(params)[1]
+    if n_pairs > top:
+        raise SpectralError(f"pair {top + 1} reaches the barrier top (U = {params.U:.6g})")
+    means, deltas = _split(params, *_exact_levels(params, n_pairs, n_pairs))
     return [SplitPair(k, float(e), float(dl)) for k, (e, dl) in enumerate(zip(means, deltas), 1)]
 
 
@@ -267,9 +287,7 @@ def splitting_estimate(params: PhysicalParams, k: int) -> float:
     eps_p = params.eps_prime
     e_k = eps_p * (2 * k) ** 2
     if params.U <= e_k:
-        raise SpectralError(
-            f"level k={k} sits above the barrier (E_k = {e_k:.6g}, U = {params.U:.6g})"
-        )
+        raise SpectralError(f"level k={k} sits above the barrier (E_k = {e_k:.6g}, U = {params.U:.6g})")
     return _splitting(params, eps_p, e_k)
 
 

@@ -244,16 +244,12 @@ class SpectralStageCheck:
 def spectral_stage_check(params: PhysicalParams, n_levels: int = 90, grid=None) -> SpectralStageCheck:
     """Compare the closed-form measurement jump against the exact spectrum.
 
-    The inserted-stage partition sum uses the n_levels lowest exact levels
-    of the box with the barrier, ceil(n_levels/2) even and floor(n_levels/2)
-    odd, below and above the barrier top; the measured-stage sum uses
-    doublet means and half-splittings, doublet k being the k-th even with
-    the k-th odd level, restricted to doublets entirely below the barrier
-    top, where the left/right basis is meaningful.  No grid is solved or
-    sampled: grid stays for the call signature and does not affect the
-    result.  The spectral jump is k_B T ln 2 by construction up to unpaired
-    and above-barrier weight (see SpectralStageCheck).  Raises SpectralError
-    when d = 0 (no barrier).
+    The inserted-stage sum takes the n_levels lowest exact levels of the box
+    with the barrier, ceil(n_levels/2) even and the rest odd, below and
+    above the barrier top; the measured-stage sum takes the doublets (k-th
+    even with k-th odd level) entirely below the top, where the left/right
+    basis is meaningful (see SpectralStageCheck).  grid is accepted and
+    ignored: nothing is sampled.  Raises SpectralError when d = 0.
     """
     if n_levels < 2:
         raise ThermoError(f"need at least 2 levels, got {n_levels}")

@@ -1,4 +1,5 @@
 """Second routes to quantities the package computes one way, for tests only."""
+import mpmath
 import numpy as np
 
 from szilard.infodyn import DensityMatrix, partial_trace, vn_entropy
@@ -21,3 +22,31 @@ def mutual_information(rho: DensityMatrix) -> float:
     s_gas = vn_entropy(partial_trace(rho, "gas"))
     s_demon = vn_entropy(partial_trace(rho, "demon"))
     return s_gas + s_demon - vn_entropy(rho)
+
+
+def doublet(params, k: int, dps: int = 80):
+    """(E_k, delta_k) of doublet k below the barrier top, as mpmath numbers.
+
+    Roots of the continuum matching conditions with dps digits, each in its
+    bracket (k - 1/2) pi < q w < k pi: q cos(q w) + kappa t sin(q w) = 0 for
+    the even member and q t cos(q w) + kappa sin(q w) = 0 for the odd one,
+    with t = tanh(kappa d/2) and hbar = m = 1.  The splitting is the
+    difference of two roots held to dps digits, so it keeps dps minus
+    log10(E/delta) of them.
+    """
+    with mpmath.workdps(dps):
+        length, d, u = (mpmath.mpf(x) for x in (params.L, params.d, params.U))
+        w, b = (length - d) / 2, d / 2
+
+        def condition(odd):
+            def f(e):
+                q, kappa = mpmath.sqrt(2 * e), mpmath.sqrt(2 * (u - e))
+                t = mpmath.tanh(kappa * b)
+                return q * mpmath.cos(q * w) * (t if odd else 1) + kappa * mpmath.sin(q * w) * (
+                    1 if odd else t)
+            return f
+
+        lo, hi = ((k - mpmath.mpf(1) / 2) * mpmath.pi / w) ** 2 / 2, (k * mpmath.pi / w) ** 2 / 2
+        e_sym, e_anti = (mpmath.findroot(condition(odd), (lo, hi * (1 - mpmath.mpf(10) ** -(dps // 2))),
+                                         solver="anderson") for odd in (False, True))
+        return (e_anti + e_sym) / 2, (e_anti - e_sym) / 2

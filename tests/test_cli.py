@@ -245,15 +245,35 @@ class TestSpectrumCommand:
         assert len(rows) == 2 + len(SPLITTING_SERIES_D)
         assert all(row["estimate"] == 0.0 and row["ratio"] is None for row in rows)
 
+    def test_estimate_is_empty_where_the_model_level_reaches_the_top(self, capsys):
+        # at U = 21 the exact doublet sits at E = 13.30, but the model level
+        # eps' (2k)^2 = 21.87 is above the top: the pair is printed, its
+        # estimate and ratio are left empty, and so are the series rows whose
+        # model level reaches the top
+        assert main(["spectrum", "--U", "21", "--pairs", "1", "--format", "json"]) == 0
+        chunks = capsys.readouterr().out.split("\n{", 1)
+        (pair,), series = json.loads(chunks[0])["pairs"], json.loads("{" + chunks[1])["series"]
+        assert pair["E_n"] == pytest.approx(13.3045, rel=1e-5) and pair["delta_k"] > 0
+        assert pair["estimate"] is None and pair["ratio"] is None
+        assert len(series) == len(SPLITTING_SERIES_D)
+        for row in series:
+            model = PhysicalParams(d=row["d"]).eps_prime * 4.0
+            assert (row["estimate"] is None) == (model >= 21.0)
+            assert (row["ratio"] is None) == (model >= 21.0)
+        assert [row["estimate"] is None for row in series] == [False, False] + [True] * 7
+        assert main(["spectrum", "--U", "21", "--pairs", "1"]) == 0
+        row = capsys.readouterr().out.splitlines()[2]
+        assert row.startswith("1,13.3045") and row.endswith(",,")  # CSV leaves both empty
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_failing_series_writes_nothing(self, fmt, tmp_path, capsys):
-        # at U = 24 the main d = 0.05 doublet and its estimate are below the
-        # top, but the series' d = 0.10 estimate puts E_1 = 24.37 above it
-        argv = ["spectrum", "--U", "24", "--pairs", "1", "--format", fmt]
+        # at U = 19.85 the main d = 0.05 doublet lies below the top, but the
+        # series' d = 0.10 wells are narrower and lift its odd member above it
+        argv = ["spectrum", "--U", "19.85", "--pairs", "1", "--format", fmt]
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "splitting series at d = 0.1: level k=1 sits above the barrier" in err
+        assert "splitting series at d = 0.1: pair 1 reaches the barrier top" in err
         assert main(argv + ["--out", str(tmp_path / "spec.txt")]) == 2
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []

@@ -308,6 +308,29 @@ class TestProductOfMarginals:
         with pytest.raises(StateError):
             product_of_marginals(bare)
 
+    def test_reversal_builds_two_states_and_calls_lapack_three_times(self, box_record, monkeypatch):
+        built, shapes = [], []
+        init, eigvalsh = DensityMatrix.__post_init__, np.linalg.eigvalsh
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        def recording(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        res = reverse_readoff(box_record, product_of_marginals(box_record.post))
+        # the product and the reversed state are validated; both marginals
+        # are plain blocks of the validated post state.  LAPACK takes the
+        # product's and the reversed state's 4x4 blocks and the trace
+        # distance; the 2x2 marginals never reached it
+        assert [s.entries.shape for s in built] == [(11, 4, 4), (11, 4, 4)]
+        assert shapes == [(11, 4, 4)] * 3
+        assert res.distance == pytest.approx(0.5, abs=1e-12)
+
 
 class TestResetDemon:
     def test_standard_mixture_costs_ln2(self):
