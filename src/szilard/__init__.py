@@ -16,7 +16,7 @@ from importlib import import_module
 _MODULES = {
     "exceptions": ("ConfigError", "EngineError", "NumericsError", "SpectralError", "StateError",
                    "SzilardError", "ThermoError", "TruncationError"),
-    "numerics": ("Grid", "TridiagonalSymmetric", "eig_tridiagonal", "sum_series"),
+    "numerics": ("Grid", "TridiagonalSymmetric", "eig_tridiagonal"),
     "params": ("PhysicalParams", "CycleConfig"),
     "spectral": ("SplitPair", "analytic_pairs", "barrier_grid", "barrier_spectrum",
                  "splitting_estimate"),

@@ -278,7 +278,7 @@ def cmd_measure(ns: argparse.Namespace) -> int:
         partial_trace(record.pre, "gas"), partial_trace(record.post, "gas")
     )
     td_product = trace_distance(record.post, product_of_marginals(record.post))
-    beta_delta_1 = p.beta * analytic_pairs(p, 1)[0][1]
+    beta_delta_1 = float(p.beta * analytic_pairs(p, 1)[0, 1])
     rows = [
         {"quantity": "ds_demon", "value": record.ds_demon},
         {"quantity": "ds_gas", "value": record.ds_gas},

@@ -126,7 +126,7 @@ def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMat
     and Z = 2 sum_k w_k cosh(beta delta_k).  coherences=False drops the sinh
     entries: that is the state an outcome-ignorant observer uses.
     """
-    data = np.array(pairs, dtype=float)
+    data = np.asarray(pairs, dtype=float)
     if not data.size:
         raise ValueError("need at least one doublet")
     if data.ndim != 2 or data.shape[1] != 2:

@@ -1,19 +1,15 @@
-"""Numerical kernels: interior grids, symmetric-tridiagonal eigensolution
-and certified series summation.
+"""Finite-difference oracle of the tests: interior grids and
+symmetric-tridiagonal eigensolution.
 
-Everything here is a pure function of its inputs.  The eigensolver and the
-series summation both enforce their accuracy contracts before returning,
-so downstream physics code never has to second-guess them.
-
-The series summation runs on the standard library, so the partition sums
-import without numpy; the grid and eigensolver, the finite-difference
-oracle of the tests, import numpy where they use it.
+Everything here is a pure function of its inputs.  The eigensolver enforces
+its residual contract before returning, so a test that compares against it
+never has to second-guess it.  numpy and scipy are imported where they are
+used.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING
 
 from .exceptions import NumericsError
 
@@ -23,9 +19,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Grid",
     "TridiagonalSymmetric",
-    "SeriesSum",
     "eig_tridiagonal",
-    "sum_series",
 ]
 
 # residual contract: ||Mv - lambda*v|| <= RESIDUAL_FACTOR * max|entry|
@@ -163,40 +157,3 @@ def _check_residuals(matrix: TridiagonalSymmetric, vals: np.ndarray, vecs: np.nd
             f"{residuals[j]:.3e} > {limit:.3e}"
         )
     return vecs
-
-
-class SeriesSum(NamedTuple):
-    value: float
-    terms_used: int
-
-
-def sum_series(
-    terms: Iterable[float],
-    tail_bound: Callable[[int], float],
-    rel_tol: float = 1e-10,
-    max_terms: int = 100_000,
-) -> SeriesSum:
-    """Sum a series whose remainder admits an explicit bound.
-
-    `terms` yields successive terms; `tail_bound(n)` must bound the total
-    magnitude of everything not yet consumed after n terms, and is checked
-    after every term.  Stops once tail_bound(n) <= rel_tol * |partial|, or
-    when the generator is exhausted (finite series sum exactly).
-    """
-    it = iter(terms)
-    total = 0.0
-    used = 0
-    bound = math.inf
-    while used < max_terms:
-        try:
-            total += next(it)
-        except StopIteration:
-            return SeriesSum(total, used)
-        used += 1
-        bound = float(tail_bound(used))
-        if bound <= rel_tol * abs(total):
-            return SeriesSum(total, used)
-    raise NumericsError(
-        f"series tail bound not satisfied after {used} terms "
-        f"(last bound {bound:.3e}, partial sum {total:.6e})"
-    )

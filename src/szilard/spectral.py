@@ -297,8 +297,8 @@ def _splitting(params: PhysicalParams, eps_p: float, e_k: float) -> float:
     return (4.0 * eps_p / math.pi) * math.exp(-params.d * kappa)
 
 
-def analytic_pairs(params: PhysicalParams, n_pairs: int):
-    """Model doublet family (E_k, delta_k) without an eigensolve.
+def analytic_pairs(params: PhysicalParams, n_pairs: int) -> np.ndarray:
+    """Model doublet family as an (n_pairs, 2) array of (E_k, delta_k) rows.
 
     E_k = eps' (2k)^2; delta_k from splitting_estimate below the barrier and
     zero above it, where the thermal weight of the affected levels is
@@ -307,8 +307,10 @@ def analytic_pairs(params: PhysicalParams, n_pairs: int):
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     eps_p = params.eps_prime
-    out = []
-    for k in range(1, n_pairs + 1):
-        e_k = eps_p * (2 * k) ** 2
-        out.append((e_k, _splitting(params, eps_p, e_k) if params.U > e_k else 0.0))
+    out = np.zeros((n_pairs, 2))
+    with np.errstate(over="ignore"):  # a level past the float range is an inf of no weight
+        e = out[:, 0] = eps_p * np.arange(2.0, 2.0 * n_pairs + 1.0, 2.0) ** 2
+    # math.exp, as splitting_estimate takes it: np.exp is one ulp off for ~5% of arguments
+    deltas = [_splitting(params, eps_p, e_k) for e_k in e[e < params.U].tolist()]
+    out[: len(deltas), 1] = deltas
     return out

@@ -2,6 +2,9 @@
 functions (exact series, theta-form, high-temperature), free energies of
 each engine stage, internal energy, entropy, and isothermal work.
 
+The box's Z, <E> and S come from one certified pass over its levels
+(_box_sums) on the standard library; only spectral_stage_check loads numpy.
+
 Conventions: beta = 1/(k_B T); free energy A = -k_B T ln Z; entropies
 returned by thermo_entropy carry units of k_B (natural log).
 """
@@ -9,10 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
-from .exceptions import SpectralError, ThermoError
-from .numerics import sum_series
+from .exceptions import NumericsError, SpectralError, ThermoError
 from .params import PhysicalParams
 
 __all__ = [
@@ -50,39 +51,54 @@ class PartitionResult:
     regime_ok: bool = True
 
 
-def _gauss_tail(sigma: float):
-    """Remainder bound for sum over n of sigma^(n^2) after n terms.
+# each certified tail of the box sums ends within this fraction of its sum
+_TAIL_TOL = 1e-12
+_MAX_TERMS = 100_000
 
-    Successive term ratios are sigma^(2n+1), so the tail is dominated by a
-    geometric series with ratio sigma^(2n+3).
+
+def _tails(x: float, n: int) -> tuple[float, float]:
+    """Bounds on sum_{m>n} w_m and sum_{m>n} (m^2 - 1) w_m, w_m = e^(-x (m^2 - 1)).
+
+    Past level n the ratios of the w_m fall from q = e^(-x (2n+3)) and those of
+    the (m^2 - 1) w_m from q (n+1)(n+3)/(n(n+2)): two geometric series.
     """
+    g = n * (n + 2)  # (n+1)^2 - 1
+    w, q = math.exp(-x * g), math.exp(-x * (2 * n + 3))
+    qe = q * (n + 1) * (n + 3) / g
+    return w / (1.0 - q), g * w / (1.0 - qe) if qe < 1.0 else math.inf
 
-    def bound(n: int) -> float:
-        q = sigma ** (2 * n + 3)
-        if q >= 1.0:
-            return math.inf
-        return sigma ** ((n + 1) ** 2) / (1.0 - q)
 
-    return bound
+def _box_sums(eps: float, beta: float) -> tuple[float, float, int, float]:
+    """(r, e, levels summed, r's tail bound) for the box levels E_n = eps n^2, with
+    r = sum_{n>=2} w_n and e = sum_n (n^2 - 1) w_n over w_n = e^(-beta eps (n^2 - 1)).
+
+    One pass, stopped once both _tails are within 1e-12 of r and e, so Z, <E>
+    and S come out to 1e-12 even where S is tiny.
+    """
+    if not beta > 0:
+        raise ThermoError(f"beta must be positive, got {beta}")
+    x = beta * eps
+    if math.exp(-x) == 0.0:
+        raise ThermoError("series underflows at this beta")
+    r = e = 0.0
+    for n in range(1, _MAX_TERMS):
+        g = n * (n + 2)
+        w = math.exp(-x * g)
+        if g * w <= _TAIL_TOL * e:  # the e tail past level n is at least g w
+            tail_r, tail_e = _tails(x, n)
+            if tail_r <= _TAIL_TOL * r and tail_e <= _TAIL_TOL * e:
+                return r, e, n, tail_r
+        r += w
+        e += g * w
+    raise NumericsError(f"series tail bound not satisfied after {_MAX_TERMS} terms")
 
 
 def partition_exact(params: PhysicalParams, beta: float) -> PartitionResult:
-    """Z = sum over n of exp(-beta E_n) for the analytic box spectrum E_n = eps n^2.
-
-    Summed as a series in sigma = exp(-beta eps) with a certified Gaussian
-    tail bound.
-    """
-    if beta <= 0:
-        raise ThermoError(f"beta must be positive, got {beta}")
-    sigma = math.exp(-beta * params.eps)
-    if sigma == 0.0:
-        # beta so large the first term already underflows
-        raise ThermoError("series underflows at this beta")
-    terms = (sigma ** (n * n) for n in range(1, 10**6))
-    res = sum_series(terms, _gauss_tail(sigma), rel_tol=1e-12)
-    if res.value <= 0:
-        raise ThermoError("partition sum underflowed to zero")
-    return PartitionResult(res.value, "exact-series", res.terms_used, 1e-12)
+    """Z = e^(-beta eps) (1 + r) of the box spectrum E_n = eps n^2 (_box_sums);
+    est_error is the certified relative bound on the tail left out."""
+    r, _, terms, tail_r = _box_sums(params.eps, beta)
+    z = math.exp(-beta * params.eps) * (1.0 + r)
+    return PartitionResult(z, "exact-series", terms, tail_r / (1.0 + r))
 
 
 def partition_theta(sigma: float) -> PartitionResult:
@@ -154,42 +170,17 @@ def isothermal_work(v_initial: float, v_final: float, T: float, k_B: float = 1.0
     return k_B * T * math.log(v_final / v_initial)
 
 
-def _box_moments(params: PhysicalParams, beta: float) -> Tuple[float, float]:
-    """(Z, <E>) of the analytic box spectrum, each from one certified series.
-
-    partition_exact rejects beta <= 0 and a series that underflows.
-    """
-    z = partition_exact(params, beta).Z
-    eps = params.eps
-    sigma = math.exp(-beta * eps)
-
-    def tail(n: int) -> float:
-        # term ratio ((j+1)/j)^2 sigma^(2j+1) <= ((n+2)/(n+1))^2 sigma^(2n+3)
-        q = ((n + 2) / (n + 1)) ** 2 * sigma ** (2 * n + 3)
-        if q >= 1.0:
-            return math.inf
-        return eps * (n + 1) ** 2 * sigma ** ((n + 1) ** 2) / (1.0 - q)
-
-    num = sum_series(
-        (eps * n * n * sigma ** (n * n) for n in range(1, 10**6)), tail, rel_tol=1e-12
-    )
-    return z, num.value / z
-
-
 def mean_energy(params: PhysicalParams, beta: float) -> float:
-    """Canonical mean energy <E> = -d ln Z / d beta.
-
-    Uses the same certified series as partition_exact.
-    """
-    if beta <= 0:
-        raise ThermoError(f"beta must be positive, got {beta}")
-    return _box_moments(params, beta)[1]
+    """Canonical mean energy <E> = eps (1 + e/(1 + r)) from the pass _box_sums."""
+    r, e, _, _ = _box_sums(params.eps, beta)
+    return params.eps * (1.0 + e / (1.0 + r))
 
 
 def thermo_entropy(params: PhysicalParams, beta: float, k_B: float = 1.0) -> float:
-    """Thermodynamic entropy S = k_B (ln Z + beta <E>)."""
-    z, e_mean = _box_moments(params, beta)
-    return k_B * (math.log(z) + beta * e_mean)
+    """Thermodynamic entropy S = k_B (ln Z + beta <E>), summed without cancelling
+    as k_B (ln(1 + r) + beta eps e/(1 + r)) from the pass _box_sums."""
+    r, e, _, _ = _box_sums(params.eps, beta)
+    return k_B * (math.log1p(r) + beta * params.eps * e / (1.0 + r))
 
 
 @dataclass(frozen=True)

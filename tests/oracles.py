@@ -50,3 +50,21 @@ def doublet(params, k: int, dps: int = 80):
         e_sym, e_anti = (mpmath.findroot(condition(odd), (lo, hi * (1 - mpmath.mpf(10) ** -(dps // 2))),
                                          solver="anderson") for odd in (False, True))
         return (e_anti + e_sym) / 2, (e_anti - e_sym) / 2
+
+
+def box_tails(x: float, n: int, dps: int = 50):
+    """(sum w_m, sum (m^2 - 1) w_m) over the box levels m > n, w_m = e^(-x (m^2 - 1)).
+
+    Summed term by term with dps digits until a term falls below 10^-dps of
+    its sum, past the peak of (m^2 - 1) w_m; as mpmath numbers.  n = 1 gives
+    the whole sums r and e that thermo takes relative to the ground level.
+    """
+    with mpmath.workdps(dps):
+        x, r, e, m = mpmath.mpf(x), mpmath.mpf(0), mpmath.mpf(0), n + 1
+        while True:
+            g = m * m - 1
+            w = mpmath.exp(-x * g)
+            r, e = r + w, e + g * w
+            if x * m * m > 1 and g * w <= e * mpmath.mpf(10) ** -dps:
+                return r, e
+            m += 1

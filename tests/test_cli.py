@@ -640,8 +640,9 @@ LAYERS = ["szilard.numerics", "szilard.spectral", "szilard.thermo", "szilard.inf
 
 @pytest.mark.parametrize("argvs, packages", [
     # the package and the parser load no layer; thermo runs on the standard library
+    # and loads no layer but its own
     ([], ["numpy", *LAYERS]),
-    ([["thermo"]], ["numpy"]),
+    ([["thermo"]], ["numpy", "szilard.numerics"]),
     # one fair coin needs no numpy.random
     ([["cycle"], ["sweep", "--axis", "n_steps", "--values", "1,2"]], ["numpy.random"]),
     ([["spectrum", "--pairs", "1"]], ["szilard.demon", "szilard.infodyn", "szilard.engine", "szilard.thermo"]),
@@ -653,8 +654,7 @@ def test_commands_load_only_their_layers(argvs, packages, tmp_path):
 def test_module_probe_sees_what_is_loaded(tmp_path):
     # positive controls: a command, and a package name on first access, load their layers
     assert "numpy" in modules_after([["spectrum", "--pairs", "1"]], tmp_path, ["numpy"])
-    assert modules_after([], tmp_path, LAYERS, then="szilard.partition_exact") == [
-        "szilard.numerics", "szilard.thermo"]
+    assert modules_after([], tmp_path, LAYERS, then="szilard.partition_exact") == ["szilard.thermo"]
 
 
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
@@ -683,7 +683,7 @@ def test_every_exported_name_resolves():
 PUBLIC_NAMES = [
     "ConfigError", "EngineError", "NumericsError", "SpectralError", "StateError", "SzilardError",
     "ThermoError", "TruncationError",
-    "Grid", "TridiagonalSymmetric", "eig_tridiagonal", "sum_series",
+    "Grid", "TridiagonalSymmetric", "eig_tridiagonal",
     "PhysicalParams", "CycleConfig", "SplitPair", "analytic_pairs", "barrier_grid", "barrier_spectrum",
     "splitting_estimate",
     "PartitionResult", "StageFreeEnergies", "StageLedger", "isothermal_work", "mean_energy",

@@ -312,6 +312,6 @@ class TestReadoffSharing:
         assert np.array_equal(rec.post.entries, post.entries)
         assert {name: getattr(rec, name) for name in figures} == figures
         pairs = analytic_pairs(p, n)
-        listed = post_insertion_dm(pairs, p.beta, coherences=coherences)
-        stacked = post_insertion_dm(np.array(pairs), p.beta, coherences=coherences)
+        listed = post_insertion_dm(pairs.tolist(), p.beta, coherences=coherences)
+        stacked = post_insertion_dm(pairs, p.beta, coherences=coherences)
         assert np.array_equal(listed.entries, stacked.entries)

@@ -12,7 +12,6 @@ from szilard.numerics import (
     TridiagonalSymmetric,
     _check_residuals,
     eig_tridiagonal,
-    sum_series,
 )
 
 
@@ -109,28 +108,3 @@ class TestEigTridiagonal:
         vecs = np.column_stack([v for _, v in pairs])
         gram = vecs.T @ vecs
         assert np.max(np.abs(gram - np.eye(len(d)))) < 1e-8
-
-
-class TestSumSeries:
-    def test_geometric_series(self):
-        q = 0.5
-
-        def terms():
-            n = 0
-            while True:
-                yield q**n
-                n += 1
-
-        res = sum_series(terms(), lambda n: q**n / (1 - q), rel_tol=1e-12)
-        assert res.value == pytest.approx(2.0, rel=1e-12)
-        assert res.terms_used < 60
-
-    def test_finite_generator_sums_exactly(self):
-        res = sum_series(iter([1.0, 2.0, 3.0]), lambda n: math.inf)
-        assert res.value == 6.0
-        assert res.terms_used == 3
-
-    def test_unreachable_bound_raises(self):
-        with pytest.raises(NumericsError):
-            sum_series((1.0 for _ in iter(int, 1)), lambda n: 1.0, max_terms=100)
-

@@ -1,13 +1,19 @@
 import math
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from szilard.exceptions import SpectralError, ThermoError
+from oracles import box_tails
+from szilard.exceptions import NumericsError, SpectralError, ThermoError
 from szilard.spectral import PhysicalParams, barrier_grid
 from szilard.thermo import (
+    _tails,
     StageLedger,
     isothermal_work,
     mean_energy,
@@ -42,6 +48,54 @@ class TestPartitionExact:
     def test_underflow_guard(self):
         with pytest.raises(ThermoError):
             partition_exact(PhysicalParams(T=1e-3), 1000.0)
+
+    def test_refuses_a_series_too_long_to_certify(self):
+        # eps beta = 4.9e-12 needs about 2.4 million levels
+        p = PhysicalParams(T=1e12)
+        with pytest.raises(NumericsError, match="after 100000 terms"):
+            partition_exact(p, p.beta)
+
+    @pytest.mark.parametrize("eps_beta", [1e-4, 0.01, 1.0, math.pi**2 / 2.0, 30.0])
+    def test_stops_on_a_certified_tail(self, eps_beta):
+        # past terms_used, the 50-digit remainders of both sums lie within the
+        # bounds the pass stopped on: est_error for Z, 1e-12 of e for <E>
+        p = PhysicalParams(T=p_for(eps_beta))
+        res = partition_exact(p, p.beta)
+        x = p.beta * p.eps
+        r, e = box_tails(x, 1)
+        tail_r, tail_e = box_tails(x, res.terms_used)
+        assert 0.0 <= res.est_error <= 1e-12
+        assert tail_r / (1 + r) <= res.est_error * (1 + 1e-15)
+        assert tail_e <= 1e-12 * e
+
+    # levels whose first tail weight e^(-x n(n+2)) does not underflow
+    @pytest.mark.parametrize("x, n", [(x, n) for x in (1e-3, 0.1, 0.7, 1.0, 2.0, 5.0)
+                                      for n in (1, 2, 3, 5, 10, 50) if x * n * (n + 2) < 700])
+    def test_tail_bounds_hold_past_every_level(self, x, n):
+        # the e bound needs the ratio (n+1)(n+3)/(n(n+2)): at n = 2 the first
+        # ratio of the (m^2 - 1) w_m is 15/8, above ((n+2)/(n+1))^2 = 16/9
+        bound_r, bound_e = _tails(x, n)
+        tail_r, tail_e = box_tails(x, n)
+        assert tail_r <= bound_r * (1 + 1e-15)
+        assert tail_e <= bound_e * (1 + 1e-15)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(log_eps_beta=st.floats(math.log(1e-6), math.log(700.0)))
+def test_box_sums_match_50_digit_sums(log_eps_beta):
+    p = PhysicalParams(T=p_for(math.exp(log_eps_beta)))
+    x = p.beta * p.eps
+    r, e = box_tails(x, 1)
+    with mpmath.workdps(50):
+        z = mpmath.exp(-x) * (1 + r)
+        e_mean = p.eps * (1 + e / (1 + r))
+        # ln Z + beta<E> without cancelling, as thermo_entropy takes it
+        s = mpmath.log1p(r) + x * e / (1 + r)
+    assert partition_exact(p, p.beta).Z == pytest.approx(float(z), rel=2e-12)
+    assert mean_energy(p, p.beta) == pytest.approx(float(e_mean), rel=2e-12)
+    # S falls below the smallest normal float near eps beta = 236, where no
+    # relative precision is left to hold
+    assert thermo_entropy(p, p.beta) == pytest.approx(float(s), rel=2e-12, abs=sys.float_info.min)
 
 
 def p_for(eps_beta: float) -> float:
@@ -152,6 +206,14 @@ class TestWorkAndEntropy:
     def test_third_law(self):
         p = PhysicalParams(T=1.0 / 30.0)
         assert thermo_entropy(p, p.beta) < 1e-100
+
+    def test_low_temperature_entropy_does_not_cancel(self):
+        # 200-digit values of ln Z + beta<E>; the difference of the two terms
+        # in floats reads 0.0 at T = 0.1 and is 2e-10 off at T = 1
+        p = PhysicalParams(T=0.1)
+        assert thermo_entropy(p, p.beta) == pytest.approx(7.5612524887339e-63, rel=1e-12)
+        p = PhysicalParams(T=1.0)
+        assert thermo_entropy(p, p.beta) == pytest.approx(5.87903360872982e-6, rel=1e-14)
 
     def test_spectrum_route_matches_analytic(self):
         # oracle: direct sums over the truncated levels E_n = eps n^2, n <= 50
