@@ -25,9 +25,8 @@ _MODULES = {
                "spectral_stage_check", "stage_free_energies", "thermo_entropy"),
     "infodyn": ("BasisLabeling", "DensityMatrix", "partial_trace", "post_insertion_dm",
                 "product_dm", "trace_distance", "vn_entropy"),
-    "demon": ("DemonModel", "EnvironmentLedger", "MeasurementRecord", "ReversalResult",
-              "coupling_unitary", "premeasure", "product_of_marginals", "reset_demon",
-              "reverse_readoff"),
+    "demon": ("DemonModel", "MeasurementRecord", "ReversalResult", "coupling_unitary",
+              "premeasure", "product_of_marginals", "reset_demon", "reverse_readoff"),
     "engine": ("CycleReport", "extraction_work", "run_cycle", "sweep"),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

@@ -1,6 +1,7 @@
 """Two-state measuring apparatus: coupling, readoff bookkeeping, reset.
 
-The apparatus has basis D_L, D_R and starts in D_0 = (D_L + D_R)/sqrt(2).
+The apparatus has basis D_L = (1, 0), D_R = (0, 1) and starts in
+D_0 = (D_L + D_R)/sqrt(2).
 Coupling to the gas rotates the pointer by pi/4 in the D_L/D_R plane, with
 the sense of rotation conditioned on which side of the barrier the molecule
 occupies, so a gas state localized left drives D_0 -> D_L and one localized
@@ -44,7 +45,6 @@ __all__ = [
     "DemonModel",
     "MeasurementRecord",
     "ReversalResult",
-    "EnvironmentLedger",
     "ResetCharge",
     "coupling_unitary",
     "premeasure",
@@ -59,16 +59,8 @@ RECOVERY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DemonModel:
-    """Pointer basis D_L, D_R and ready state D_0 of the apparatus; the
+    """Ready state D_0 of the apparatus in its pointer basis D_L, D_R; the
     coupling angle is fixed at pi/4, so it has no coupling-strength parameter."""
-
-    @property
-    def d_left(self) -> np.ndarray:
-        return np.array([1.0, 0.0])
-
-    @property
-    def d_right(self) -> np.ndarray:
-        return np.array([0.0, 1.0])
 
     @property
     def d0(self) -> np.ndarray:
@@ -109,13 +101,12 @@ class MeasurementRecord:
 
 
 class ReversalResult(NamedTuple):
-    """Outcome of undoing the readoff: U^dag applied to a joint state.
+    """Outcome of undoing the readoff on a joint state.
 
     recovered is True when the result matches the record's pre state to
     RECOVERY_TOL in trace distance; distance holds the actual value.
     """
 
-    state: DensityMatrix
     recovered: bool
     distance: float
 
@@ -198,24 +189,19 @@ def premeasure(p0: DensityMatrix, model: DemonModel) -> MeasurementRecord:
 def reverse_readoff(
     record: MeasurementRecord, state: Optional[DensityMatrix] = None
 ) -> ReversalResult:
-    """Apply the inverse readoff unitary and check recovery of the pre state.
+    """Undo the readoff unitary and check recovery of the pre state.
 
     By default the record's own post state is reversed, which restores the
     pre state exactly.  Passing a different joint state (the dephased or
     marginal-product version, say) shows when the step has become
-    irreversible: the unitary still applies, but recovered comes back
-    False with the residual trace distance.
+    irreversible: recovered comes back False with the residual trace
+    distance.  The trace norm is unitarily invariant and post = U pre U^T,
+    so the distance of U^T state U from pre is that of state from post,
+    and no reversed state is built.
     """
     target = record.post if state is None else state
-    if target.entries.shape != record.post.entries.shape:
-        raise StateError(
-            f"block shape mismatch: {target.entries.shape} vs {record.post.entries.shape}"
-        )
-    dg, _ = record.pre.subsystem_dims
-    u = coupling_unitary(dg)
-    back = DensityMatrix(u.T @ target.entries @ u, subsystem_dims=record.pre.subsystem_dims)
-    dist = trace_distance(back, record.pre)
-    return ReversalResult(state=back, recovered=dist <= RECOVERY_TOL, distance=dist)
+    dist = trace_distance(target, record.post)
+    return ReversalResult(recovered=dist <= RECOVERY_TOL, distance=dist)
 
 
 def product_of_marginals(p: DensityMatrix) -> DensityMatrix:
@@ -231,26 +217,13 @@ def product_of_marginals(p: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(_product_blocks(gas, demon), subsystem_dims=p.subsystem_dims)
 
 
-@dataclass
-class EnvironmentLedger:
-    """Running account of entropy and free energy dumped to the surroundings."""
-
-    entropy: float = 0.0
-    free_energy: float = 0.0
-
-
 class ResetCharge(NamedTuple):
     entropy: float
     free_energy: float
 
 
-def reset_demon(
-    demon_state: DensityMatrix,
-    ledger: EnvironmentLedger,
-    T: float = 1.0,
-    k_B: float = 1.0,
-) -> Tuple[DensityMatrix, ResetCharge]:
-    """Erase the pointer back to D_0 and charge the cost to the environment.
+def reset_demon(demon_state: DensityMatrix, T: float = 1.0, k_B: float = 1.0) -> ResetCharge:
+    """Erase the pointer back to D_0 and return the charge to the environment.
 
     Protocol: read the pointer, then rotate the definite outcome back to
     D_0.  The record of the outcome still exists afterwards and erasing it
@@ -263,7 +236,4 @@ def reset_demon(
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
     s = vn_entropy(demon_state)
-    charge = ResetCharge(entropy=s, free_energy=k_B * T * s)
-    ledger.entropy += charge.entropy
-    ledger.free_energy += charge.free_energy
-    return _ready(), charge
+    return ResetCharge(entropy=s, free_energy=k_B * T * s)

@@ -2,9 +2,9 @@
 
 One cycle walks the gas through free -> inserted -> measured -> expanded ->
 free while a two-level apparatus reads off the side, the expansion converts
-heat to work, and the apparatus reset charges the environment.  All stage
-thermodynamics here uses the classical-limit closed forms (Z proportional
-to the available width, mean energy k_B T/2).  The optional spectral check
+heat to work, and the apparatus reset charges the environment.  The stage
+table is thermo's, in the classical-limit closed forms (Z proportional to
+the available width, mean energy k_B T/2).  The optional spectral check
 is no cross-check of that bookkeeping: its jump is k_B T ln 2 by
 construction, so its deviation bounds only unpaired and above-top weight.
 
@@ -21,18 +21,13 @@ import random
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from .demon import (
-    DemonModel,
-    EnvironmentLedger,
-    MeasurementRecord,
-    premeasure,
-    reset_demon,
-)
+from .demon import DemonModel, MeasurementRecord, premeasure, reset_demon
 from .exceptions import EngineError, SzilardError
 from .infodyn import BasisLabeling, post_insertion_dm, product_dm
 from .params import PROTOCOLS, SWEEP_AXES, CycleConfig, PhysicalParams, _canon_protocol
 from .spectral import analytic_pairs
-from .thermo import StageLedger, isothermal_work, spectral_stage_check, stage_free_energies
+from .thermo import (StageLedger, _stage_ledgers, isothermal_work, spectral_stage_check,
+                     stage_free_energies)
 
 __all__ = [
     "PROTOCOLS",
@@ -60,8 +55,8 @@ ADIABATIC_NOTE = (
 class CycleReport:
     """Immutable record of one cycle run.
 
-    net_balance = W_extracted - k_B*T*(S_to_environment/k_B) can never be
-    positive; the isothermal protocol with ideal reset saturates it at 0.
+    net_balance = W_extracted minus the reset's free-energy charge can never
+    be positive; the isothermal protocol with ideal reset saturates it at 0.
     Q_from_reservoir, second_law_ok and closure follow from the fields and
     the model, so they are properties rather than stored values.
     """
@@ -151,24 +146,6 @@ def extraction_work(protocol: str, params: PhysicalParams, n_steps: int = 8) -> 
     return n_steps * (kt / 2.0) * (1.0 - 2.0 ** (-2.0 / n_steps))
 
 
-def _stage_ledgers(params: PhysicalParams, outcome: str) -> Tuple[StageLedger, ...]:
-    # classical-limit forms: Z = width/lambda, E = k_B T/2 at every stage
-    kt = params.k_B * params.T
-    lam = params.lambda_th
-    e_int = 0.5 * kt
-    widths = [
-        ("free", params.L),
-        ("inserted", params.L - params.d),
-        (f"measured-{outcome}", (params.L - params.d) / 2.0),
-        ("expanded", params.L - params.d),
-        ("free", params.L),
-    ]
-    return tuple(
-        StageLedger(stage, w / lam, e_int, params.T, params.k_B)
-        for stage, w in widths
-    )
-
-
 def readoff(config: CycleConfig) -> MeasurementRecord:
     """Couple the post-insertion gas state (n_side doublets per side) to the
     ready pointer; coherences=False reads off the dephased gas state instead.
@@ -208,11 +185,10 @@ def run_cycle(config: CycleConfig) -> CycleReport:
 
     work = extraction_work(config.protocol, params, config.n_steps)
 
-    ledger = EnvironmentLedger()
-    reset_demon(record.demon_post, ledger, params.T, params.k_B)
-    s_env = params.k_B * ledger.entropy
+    charge = reset_demon(record.demon_post, params.T, params.k_B)
+    s_env = params.k_B * charge.entropy
 
-    net = work - kt * (s_env / params.k_B)
+    net = work - charge.free_energy
     # written so that a NaN balance raises too
     if not net <= SECOND_LAW_TOL:
         raise EngineError(

@@ -91,7 +91,7 @@ class BasisLabeling:
     """Bookkeeping for the truncated localized basis.
 
     n_side doublets per side; the gas basis is one (L_k, R_k) block per
-    doublet k = 1..n_side, so gas_dim = 2 n_side.  n_side is capped at
+    doublet k = 1..n_side, 2 n_side states in all.  n_side is capped at
     MAX_N_SIDE, so an oversized basis is refused before any state is built.
     The truncation criterion n_side^2 * eps * beta >= 20 guarantees the
     discarded thermal weight is negligible for every state built here.
@@ -110,10 +110,6 @@ class BasisLabeling:
             raise TruncationError(
                 f"truncation too small: n_side^2 * eps * beta = {crit:.3g} < 20"
             )
-
-    @property
-    def gas_dim(self) -> int:
-        return 2 * self.n_side
 
 
 def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMatrix:

@@ -1,6 +1,7 @@
 """Canonical-ensemble quantities for the one-molecule gas: partition
-functions (exact series, theta-form, high-temperature), free energies of
-each engine stage, internal energy, entropy, and isothermal work.
+functions (exact series, theta-form, high-temperature), internal energy,
+entropy, isothermal work, and the cycle's classical stage table, from
+which stage_free_energies reads the stage free energies.
 
 The box's Z, <E> and S come from one certified pass over its levels
 (_box_sums) on the standard library; only spectral_stage_check loads numpy.
@@ -152,12 +153,9 @@ class StageFreeEnergies:
 
 
 def stage_free_energies(params: PhysicalParams) -> StageFreeEnergies:
-    kT = params.k_B * params.T
-    lam = params.lambda_th
-    a = -kT * math.log(params.L / lam)
-    a_tilde = -kT * math.log((params.L - params.d) / lam)
-    a_left = -kT * math.log((params.L - params.d) / 2.0 / lam)
-    return StageFreeEnergies(a, a_tilde, a_left)
+    """A, A_tilde and A_left: the A of the stage table's first three stages."""
+    free, inserted, measured = _stage_ledgers(params, "L")[:3]
+    return StageFreeEnergies(free.A, inserted.A, measured.A)
 
 
 def isothermal_work(v_initial: float, v_final: float, T: float, k_B: float = 1.0) -> float:
@@ -176,11 +174,11 @@ def mean_energy(params: PhysicalParams, beta: float) -> float:
     return params.eps * (1.0 + e / (1.0 + r))
 
 
-def thermo_entropy(params: PhysicalParams, beta: float, k_B: float = 1.0) -> float:
-    """Thermodynamic entropy S = k_B (ln Z + beta <E>), summed without cancelling
-    as k_B (ln(1 + r) + beta eps e/(1 + r)) from the pass _box_sums."""
+def thermo_entropy(params: PhysicalParams, beta: float) -> float:
+    """Thermodynamic entropy S/k_B = ln Z + beta <E>, summed without cancelling
+    as ln(1 + r) + beta eps e/(1 + r) from the pass _box_sums."""
     r, e, _, _ = _box_sums(params.eps, beta)
-    return k_B * (math.log1p(r) + beta * params.eps * e / (1.0 + r))
+    return math.log1p(r) + beta * params.eps * e / (1.0 + r)
 
 
 @dataclass(frozen=True)
@@ -210,6 +208,16 @@ class StageLedger:
     def S_thermo(self) -> float:
         """Entropy (E_int - A)/T."""
         return (self.E_int - self.A) / self.T
+
+
+def _stage_ledgers(params: PhysicalParams, outcome: str) -> tuple[StageLedger, ...]:
+    """The cycle's five stages in the classical-limit forms: Z = width/lambda_th
+    and E = k_B T/2 at every stage; outcome labels the measured stage."""
+    lam, e_int = params.lambda_th, 0.5 * (params.k_B * params.T)
+    full, inserted = params.L, params.L - params.d
+    widths = (("free", full), ("inserted", inserted), (f"measured-{outcome}", inserted / 2.0),
+              ("expanded", inserted), ("free", full))
+    return tuple(StageLedger(stage, w / lam, e_int, params.T, params.k_B) for stage, w in widths)
 
 
 @dataclass(frozen=True)

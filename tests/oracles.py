@@ -2,7 +2,8 @@
 import mpmath
 import numpy as np
 
-from szilard.infodyn import DensityMatrix, partial_trace, vn_entropy
+from szilard.demon import coupling_unitary
+from szilard.infodyn import DensityMatrix, partial_trace, trace_distance, vn_entropy
 
 
 def block_spectrum(blocks: np.ndarray) -> np.ndarray:
@@ -22,6 +23,21 @@ def mutual_information(rho: DensityMatrix) -> float:
     s_gas = vn_entropy(partial_trace(rho, "gas"))
     s_demon = vn_entropy(partial_trace(rho, "demon"))
     return s_gas + s_demon - vn_entropy(rho)
+
+
+def reversed_state(record, state: DensityMatrix) -> DensityMatrix:
+    """U^T state U: the readoff unitary undone on a joint state laid out as record.pre."""
+    u = coupling_unitary(record.pre.subsystem_dims[0])
+    return DensityMatrix(u.T @ state.entries @ u, subsystem_dims=record.pre.subsystem_dims)
+
+
+def reversal_distance(record, state: DensityMatrix) -> float:
+    """Trace distance of the reversed state from record.pre, built and compared.
+
+    reverse_readoff takes the distance of state from record.post instead,
+    by the unitary invariance of the trace norm, and builds no state.
+    """
+    return trace_distance(reversed_state(record, state), record.pre)
 
 
 def doublet(params, k: int, dps: int = 80):

@@ -691,7 +691,7 @@ PUBLIC_NAMES = [
     "stage_free_energies", "thermo_entropy",
     "BasisLabeling", "DensityMatrix", "partial_trace", "post_insertion_dm", "product_dm",
     "trace_distance", "vn_entropy",
-    "DemonModel", "EnvironmentLedger", "MeasurementRecord", "ReversalResult", "coupling_unitary",
+    "DemonModel", "MeasurementRecord", "ReversalResult", "coupling_unitary",
     "premeasure", "product_of_marginals", "reset_demon", "reverse_readoff",
     "CycleReport", "extraction_work", "run_cycle", "sweep",
 ]

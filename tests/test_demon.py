@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from szilard.demon import (
+    RECOVERY_TOL,
     DemonModel,
-    EnvironmentLedger,
+    ResetCharge,
     coupling_unitary,
     premeasure,
     product_of_marginals,
@@ -22,13 +23,15 @@ from szilard.infodyn import (
     post_insertion_dm,
     product_dm,
     trace_distance,
-    vn_entropy,
 )
 from szilard.spectral import PhysicalParams, analytic_pairs
 
-from oracles import mutual_information
+from oracles import mutual_information, reversal_distance, reversed_state
 
 LN2 = math.log(2.0)
+# the pointer basis
+D_L = np.array([1.0, 0.0])
+D_R = np.array([0.0, 1.0])
 
 
 def ready_state(gas: DensityMatrix, model: DemonModel) -> DensityMatrix:
@@ -86,14 +89,12 @@ def box_record(model):
 
 class TestApparatus:
     def test_pointer_states(self, model):
-        assert np.dot(model.d_left, model.d_right) == 0.0
         assert np.dot(model.d0, model.d0) == pytest.approx(1.0, rel=1e-15)
-        assert np.allclose(model.d0, (model.d_left + model.d_right) / math.sqrt(2.0))
+        assert np.allclose(model.d0, (D_L + D_R) / math.sqrt(2.0))
 
     def test_ready_state_is_one_read_only_outer_product(self, model):
         ready = model.ready
         assert ready is DemonModel().ready
-        assert reset_demon(ready, EnvironmentLedger())[0] is ready
         # (1/sqrt 2)^2 rounds to 0.4999999999999999, not 0.5
         assert np.array_equal(ready.entries[0], np.outer(model.d0, model.d0))
         with pytest.raises(ValueError):
@@ -122,8 +123,8 @@ class TestCouplingUnitary:
         u = coupling_unitary(2)
         left = np.kron([1.0, 0.0], model.d0)
         right = np.kron([0.0, 1.0], model.d0)
-        assert np.allclose(u @ left, np.kron([1.0, 0.0], model.d_left), atol=1e-15)
-        assert np.allclose(u @ right, np.kron([0.0, 1.0], model.d_right), atol=1e-15)
+        assert np.allclose(u @ left, np.kron([1.0, 0.0], D_L), atol=1e-15)
+        assert np.allclose(u @ right, np.kron([0.0, 1.0], D_R), atol=1e-15)
 
     def test_not_an_involution(self):
         u = coupling_unitary(2)
@@ -151,15 +152,15 @@ class TestPremeasure:
 
     def test_rejects_wrong_ready_pointer(self, model):
         gas = post_insertion_dm([(0.0, 0.01)], 1.0)
-        wrong = product_dm(gas, DensityMatrix(np.outer(model.d_left, model.d_left)))
+        wrong = product_dm(gas, DensityMatrix(np.outer(D_L, D_L)))
         with pytest.raises(StateError, match="ready state"):
             premeasure(wrong, model)
 
     def test_rejects_correlated_input(self, model):
         rho_l = np.diag([1.0, 0.0])
         rho_r = np.diag([0.0, 1.0])
-        dl = np.outer(model.d_left, model.d_left)
-        dr = np.outer(model.d_right, model.d_right)
+        dl = np.outer(D_L, D_L)
+        dr = np.outer(D_R, D_R)
         tangled = DensityMatrix(
             0.5 * (np.kron(rho_l, dl) + np.kron(rho_r, dr)), subsystem_dims=(2, 2)
         )
@@ -170,7 +171,7 @@ class TestPremeasure:
         # demon marginal within 1e-10 of D_0 and PSD within PSD_TOL, but the
         # pointer coherence B ties it to the gas: only the product check sees it
         g = post_insertion_dm([(0.0, 0.01)], 1.0).entries[0]
-        d1 = (model.d_left - model.d_right) / math.sqrt(2.0)
+        d1 = (D_L - D_R) / math.sqrt(2.0)
         c = 1e-11
         b = 3e-6 * np.diag([1.0, -1.0])
         rho = (
@@ -269,7 +270,8 @@ class TestReverseReadoff:
         res = reverse_readoff(box_record)
         assert res.recovered
         assert res.distance < 1e-13
-        assert mutual_information(res.state) == pytest.approx(0.0, abs=1e-12)
+        back = reversed_state(box_record, box_record.post)
+        assert mutual_information(back) == pytest.approx(0.0, abs=1e-12)
 
     def test_lost_record_blocks_recovery(self, box_record):
         forgot = product_of_marginals(box_record.post)
@@ -285,6 +287,28 @@ class TestReverseReadoff:
         dense = DensityMatrix(np.eye(44) / 44.0, subsystem_dims=(22, 2))
         with pytest.raises(StateError, match="mismatch"):
             reverse_readoff(box_record, dense)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        T=st.floats(0.5, 200.0),
+        n_side=st.integers(11, 45),
+        d=st.floats(0.01, 0.2),
+        coherences=st.booleans(),
+    )
+    def test_distance_matches_built_reversal_oracle(self, T, n_side, d, coherences):
+        # the distance of state from post equals that of U^T state U from pre
+        model = DemonModel()
+        p = PhysicalParams(T=T, d=d)
+        pairs = analytic_pairs(p, n_side)
+        rec, other = (
+            premeasure(ready_state(post_insertion_dm(pairs, p.beta, coherences=c), model), model)
+            for c in (coherences, not coherences)
+        )
+        for target in (rec.post, product_of_marginals(rec.post), other.post):
+            res = reverse_readoff(rec, target)
+            oracle = reversal_distance(rec, target)
+            assert res.distance == pytest.approx(oracle, abs=1e-13)
+            assert res.recovered == (oracle <= RECOVERY_TOL)
 
 
 class TestProductOfMarginals:
@@ -308,7 +332,7 @@ class TestProductOfMarginals:
         with pytest.raises(StateError):
             product_of_marginals(bare)
 
-    def test_reversal_builds_two_states_and_calls_lapack_three_times(self, box_record, monkeypatch):
+    def test_reversal_validates_one_state_and_calls_lapack_twice(self, box_record, monkeypatch):
         built, shapes = [], []
         init, eigvalsh = DensityMatrix.__post_init__, np.linalg.eigvalsh
 
@@ -323,53 +347,44 @@ class TestProductOfMarginals:
         monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         res = reverse_readoff(box_record, product_of_marginals(box_record.post))
-        # the product and the reversed state are validated; both marginals
-        # are plain blocks of the validated post state.  LAPACK takes the
-        # product's and the reversed state's 4x4 blocks and the trace
-        # distance; the 2x2 marginals never reached it
-        assert [s.entries.shape for s in built] == [(11, 4, 4), (11, 4, 4)]
-        assert shapes == [(11, 4, 4)] * 3
+        # only the product is validated: both marginals are plain blocks of
+        # the validated post state, and no reversed state is built.  LAPACK
+        # takes the product's 4x4 blocks and the trace distance; the 2x2
+        # marginals never reach it
+        assert [s.entries.shape for s in built] == [(11, 4, 4)]
+        assert shapes == [(11, 4, 4)] * 2
         assert res.distance == pytest.approx(0.5, abs=1e-12)
 
 
 class TestResetDemon:
     def test_standard_mixture_costs_ln2(self):
-        ledger = EnvironmentLedger()
-        mixed = DensityMatrix(np.eye(2) / 2.0)
-        fresh, charge = reset_demon(mixed, ledger, T=1.0)
+        charge = reset_demon(DensityMatrix(np.eye(2) / 2.0), T=1.0)
+        assert isinstance(charge, ResetCharge)
         assert charge.entropy == pytest.approx(LN2, rel=1e-12)
         assert charge.free_energy == pytest.approx(LN2, rel=1e-12)
-        assert vn_entropy(fresh) == pytest.approx(0.0, abs=1e-12)
-        d0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        assert np.allclose(fresh.entries, np.outer(d0, d0))
 
     def test_pure_pointer_resets_for_free(self):
-        ledger = EnvironmentLedger()
-        pure = DensityMatrix(np.diag([1.0, 0.0]))
-        _, charge = reset_demon(pure, ledger)
+        charge = reset_demon(DensityMatrix(np.diag([1.0, 0.0])))
         assert charge.entropy == 0.0
         assert charge.free_energy == 0.0
 
     def test_biased_pointer_and_temperature_scaling(self):
-        ledger = EnvironmentLedger()
         biased = DensityMatrix(np.diag([0.9, 0.1]))
         h = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
-        _, charge = reset_demon(biased, ledger, T=2.0)
+        charge = reset_demon(biased, T=2.0)
         assert charge.entropy == pytest.approx(h, rel=1e-14)
         assert charge.entropy == pytest.approx(0.3250829733914482, rel=1e-14)
         assert charge.free_energy == pytest.approx(2.0 * h, rel=1e-14)
 
-    def test_ledger_accumulates(self):
-        ledger = EnvironmentLedger()
+    def test_charge_scales_with_boltzmann_constant(self):
+        # entropy stays in units of k_B; the free energy is k_B T S
         mixed = DensityMatrix(np.eye(2) / 2.0)
-        reset_demon(mixed, ledger)
-        reset_demon(mixed, ledger, T=3.0)
-        assert ledger.entropy == pytest.approx(2.0 * LN2, rel=1e-12)
-        assert ledger.free_energy == pytest.approx(4.0 * LN2, rel=1e-12)
+        charge = reset_demon(mixed, T=2.0, k_B=3.0)
+        assert charge.entropy == reset_demon(mixed).entropy
+        assert charge.free_energy == pytest.approx(6.0 * LN2, rel=1e-15)
 
     def test_rejects_bad_inputs(self):
-        ledger = EnvironmentLedger()
         with pytest.raises(StateError):
-            reset_demon(DensityMatrix(np.eye(4) / 4.0), ledger)
+            reset_demon(DensityMatrix(np.eye(4) / 4.0))
         with pytest.raises(ValueError):
-            reset_demon(DensityMatrix(np.eye(2) / 2.0), ledger, T=0.0)
+            reset_demon(DensityMatrix(np.eye(2) / 2.0), T=0.0)

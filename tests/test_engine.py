@@ -20,7 +20,7 @@ from szilard.engine import (
 from szilard.exceptions import TruncationError
 from szilard.infodyn import DensityMatrix, partial_trace, post_insertion_dm, product_dm, vn_entropy
 from szilard.spectral import PhysicalParams, analytic_pairs
-from szilard.thermo import mean_energy
+from szilard.thermo import mean_energy, stage_free_energies
 
 LN2 = math.log(2.0)
 
@@ -192,6 +192,33 @@ class TestRunCycle:
             "di_mu",
             "balance_residual",
         }
+
+
+@pytest.mark.parametrize("k_B", [3.0, 1.380649e-23])
+class TestNonUnitBoltzmannConstant:
+    # T = 1/k_B keeps the default beta, so the readoff is the default one
+    @staticmethod
+    def params(k_B):
+        return PhysicalParams(k_B=k_B, T=1.0 / k_B)
+
+    def test_isothermal_balance(self, k_B):
+        p = self.params(k_B)
+        kt = p.k_B * p.T
+        r = run_cycle(CycleConfig(params=p))
+        assert r.W_extracted == pytest.approx(kt * LN2, rel=1e-12)
+        assert r.S_to_environment == pytest.approx(k_B * LN2, rel=1e-12)
+        assert abs(r.net_balance) <= 1e-12 * kt
+
+    def test_stepwise_balance_is_negative(self, k_B):
+        r = run_cycle(CycleConfig(params=self.params(k_B), protocol="stepwise"))
+        assert r.net_balance < 0.0
+        assert r.second_law_ok
+
+    def test_stage_free_energies_read_the_stage_table(self, k_B):
+        p = self.params(k_B)
+        fe = stage_free_energies(p)
+        stages = run_cycle(CycleConfig(params=p)).stages
+        assert (fe.A, fe.A_tilde, fe.A_left) == tuple(s.A for s in stages[:3])
 
 
 class TestSweep:

@@ -113,12 +113,9 @@ class TestBasisLabeling:
         with pytest.raises(TruncationError):
             BasisLabeling(44, 0.01)
 
-    def test_gas_dim(self):
-        assert BasisLabeling(3, 10.0).gas_dim == 6
-
     def test_side_count_is_capped(self):
         # a label only: no state of this size is built
-        assert BasisLabeling(MAX_N_SIDE, 1.0).gas_dim == 2 * MAX_N_SIDE
+        BasisLabeling(MAX_N_SIDE, 1.0)
         for n_side in (0, MAX_N_SIDE + 1):
             with pytest.raises(ValueError, match=f"n_side must be in 1..{MAX_N_SIDE}, got {n_side}"):
                 BasisLabeling(n_side, 1.0)
