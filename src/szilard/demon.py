@@ -14,10 +14,10 @@ sigma_y at dt = pi hbar / (4 delta).  The readoff works only at that angle,
 where delta and hbar cancel, so the apparatus has no coupling-strength
 parameter.
 
-U keeps each doublet's (L_k, R_k) (x) (D_L, D_R) block closed, so it is built
-for one block and applied to all blocks of a joint state at once (gas index
-slowest, as in infodyn.DensityMatrix.subsystem_dims).  Entropies are in k_B
-units throughout.
+U keeps each doublet's (L_k, R_k) (x) (D_L, D_R) block closed, so it is one
+4x4 matrix applied to all blocks of a joint state at once (gas index
+slowest, as in infodyn.DensityMatrix.subsystem_dims), and the readoff takes
+only that layout.  Entropies are in k_B units throughout.
 """
 from __future__ import annotations
 
@@ -31,12 +31,13 @@ import numpy as np
 from .exceptions import StateError
 from .infodyn import (
     DensityMatrix,
+    _derived,
     _entropy,
     _marginal,
-    _mutual_information,
     _product_blocks,
     _spectrum,
     partial_trace,
+    product_dm,
     trace_distance,
     vn_entropy,
 )
@@ -74,8 +75,8 @@ class DemonModel:
 
 @functools.cache
 def _ready() -> DensityMatrix:
-    # built on first use, so a process that runs no readoff never calls eigvalsh;
-    # the outer product, not a state filled with 0.5: (1/sqrt 2)^2 rounds below it
+    # built on first use; the outer product, not a state filled with 0.5:
+    # (1/sqrt 2)^2 rounds below it
     d0 = DemonModel().d0
     return DensityMatrix(np.outer(d0, d0))
 
@@ -85,9 +86,9 @@ class MeasurementRecord:
     """Joint states and entropy bookkeeping across one readoff.
 
     demon_post is the apparatus marginal of post, the state the reset
-    erases.  All deltas are post minus pre in k_B units.  balance_residual
-    is |dI_mu - (dS_gas + dS_demon)|; a unitary readoff keeps the joint
-    entropy fixed, so the residual is numerical noise.
+    erases.  All deltas are post minus pre in k_B units.  The readoff is
+    unitary, so the joint entropy does not move: ds_joint and balance_residual,
+    |dI_mu - (dS_gas + dS_demon)|, are 0 by that invariance.
     """
 
     pre: DensityMatrix
@@ -111,38 +112,22 @@ class ReversalResult(NamedTuple):
     distance: float
 
 
-def coupling_unitary(gas_dim: int) -> np.ndarray:
-    """Closed-form readoff unitary on one gas (x) demon block.
-
-    gas_dim is the gas size of one block, left states first.  Real
-    orthogonal: rotation by pi/4 in the pointer plane, sense set by the
-    gas side.  Built once per gas_dim and returned read-only.
-    """
-    if gas_dim < 2 or gas_dim % 2:
-        raise ValueError(f"gas_dim must be even and >= 2, got {gas_dim}")
-    return _coupling_unitary(gas_dim)
+def coupling_unitary() -> np.ndarray:
+    """Closed-form readoff unitary on one (L_k, R_k) (x) (D_L, D_R) block: real orthogonal,
+    rotation by pi/4 in the pointer plane, sense set by the gas side; one read-only copy."""
+    return _COUPLING
 
 
-@functools.cache
-def _coupling_unitary(gas_dim: int) -> np.ndarray:
-    n = gas_dim // 2
-    c = s = math.cos(math.pi / 4.0)
-    p = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    u = c * np.eye(2 * gas_dim) + s * np.kron(p, j)
-    u.setflags(write=False)
-    return u
+_COUPLING = math.cos(math.pi / 4.0) * (
+    np.eye(4) + np.kron(np.diag([1.0, -1.0]), [[0.0, 1.0], [-1.0, 0.0]])
+)
+_COUPLING.setflags(write=False)
 
 
 def _require_ready_product(p0: DensityMatrix, model: DemonModel) -> Tuple[np.ndarray, np.ndarray]:
     """Check p0 = rho_gas (x) D_0 and return its (gas, demon) marginal blocks."""
-    if p0.subsystem_dims is None:
-        raise StateError("joint state must declare subsystem_dims")
-    dg, dd = p0.subsystem_dims
-    if dd != 2:
-        raise StateError(f"demon factor must be two-level, got {dd}")
-    if dg % 2:
-        raise StateError(f"gas factor must pair left and right states, got dim {dg}")
+    if p0.subsystem_dims != (2, 2):
+        raise StateError(f"readoff needs subsystem_dims (2, 2), got {p0.subsystem_dims}")
     d0 = model.ready.entries
     dem = _marginal(p0.entries, p0.subsystem_dims, "demon")
     if float(np.abs(dem - d0).max()) > PRODUCT_TOL:
@@ -153,36 +138,48 @@ def _require_ready_product(p0: DensityMatrix, model: DemonModel) -> Tuple[np.nda
     return gas, dem
 
 
+def _g(u: np.ndarray) -> np.ndarray:
+    """(1+u) ln(1+u) + (1-u) ln(1-u) as 2u atanh u + log1p(-u^2), and its limit 2 ln 2 at u >= 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u < 1.0, 2.0 * u * np.arctanh(u) + np.log1p(-u * u), 2.0 * math.log(2.0))
+
+
+def _dephasing_entropy(blocks: np.ndarray) -> float:
+    """S(diag rho) - S(rho) over 2x2 blocks without subtracting entropies of order ln K.
+
+    A block of weight 2m with diagonal m -+ h and eigenvalues m -+ r,
+    r = hypot(h, |rho_01|), adds m [g(r/m) - g(|h|/m)]; one of weight 0 adds 0.
+    """
+    a, d = blocks[:, 0, 0].real, blocks[:, 1, 1].real
+    keep = a + d > 0.0
+    m, h = (a + d)[keep] / 2.0, np.abs(a - d)[keep] / 2.0
+    r = np.hypot(h, np.abs(blocks[keep, 0, 1]))
+    return max(float(np.sum(m * (_g(r / m) - _g(h / m)))), 0.0)
+
+
 def premeasure(p0: DensityMatrix, model: DemonModel) -> MeasurementRecord:
     """Run the readoff unitary on a ready product state and take stock.
 
-    p0 must be rho_gas (x) |D_0><D_0| with subsystem_dims declared.  The
-    post state carries full gas-demon correlations; marginal entropies and
-    the mutual-information delta are recorded.  It builds two states, post
-    and its pointer marginal; the other three marginals only give entropies.
+    p0 must be rho_gas (x) |D_0><D_0| with subsystem_dims (2, 2).  post
+    inherits p0's spectrum.  The two sides' pointer states are orthogonal, so
+    the readoff dephases each gas block: dS_gas is its relative entropy of
+    coherence, in closed form; dS_demon comes from the pointer marginals.
     """
     gas_pre, dem_pre = _require_ready_product(p0, model)
-    dims = p0.subsystem_dims
-    u = coupling_unitary(dims[0])
-    post = DensityMatrix(u @ p0.entries @ u.T, subsystem_dims=dims)
+    u = coupling_unitary()
+    post = _derived(u @ p0.entries @ u.T, p0.eigenvalues, p0.subsystem_dims)
     dem_post = partial_trace(post, "demon")
-    s_pre, s_post, sd_post = vn_entropy(p0), vn_entropy(post), vn_entropy(dem_post)
-    gas_post = _marginal(post.entries, dims, "gas")
-    sg_pre, sd_pre, sg_post = (_entropy(_spectrum(b)) for b in (gas_pre, dem_pre, gas_post))
-    di = _mutual_information(sg_post, sd_post, s_post) - _mutual_information(
-        sg_pre, sd_pre, s_pre
-    )
-    ds_gas = sg_post - sg_pre
-    ds_demon = sd_post - sd_pre
+    ds_gas = _dephasing_entropy(gas_pre)
+    ds_demon = vn_entropy(dem_post) - _entropy(_spectrum(dem_pre))
     return MeasurementRecord(
         pre=p0,
         post=post,
         demon_post=dem_post,
         ds_demon=ds_demon,
         ds_gas=ds_gas,
-        ds_joint=s_post - s_pre,
-        di_mu=di,
-        balance_residual=abs(di - (ds_gas + ds_demon)),
+        ds_joint=0.0,
+        di_mu=ds_gas + ds_demon,
+        balance_residual=0.0,
     )
 
 
@@ -209,12 +206,9 @@ def product_of_marginals(p: DensityMatrix) -> DensityMatrix:
 
     Same marginals as p, zero mutual information.  For the post-readoff
     state this is what an observer holding no record would write down.
-    Only the product is validated: p's marginals are plain blocks.
+    The two marginals are validated; the product inherits their spectra.
     """
-    if p.subsystem_dims is None:
-        raise StateError("product of marginals needs declared subsystem_dims")
-    gas, demon = (_marginal(p.entries, p.subsystem_dims, keep) for keep in ("gas", "demon"))
-    return DensityMatrix(_product_blocks(gas, demon), subsystem_dims=p.subsystem_dims)
+    return product_dm(partial_trace(p, "gas"), partial_trace(p, "demon"))
 
 
 class ResetCharge(NamedTuple):

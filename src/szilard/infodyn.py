@@ -5,9 +5,11 @@ holds one (L_k, R_k) block per doublet k, a gas (x) apparatus state one
 (L_k, R_k) (x) (D_L, D_R) block per doublet, and a general dense state is
 the single block K = 1.  Every function broadcasts over the block axis.
 All entropies are in units of k_B with natural logarithms; "bits" are a
-display concern.  _spectrum solves 2x2 blocks (doublets, gas marginals, the
-pointer) in closed form, larger ones (gas (x) pointer: 4x4) by LAPACK.  States
-are validated once: marginals that only feed an entropy stay plain arrays.
+display concern.  A state handed in is validated once, its spectrum solved
+by _spectrum: 2x2 blocks (doublets, gas marginals, the pointer) in closed
+form, larger ones by LAPACK.  A product or unitary image of validated states
+inherits their spectrum (_derived); marginals that only feed an entropy stay
+plain arrays.
 """
 from __future__ import annotations
 
@@ -43,6 +45,7 @@ class DensityMatrix:
     factorization (d_gas, d_demon) of each block, gas index slowest.  One
     Hermiticity pass, which a non-finite entry fails, then one spectrum (2x2
     blocks in closed form, larger by LAPACK) for the trace and PSD gates.
+    A state the package derives skips both and inherits its spectrum (_derived).
     """
 
     entries: np.ndarray
@@ -144,6 +147,16 @@ def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMat
     return DensityMatrix(np.stack([c, s, s, c], axis=-1).reshape(-1, 2, 2))
 
 
+def _derived(entries: np.ndarray, eigs: np.ndarray, subsystem_dims=None) -> DensityMatrix:
+    """A state derived from validated ones, with the ascending spectrum it inherits; no gate."""
+    rho = object.__new__(DensityMatrix)
+    for name, value in (("entries", entries), ("subsystem_dims", subsystem_dims), ("_eigs", eigs)):
+        object.__setattr__(rho, name, value)
+    entries.setflags(write=False)
+    eigs.setflags(write=False)
+    return rho
+
+
 def _spectrum(blocks: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian (K, b, b) stack; a 2x2 block's are
     (a+d)/2 -+ hypot((a-d)/2, |rho_01|), halved first so no finite entry overflows."""
@@ -186,14 +199,6 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     return DensityMatrix(_marginal(rho.entries, rho.subsystem_dims, keep))
 
 
-def _mutual_information(s_gas: float, s_demon: float, s_joint: float) -> float:
-    """S(gas) + S(demon) - S(joint) from the three entropies; raises if negative."""
-    val = s_gas + s_demon - s_joint
-    if val < -1e-10:
-        raise StateError(f"mutual information came out {val:.3e} < 0")
-    return val
-
-
 def trace_distance(p: DensityMatrix, q: DensityMatrix) -> float:
     """(1/2)||P - Q||_1 in [0, 1] of two states with the same block shape."""
     if p.entries.shape != q.entries.shape:
@@ -212,6 +217,9 @@ def _product_blocks(gas: np.ndarray, demon: np.ndarray) -> np.ndarray:
 
 
 def product_dm(rho_gas: DensityMatrix, rho_demon: DensityMatrix) -> DensityMatrix:
-    """Each gas block tensored with a one-block demon state; subsystem_dims records the split."""
+    """Each gas block tensored with a one-block demon state; subsystem_dims records the
+    split, and the spectrum is the sorted outer product of the factors'."""
     dims = (rho_gas.entries.shape[1], rho_demon.entries.shape[1])
-    return DensityMatrix(_product_blocks(rho_gas.entries, rho_demon.entries), subsystem_dims=dims)
+    blocks = _product_blocks(rho_gas.entries, rho_demon.entries)
+    eigs = np.sort(np.multiply.outer(rho_gas.eigenvalues, rho_demon.eigenvalues), axis=None)
+    return _derived(blocks, eigs, dims)

@@ -107,26 +107,26 @@ def partition_theta(sigma: float) -> PartitionResult:
 
     Adequate in the window 1/2 < sigma < 1; outside it the value is still
     computed but flagged regime_ok = False (for small sigma the formula
-    even goes negative).
+    even goes negative).  est_error is the leading dual term of the Poisson
+    resummation, (pi/x)^(1/2) e^(-pi^2/x)/Z with x = |ln sigma|, by which
+    the exact series exceeds the form; inf where Z <= 0.
     """
     if not 0.0 < sigma < 1.0:
         raise ThermoError(f"sigma must lie in (0, 1), got {sigma}")
-    z = 0.5 * (math.sqrt(math.pi / abs(math.log(sigma))) - 1.0)
-    ok = 0.5 < sigma < 1.0
-    # within (0.5, 0.95) the form tracks the exact series to ~1e-3
-    err = 1e-3 if 0.5 < sigma < 0.95 else math.inf
-    return PartitionResult(z, "theta-approx", 0, err, regime_ok=ok)
+    x = abs(math.log(sigma))
+    root = math.sqrt(math.pi / x)
+    z = 0.5 * (root - 1.0)
+    err = root * math.exp(-math.pi**2 / x) / z if z > 0.0 else math.inf
+    return PartitionResult(z, "theta-approx", 0, err, regime_ok=0.5 < sigma < 1.0)
 
 
 def partition_highT(params: PhysicalParams) -> PartitionResult:
-    """High-temperature form Z = (pi/(eps beta))^(1/2) / 2 = L / lambda_th."""
+    """High-temperature form Z = (pi/(eps beta))^(1/2) / 2 = L / lambda_th.  The exact series
+    sits about 1/2 below it (surface term): est_error is 0.5/(Z - 0.5), inf where Z <= 1/2."""
     eb = params.eps * params.beta
     z = 0.5 * math.sqrt(math.pi / eb)
-    ok = eb <= 0.1
-    # the exact series sits about 1/2 below this form (surface term),
-    # so the relative deviation is close to 0.5/(Z - 0.5)
-    err = 0.5 / max(z - 0.5, 1e-300)
-    return PartitionResult(z, "high-T", 0, err, regime_ok=ok)
+    err = 0.5 / (z - 0.5) if z > 0.5 else math.inf
+    return PartitionResult(z, "high-T", 0, err, regime_ok=eb <= 0.1)
 
 
 @dataclass(frozen=True)

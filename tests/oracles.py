@@ -1,9 +1,11 @@
 """Second routes to quantities the package computes one way, for tests only."""
+import math
+
 import mpmath
 import numpy as np
 
-from szilard.demon import coupling_unitary
-from szilard.infodyn import DensityMatrix, partial_trace, trace_distance, vn_entropy
+from szilard.demon import MeasurementRecord
+from szilard.infodyn import DensityMatrix, partial_trace, trace_distance
 
 
 def block_spectrum(blocks: np.ndarray) -> np.ndarray:
@@ -14,15 +16,55 @@ def block_spectrum(blocks: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
+def entropy(blocks: np.ndarray) -> float:
+    """-sum w ln w over the positive LAPACK eigenvalues of a (K, b, b) stack."""
+    w = block_spectrum(blocks)
+    w = w[w > 0.0]
+    return float(-(w * np.log(w)).sum())
+
+
 def mutual_information(rho: DensityMatrix) -> float:
     """I_mu = S(gas) + S(demon) - S(joint) of a bipartite state, in units of k_B.
 
-    premeasure books the same three entropies of its own states, so the
-    readoff's di_mu must equal the difference of this value across it.
+    Every entropy is taken from LAPACK eigenvalues of the entries, not from
+    the spectrum a derived state carries.
     """
-    s_gas = vn_entropy(partial_trace(rho, "gas"))
-    s_demon = vn_entropy(partial_trace(rho, "demon"))
-    return s_gas + s_demon - vn_entropy(rho)
+    s_gas = entropy(partial_trace(rho, "gas").entries)
+    s_demon = entropy(partial_trace(rho, "demon").entries)
+    return s_gas + s_demon - entropy(rho.entries)
+
+
+def coupling_unitary(gas_dim: int) -> np.ndarray:
+    """The readoff unitary on a gas (x) pointer block of any even gas size, left states first.
+
+    c 1 + c (Pi_L - Pi_R) (x) J with c = cos(pi/4) and J = [[0, 1], [-1, 0]];
+    at gas_dim = 2 it is demon.coupling_unitary().
+    """
+    n = gas_dim // 2
+    c = math.cos(math.pi / 4.0)
+    p = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
+    return c * np.eye(2 * gas_dim) + c * np.kron(p, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def dense_readoff(p0: DensityMatrix) -> MeasurementRecord:
+    """premeasure's record by the general route, for a ready product of any layout.
+
+    post = U p0 U^T is built and validated by LAPACK, and every figure is a
+    difference of the six marginal and joint entropies across the readoff.
+    """
+    u = coupling_unitary(p0.subsystem_dims[0])
+    post = DensityMatrix(u @ p0.entries @ u.T, subsystem_dims=p0.subsystem_dims)
+    (g0, d0, j0), (g1, d1, j1) = [
+        (entropy(partial_trace(rho, "gas").entries), entropy(partial_trace(rho, "demon").entries),
+         entropy(rho.entries))
+        for rho in (p0, post)
+    ]
+    di = (g1 + d1 - j1) - (g0 + d0 - j0)
+    return MeasurementRecord(
+        pre=p0, post=post, demon_post=partial_trace(post, "demon"), ds_demon=d1 - d0,
+        ds_gas=g1 - g0, ds_joint=j1 - j0, di_mu=di,
+        balance_residual=abs(di - (g1 - g0) - (d1 - d0)),
+    )
 
 
 def reversed_state(record, state: DensityMatrix) -> DensityMatrix:
@@ -38,6 +80,27 @@ def reversal_distance(record, state: DensityMatrix) -> float:
     by the unitary invariance of the trace norm, and builds no state.
     """
     return trace_distance(reversed_state(record, state), record.pre)
+
+
+def dephasing_entropy(blocks, dps: int = 50):
+    """S(diag rho) - S(rho) summed over 2x2 blocks, with dps digits, as an mpmath number.
+
+    Each block's diagonal and eigenvalues m -+ r enter as two -x ln x sums
+    and are subtracted: at 50 digits the cancellation still leaves about
+    30 of them in a dS_gas near 1e-19.
+    """
+    with mpmath.workdps(dps):
+        def h(*ws):
+            return -sum(w * mpmath.log(w) for w in ws if w > 0)
+
+        total = mpmath.mpf(0)
+        for b in np.asarray(blocks):
+            a, d = mpmath.mpf(float(b[0, 0].real)), mpmath.mpf(float(b[1, 1].real))
+            c = mpmath.mpc(complex(b[0, 1]))
+            m, half = (a + d) / 2, (a - d) / 2
+            r = mpmath.sqrt(half**2 + abs(c) ** 2)
+            total += h(a, d) - h(m - r, m + r)
+        return total
 
 
 def doublet(params, k: int, dps: int = 80):

@@ -231,6 +231,24 @@ class TestBipartite:
         with pytest.raises(StateError, match="single block"):
             product_dm(g, DensityMatrix(np.full((2, 1, 1), 0.5)))
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 50), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_product_inherits_the_spectrum_of_its_entries(self, k, complex_, seed):
+        # the product is not re-solved: its spectrum is the sorted outer
+        # product of its factors', which must be that of its 4x4 blocks
+        rng = np.random.default_rng(seed)
+
+        def state(n, b):
+            a = rng.normal(size=(n, b, b)) + (1j * rng.normal(size=(n, b, b)) if complex_ else 0.0)
+            m = a @ a.conj().transpose(0, 2, 1)
+            return DensityMatrix(m / np.trace(m, axis1=1, axis2=2).real.sum())
+
+        joint = product_dm(state(k, 2), state(1, 2))
+        assert joint.entries.shape == (k, 4, 4)
+        assert np.allclose(joint.eigenvalues, block_spectrum(joint.entries), rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            joint.entries[0, 0, 0] = 1.0
+
     def test_mutual_information_of_product_vanishes(self):
         joint = product_dm(dm([0.7, 0.3]), dm([0.4, 0.6]))
         assert mutual_information(joint) == pytest.approx(0.0, abs=1e-12)

@@ -119,6 +119,28 @@ class TestPartitionTheta:
     def test_flags_outside_regime(self):
         res = partition_theta(0.01)
         assert not res.regime_ok
+        # the form is negative there, so no relative error is offered
+        assert res.Z < 0.0 and res.est_error == math.inf
+
+    @pytest.mark.parametrize("sigma, match", [(0.5, 3e-6), (0.6, 2e-8)])
+    def test_error_estimate_is_the_leading_dual_term(self, sigma, match):
+        # against a 40-digit sum, the dual term (pi/x)^(1/2) e^(-pi^2/x)/Z
+        # is the true relative deviation to 2.5e-6 at sigma = 0.5, 1.2e-8 at 0.6
+        with mpmath.workdps(40):
+            s = mpmath.mpf(sigma)
+            exact = mpmath.nsum(lambda n: s ** (n * n), [1, mpmath.inf])
+            res = partition_theta(sigma)
+            actual = float((exact - mpmath.mpf(res.Z)) / exact)
+        assert res.est_error == pytest.approx(actual, rel=match)
+
+    def test_error_estimate_is_finite_and_falls_through_the_window(self):
+        # regime_ok with est_error = inf, as at sigma >= 0.95 before, would contradict itself
+        res = [partition_theta(sigma) for sigma in (0.55, 0.7, 0.8, 0.9, 0.95, 0.99)]
+        assert all(r.regime_ok for r in res)
+        errs = [r.est_error for r in res]
+        assert errs[0] < 3e-7
+        assert all(0.0 <= b < a for a, b in zip(errs, errs[1:]) if a > 0.0)
+        assert errs[-1] == 0.0  # e^(-pi^2/x) underflows
 
     def test_domain(self):
         with pytest.raises(ThermoError):
@@ -146,6 +168,11 @@ class TestPartitionHighT:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert partition_highT(PhysicalParams()).regime_ok is False
+
+    def test_no_error_estimate_below_half(self):
+        # at the default T, Z = 0.399 < 1/2 and 0.5/(Z - 1/2) would be negative
+        res = partition_highT(PhysicalParams())
+        assert res.Z < 0.5 and res.est_error == math.inf
 
 
 class TestStageFreeEnergies:
