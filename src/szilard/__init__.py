@@ -17,13 +17,13 @@ _MODULES = {
     "exceptions": ("ConfigError", "EngineError", "NumericsError", "SpectralError", "StateError",
                    "SzilardError", "ThermoError", "TruncationError"),
     "numerics": ("Grid", "TridiagonalSymmetric", "eig_tridiagonal"),
-    "params": ("PhysicalParams", "CycleConfig"),
+    "params": ("PhysicalParams", "CycleConfig", "BasisLabeling"),
     "spectral": ("SplitPair", "analytic_pairs", "barrier_grid", "barrier_spectrum",
                  "splitting_estimate"),
     "thermo": ("PartitionResult", "StageFreeEnergies", "StageLedger", "isothermal_work",
                "mean_energy", "partition_exact", "partition_highT", "partition_theta",
                "spectral_stage_check", "stage_free_energies", "thermo_entropy"),
-    "infodyn": ("BasisLabeling", "DensityMatrix", "partial_trace", "post_insertion_dm",
+    "infodyn": ("DensityMatrix", "partial_trace", "post_insertion_dm",
                 "product_dm", "trace_distance", "vn_entropy"),
     "demon": ("DemonModel", "MeasurementRecord", "ReversalResult", "coupling_unitary",
               "premeasure", "product_of_marginals", "reset_demon", "reverse_readoff"),

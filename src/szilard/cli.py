@@ -228,14 +228,15 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def cmd_thermo(ns: argparse.Namespace) -> int:
-    from .thermo import (mean_energy, partition_exact, partition_highT, partition_theta,
+    from .thermo import (_theta, mean_energy, partition_exact, partition_highT,
                          stage_free_energies, thermo_entropy)
 
     s = _resolve(ns)
     p = s.config.params
     beta = p.beta
     z_exact = partition_exact(p, beta)
-    z_theta = partition_theta(p.sigma)
+    # from beta eps itself: sigma = e^(-beta eps) rounds away its digits at high T
+    z_theta = _theta(beta * p.eps)
     z_hight = partition_highT(p)
     fe = stage_free_energies(p)
     e_mean = mean_energy(p, beta)
@@ -278,7 +279,7 @@ def cmd_measure(ns: argparse.Namespace) -> int:
         partial_trace(record.pre, "gas"), partial_trace(record.post, "gas")
     )
     td_product = trace_distance(record.post, product_of_marginals(record.post))
-    beta_delta_1 = float(p.beta * analytic_pairs(p, 1)[0, 1])
+    beta_delta_1 = float(p.beta * analytic_pairs(p, 1)[0][1])
     rows = [
         {"quantity": "ds_demon", "value": record.ds_demon},
         {"quantity": "ds_gas", "value": record.ds_gas},

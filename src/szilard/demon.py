@@ -18,29 +18,27 @@ U keeps each doublet's (L_k, R_k) (x) (D_L, D_R) block closed, so it is one
 4x4 matrix applied to all blocks of a joint state at once (gas index
 slowest, as in infodyn.DensityMatrix.subsystem_dims), and the readoff takes
 only that layout.  Entropies are in k_B units throughout.
+
+The readoff's figures need no state: a gas block with diagonal (a, d) and
+coherence rho_01 sends weight a to D_L and d to D_R, and the dephasing the
+two orthogonal pointer states cause costs it its relative entropy of
+coherence.  _ledger sums both over the blocks as Python floats; the joint
+states a record names are built on first read, so a cycle runs on the
+standard library and numpy is imported only where a state is built.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .exceptions import StateError
-from .infodyn import (
-    DensityMatrix,
-    _derived,
-    _entropy,
-    _marginal,
-    _product_blocks,
-    _spectrum,
-    partial_trace,
-    product_dm,
-    trace_distance,
-    vn_entropy,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .infodyn import DensityMatrix
 
 __all__ = [
     "DemonModel",
@@ -56,6 +54,7 @@ __all__ = [
 
 PRODUCT_TOL = 1e-10
 RECOVERY_TOL = 1e-12
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,8 @@ class DemonModel:
 
     @property
     def d0(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([1.0, 1.0]) / math.sqrt(2.0)
 
     @property
@@ -77,28 +78,54 @@ class DemonModel:
 def _ready() -> DensityMatrix:
     # built on first use; the outer product, not a state filled with 0.5:
     # (1/sqrt 2)^2 rounds below it
+    import numpy as np
+
+    from .infodyn import DensityMatrix
+
     d0 = DemonModel().d0
     return DensityMatrix(np.outer(d0, d0))
 
 
+# the joint state before the readoff, after it, and its pointer marginal
+States = Tuple["DensityMatrix", "DensityMatrix", "DensityMatrix"]
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Joint states and entropy bookkeeping across one readoff.
+    """Entropy bookkeeping across one readoff, and the joint states it names.
 
-    demon_post is the apparatus marginal of post, the state the reset
-    erases.  All deltas are post minus pre in k_B units.  The readoff is
-    unitary, so the joint entropy does not move: ds_joint and balance_residual,
-    |dI_mu - (dS_gas + dS_demon)|, are 0 by that invariance.
+    All deltas are post minus pre in k_B units.  The readoff is unitary, so
+    the joint entropy does not move: ds_joint and balance_residual,
+    |dI_mu - (dS_gas + dS_demon)|, are 0 by that invariance.  The ready
+    pointer is pure, so ds_demon is also the entropy of demon_post, the
+    apparatus marginal of post that the reset erases.
+
+    pre, post and demon_post are built by states() on the first read of any
+    of them and kept, so a record that is only booked builds no state.
     """
 
-    pre: DensityMatrix
-    post: DensityMatrix
-    demon_post: DensityMatrix
     ds_demon: float
     ds_gas: float
     ds_joint: float
     di_mu: float
     balance_residual: float
+    states: Callable[[], States] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def _built(self) -> States:
+        return self.states()
+
+    @property
+    def pre(self) -> DensityMatrix:
+        return self._built[0]
+
+    @property
+    def post(self) -> DensityMatrix:
+        return self._built[1]
+
+    @property
+    def demon_post(self) -> DensityMatrix:
+        return self._built[2]
 
 
 class ReversalResult(NamedTuple):
@@ -115,17 +142,66 @@ class ReversalResult(NamedTuple):
 def coupling_unitary() -> np.ndarray:
     """Closed-form readoff unitary on one (L_k, R_k) (x) (D_L, D_R) block: real orthogonal,
     rotation by pi/4 in the pointer plane, sense set by the gas side; one read-only copy."""
-    return _COUPLING
+    return _coupling()
 
 
-_COUPLING = math.cos(math.pi / 4.0) * (
-    np.eye(4) + np.kron(np.diag([1.0, -1.0]), [[0.0, 1.0], [-1.0, 0.0]])
-)
-_COUPLING.setflags(write=False)
+@functools.cache
+def _coupling() -> np.ndarray:
+    import numpy as np
+
+    u = math.cos(math.pi / 4.0) * (np.eye(4) + np.kron(np.diag([1.0, -1.0]), [[0.0, 1.0], [-1.0, 0.0]]))
+    u.setflags(write=False)
+    return u
 
 
-def _require_ready_product(p0: DensityMatrix, model: DemonModel) -> Tuple[np.ndarray, np.ndarray]:
-    """Check p0 = rho_gas (x) D_0 and return its (gas, demon) marginal blocks."""
+def _g(u: float) -> float:
+    """(1+u) ln(1+u) + (1-u) ln(1-u), and its limit 2 ln 2 at u >= 1.
+
+    Below u = 1/2 as 2u atanh u + log1p(-u^2), where the direct form cancels
+    to u^2; above it directly, where the two logarithms of 1 - u would cancel.
+    """
+    if u < 0.5:
+        return 2.0 * u * math.atanh(u) + math.log1p(-u * u)
+    if u >= 1.0:
+        return 2.0 * _LN2
+    return (1.0 + u) * math.log1p(u) + (1.0 - u) * math.log(1.0 - u)
+
+
+def _entropy(*weights: float) -> float:
+    """-sum w ln w over the positive weights (0 ln 0 := 0), and never below 0."""
+    s = -math.fsum(w * math.log(w) for w in weights if w > 0.0)
+    return s if s > 0.0 else 0.0
+
+
+def _ledger(a: Sequence[float], d: Sequence[float], c: Sequence[float],
+            states: Callable[[], States]) -> MeasurementRecord:
+    """The readoff's record from the 2x2 gas blocks' diagonals a, d and |rho_01| c, as floats.
+
+    dS_gas: a block of weight 2m, m = (a+d)/2, h = |a-d|/2, with eigenvalues
+    m -+ r, r = hypot(h, c), adds m [g(r/m) - g(h/m)], its relative entropy
+    of coherence, without subtracting entropies of order ln K; one of weight
+    0 adds 0.  dS_demon: the pointer goes from the pure D_0 to
+    diag(sum a, sum d), whose entropy the reset later charges.  states builds
+    the record's joint states when one is first read.
+    """
+    gas = []
+    for x, y, z in zip(a, d, c):
+        m = 0.5 * (x + y)
+        if m > 0.0:
+            h = 0.5 * abs(x - y)
+            gas.append(m * (_g(math.hypot(h, z) / m) - _g(h / m)) if h else m * _g(z / m))
+    ds_gas = max(math.fsum(gas), 0.0)
+    ds_demon = _entropy(math.fsum(a), math.fsum(d))
+    return MeasurementRecord(ds_demon=ds_demon, ds_gas=ds_gas, ds_joint=0.0,
+                             di_mu=ds_gas + ds_demon, balance_residual=0.0, states=states)
+
+
+def _require_ready_product(p0: DensityMatrix, model: DemonModel) -> np.ndarray:
+    """Check p0 = rho_gas (x) D_0 and return its gas marginal blocks."""
+    import numpy as np
+
+    from .infodyn import _marginal, _product_blocks
+
     if p0.subsystem_dims != (2, 2):
         raise StateError(f"readoff needs subsystem_dims (2, 2), got {p0.subsystem_dims}")
     d0 = model.ready.entries
@@ -135,52 +211,30 @@ def _require_ready_product(p0: DensityMatrix, model: DemonModel) -> Tuple[np.nda
     gas = _marginal(p0.entries, p0.subsystem_dims, "gas")
     if float(np.abs(p0.entries - _product_blocks(gas, d0)).max()) > PRODUCT_TOL:
         raise StateError("input is not a gas (x) D_0 product state")
-    return gas, dem
+    return gas
 
 
-def _g(u: np.ndarray) -> np.ndarray:
-    """(1+u) ln(1+u) + (1-u) ln(1-u) as 2u atanh u + log1p(-u^2), and its limit 2 ln 2 at u >= 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(u < 1.0, 2.0 * u * np.arctanh(u) + np.log1p(-u * u), 2.0 * math.log(2.0))
+def _joint_states(p0: DensityMatrix) -> States:
+    """p0, post = U p0 U^T with the spectrum it inherits from p0, and post's pointer marginal."""
+    from .infodyn import _derived, partial_trace
 
-
-def _dephasing_entropy(blocks: np.ndarray) -> float:
-    """S(diag rho) - S(rho) over 2x2 blocks without subtracting entropies of order ln K.
-
-    A block of weight 2m with diagonal m -+ h and eigenvalues m -+ r,
-    r = hypot(h, |rho_01|), adds m [g(r/m) - g(|h|/m)]; one of weight 0 adds 0.
-    """
-    a, d = blocks[:, 0, 0].real, blocks[:, 1, 1].real
-    keep = a + d > 0.0
-    m, h = (a + d)[keep] / 2.0, np.abs(a - d)[keep] / 2.0
-    r = np.hypot(h, np.abs(blocks[keep, 0, 1]))
-    return max(float(np.sum(m * (_g(r / m) - _g(h / m)))), 0.0)
+    u = coupling_unitary()
+    post = _derived(u @ p0.entries @ u.T, p0.eigenvalues, p0.subsystem_dims)
+    return p0, post, partial_trace(post, "demon")
 
 
 def premeasure(p0: DensityMatrix, model: DemonModel) -> MeasurementRecord:
     """Run the readoff unitary on a ready product state and take stock.
 
-    p0 must be rho_gas (x) |D_0><D_0| with subsystem_dims (2, 2).  post
-    inherits p0's spectrum.  The two sides' pointer states are orthogonal, so
-    the readoff dephases each gas block: dS_gas is its relative entropy of
-    coherence, in closed form; dS_demon comes from the pointer marginals.
+    p0 must be rho_gas (x) |D_0><D_0| with subsystem_dims (2, 2).  The figures
+    come from its gas blocks by _ledger; post inherits p0's spectrum and is
+    built, with its pointer marginal, on first read.
     """
-    gas_pre, dem_pre = _require_ready_product(p0, model)
-    u = coupling_unitary()
-    post = _derived(u @ p0.entries @ u.T, p0.eigenvalues, p0.subsystem_dims)
-    dem_post = partial_trace(post, "demon")
-    ds_gas = _dephasing_entropy(gas_pre)
-    ds_demon = vn_entropy(dem_post) - _entropy(_spectrum(dem_pre))
-    return MeasurementRecord(
-        pre=p0,
-        post=post,
-        demon_post=dem_post,
-        ds_demon=ds_demon,
-        ds_gas=ds_gas,
-        ds_joint=0.0,
-        di_mu=ds_gas + ds_demon,
-        balance_residual=0.0,
-    )
+    import numpy as np
+
+    gas = _require_ready_product(p0, model)
+    a, d, c = gas[:, 0, 0].real.tolist(), gas[:, 1, 1].real.tolist(), np.abs(gas[:, 0, 1]).tolist()
+    return _ledger(a, d, c, functools.partial(_joint_states, p0))
 
 
 def reverse_readoff(
@@ -189,15 +243,18 @@ def reverse_readoff(
     """Undo the readoff unitary and check recovery of the pre state.
 
     By default the record's own post state is reversed, which restores the
-    pre state exactly.  Passing a different joint state (the dephased or
-    marginal-product version, say) shows when the step has become
-    irreversible: recovered comes back False with the residual trace
-    distance.  The trace norm is unitarily invariant and post = U pre U^T,
-    so the distance of U^T state U from pre is that of state from post,
-    and no reversed state is built.
+    pre state exactly: distance 0, with no state built.  Passing a different
+    joint state (the dephased or marginal-product version, say) shows when
+    the step has become irreversible: recovered comes back False with the
+    residual trace distance.  The trace norm is unitarily invariant and
+    post = U pre U^T, so the distance of U^T state U from pre is that of
+    state from post, and no reversed state is built.
     """
-    target = record.post if state is None else state
-    dist = trace_distance(target, record.post)
+    if state is None:
+        return ReversalResult(recovered=True, distance=0.0)
+    from .infodyn import trace_distance
+
+    dist = trace_distance(state, record.post)
     return ReversalResult(recovered=dist <= RECOVERY_TOL, distance=dist)
 
 
@@ -208,12 +265,21 @@ def product_of_marginals(p: DensityMatrix) -> DensityMatrix:
     state this is what an observer holding no record would write down.
     The two marginals are validated; the product inherits their spectra.
     """
+    from .infodyn import partial_trace, product_dm
+
     return product_dm(partial_trace(p, "gas"), partial_trace(p, "demon"))
 
 
 class ResetCharge(NamedTuple):
     entropy: float
     free_energy: float
+
+
+def _charge(entropy: float, T: float, k_B: float) -> ResetCharge:
+    """The reset's charge for a pointer of entropy S: S to the environment, k_B T S of free energy."""
+    if T <= 0:
+        raise ValueError(f"T must be positive, got {T}")
+    return ResetCharge(entropy=entropy, free_energy=k_B * T * entropy)
 
 
 def reset_demon(demon_state: DensityMatrix, T: float = 1.0, k_B: float = 1.0) -> ResetCharge:
@@ -223,11 +289,9 @@ def reset_demon(demon_state: DensityMatrix, T: float = 1.0, k_B: float = 1.0) ->
     D_0.  The record of the outcome still exists afterwards and erasing it
     exports the demon's pre-reset entropy S to the environment, costing
     free energy k_B T S.  A demon already in a pure state erases nothing
-    and costs nothing.  For the standard half-half mixture S = ln 2.
+    and costs nothing.  For the standard half-half mixture S = ln 2.  A
+    cycle charges its record's pointer without building it (engine.run_cycle).
     """
     if demon_state.dim != 2:
         raise StateError(f"demon state must be two-level, got dim {demon_state.dim}")
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    s = vn_entropy(demon_state)
-    return ResetCharge(entropy=s, free_energy=k_B * T * s)
+    return _charge(_entropy(*demon_state.eigenvalues.tolist()), T, k_B)

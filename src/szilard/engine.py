@@ -8,6 +8,11 @@ the available width, mean energy k_B T/2).  The optional spectral check
 is no cross-check of that bookkeeping: its jump is k_B T ln 2 by
 construction, so its deviation bounds only unpaired and above-top weight.
 
+A cycle runs on the standard library: the readoff books its figures from
+the model doublets' weights in Python floats, and its record builds the
+joint states, with numpy, only when a caller reads one.  Apart from such
+a read, only the spectral check imports numpy.
+
 Sign conventions: W_extracted > 0 is work delivered by the engine;
 Q_from_reservoir > 0 is heat absorbed by the gas; S_to_environment > 0 is
 entropy exported during reset.  The inserted barrier costs work
@@ -16,15 +21,16 @@ end of the cycle, so neither leg appears in W_extracted.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from .demon import DemonModel, MeasurementRecord, premeasure, reset_demon
+from .demon import DemonModel, MeasurementRecord, States, _charge, _joint_states, _ledger
 from .exceptions import EngineError, SzilardError
-from .infodyn import BasisLabeling, post_insertion_dm, product_dm
-from .params import PROTOCOLS, SWEEP_AXES, CycleConfig, PhysicalParams, _canon_protocol
+from .params import (PROTOCOLS, SWEEP_AXES, BasisLabeling, CycleConfig, PhysicalParams,
+                     _canon_protocol)
 from .spectral import analytic_pairs
 from .thermo import (StageLedger, _stage_ledgers, isothermal_work, spectral_stage_check,
                      stage_free_energies)
@@ -146,25 +152,53 @@ def extraction_work(protocol: str, params: PhysicalParams, n_steps: int = 8) -> 
     return n_steps * (kt / 2.0) * (1.0 - 2.0 ** (-2.0 / n_steps))
 
 
+def _weights(pairs, beta: float, coherences: bool):
+    """Each doublet's L_k and R_k population c_k and, unless coherences is
+    False, its L_k<->R_k coherence s_k, as lists of Python floats.
+
+    These are the entries infodyn.post_insertion_dm gives the gas state, in
+    the same closed form: c_k = w_k (2 + t_k)/2Z and s_k = -w_k t_k/2Z, with
+    t_k = expm1(-2 beta delta_k) and Z the sum of the w_k (2 + t_k).  The
+    state keeps numpy's rounding of them, so the two agree to an ulp or so.
+    """
+    # weights relative to the lowest member energy, as in post_insertion_dm:
+    # no exponent is positive, and one that overflows is a weight of 0
+    low = min(e - d for e, d in pairs)
+    w = [math.exp(-beta * (e - d - low)) for e, d in pairs]
+    t = [math.expm1(-2.0 * beta * d) for _, d in pairs]
+    q = [x * (2.0 + y) for x, y in zip(w, t)]  # both members' weight
+    z = 2.0 * math.fsum(q)
+    c = [x / z for x in q]
+    s = [-x * y / z for x, y in zip(w, t)] if coherences else [0.0] * len(c)
+    return c, s
+
+
+def _states(pairs, beta: float, coherences: bool) -> States:
+    """The readoff's joint states, built when a record's first state is read."""
+    from .infodyn import post_insertion_dm, product_dm
+
+    gas = post_insertion_dm(pairs, beta, coherences=coherences)
+    return _joint_states(product_dm(gas, DemonModel().ready))
+
+
 def readoff(config: CycleConfig) -> MeasurementRecord:
     """Couple the post-insertion gas state (n_side doublets per side) to the
     ready pointer; coherences=False reads off the dephased gas state instead.
+
+    The figures come from the doublet weights in Python floats (demon._ledger);
+    the record builds its joint states on first read.
     """
     params = config.params
     # the size cap and the truncation gate n_side^2 eps beta >= 20, checked
-    # before any state is built
+    # before any weight is taken
     BasisLabeling(config.n_side, params.eps * params.beta)
     try:
         pairs = analytic_pairs(params, config.n_side)
-        rho_gas = post_insertion_dm(pairs, params.beta, coherences=config.coherences)
     except SzilardError as exc:
         raise type(exc)(f"inserted stage: {exc}") from exc
-
-    model = DemonModel()
-    try:
-        return premeasure(product_dm(rho_gas, model.ready), model)
-    except SzilardError as exc:
-        raise type(exc)(f"measured stage: {exc}") from exc
+    beta, coherences = params.beta, config.coherences
+    c, s = _weights(pairs, beta, coherences)
+    return _ledger(c, c, s, functools.partial(_states, pairs, beta, coherences))
 
 
 def run_cycle(config: CycleConfig) -> CycleReport:
@@ -185,7 +219,8 @@ def run_cycle(config: CycleConfig) -> CycleReport:
 
     work = extraction_work(config.protocol, params, config.n_steps)
 
-    charge = reset_demon(record.demon_post, params.T, params.k_B)
+    # the ready pointer is pure, so the pointer the reset erases carries ds_demon
+    charge = _charge(record.ds_demon, params.T, params.k_B)
     s_env = params.k_B * charge.entropy
 
     net = work - charge.free_energy

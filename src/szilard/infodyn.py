@@ -10,6 +10,11 @@ by _spectrum: 2x2 blocks (doublets, gas marginals, the pointer) in closed
 form, larger ones by LAPACK.  A product or unitary image of validated states
 inherits their spectrum (_derived); marginals that only feed an entropy stay
 plain arrays.
+
+This is the layer that builds states, so it imports numpy at load; nothing
+imports it before a state is needed.  The readoff's figures and the cycle's
+ledger are taken from the doublet weights as floats (demon), and the basis
+gate BasisLabeling lives in the numpy-free params (re-exported here).
 """
 from __future__ import annotations
 
@@ -18,8 +23,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exceptions import StateError, TruncationError
-from .params import MAX_N_SIDE
+from .exceptions import StateError
+from .params import BasisLabeling
 
 __all__ = [
     "DensityMatrix",
@@ -87,32 +92,6 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of all blocks together, cached at construction."""
         return self._eigs
-
-
-@dataclass(frozen=True)
-class BasisLabeling:
-    """Bookkeeping for the truncated localized basis.
-
-    n_side doublets per side; the gas basis is one (L_k, R_k) block per
-    doublet k = 1..n_side, 2 n_side states in all.  n_side is capped at
-    MAX_N_SIDE, so an oversized basis is refused before any state is built.
-    The truncation criterion n_side^2 * eps * beta >= 20 guarantees the
-    discarded thermal weight is negligible for every state built here.
-    """
-
-    n_side: int
-    eps_beta: float
-
-    def __post_init__(self):
-        if not 1 <= self.n_side <= MAX_N_SIDE:
-            raise ValueError(f"n_side must be in 1..{MAX_N_SIDE}, got {self.n_side}")
-        if self.eps_beta <= 0:
-            raise ValueError(f"eps_beta must be positive, got {self.eps_beta}")
-        crit = self.n_side**2 * self.eps_beta
-        if crit < 20.0:
-            raise TruncationError(
-                f"truncation too small: n_side^2 * eps * beta = {crit:.3g} < 20"
-            )
 
 
 def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMatrix:

@@ -1,19 +1,22 @@
 """Run definition that needs no numpy: the unit system and engine geometry,
-the cycle settings and protocol names, and the size limits and sweep axes
-a run is checked against.
+the cycle settings and protocol names, and the size limits, truncation gate
+and sweep axes a run is checked against.
 
 This is the layer the command line resolves every command's settings into
 before it imports anything that computes, so `szilard thermo` runs on the
 standard library and every command's help is built without numpy.
-spectral re-exports PhysicalParams, and engine CycleConfig, PROTOCOLS and
-SWEEP_AXES.
+spectral re-exports PhysicalParams, engine CycleConfig, PROTOCOLS and
+SWEEP_AXES, and infodyn BasisLabeling.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
 
-__all__ = ["PhysicalParams", "CycleConfig", "PROTOCOLS", "MAX_PAIRS", "MAX_N_SIDE", "SWEEP_AXES"]
+from .exceptions import TruncationError
+
+__all__ = ["PhysicalParams", "CycleConfig", "BasisLabeling", "PROTOCOLS", "MAX_PAIRS", "MAX_N_SIDE",
+           "SWEEP_AXES"]
 
 # most doublets barrier_spectrum solves in one call, so a huge request fails
 # before it allocates; 4096 levels, as many as the default 4096-point grid
@@ -110,7 +113,7 @@ class CycleConfig:
     """Everything one cycle run depends on.
 
     n_side is the doublet truncation per side.  It is checked against the
-    temperature (n_side^2*eps*beta >= 20, infodyn.BasisLabeling) by the
+    temperature (n_side^2*eps*beta >= 20, BasisLabeling) by the
     readoff, before any state is built, so a config can be made first and
     given its temperature later.  grid_points changes nothing (no cycle step
     solves a grid); it is kept only because the benchmark constructs
@@ -135,3 +138,29 @@ class CycleConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.grid_points < 3:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
+
+
+@dataclass(frozen=True)
+class BasisLabeling:
+    """Bookkeeping for the truncated localized basis.
+
+    n_side doublets per side; the gas basis is one (L_k, R_k) block per
+    doublet k = 1..n_side, 2 n_side states in all.  n_side is capped at
+    MAX_N_SIDE, so an oversized basis is refused before any state is built.
+    The truncation criterion n_side^2 * eps * beta >= 20 guarantees the
+    discarded thermal weight is negligible for every state built here.
+    """
+
+    n_side: int
+    eps_beta: float
+
+    def __post_init__(self):
+        if not 1 <= self.n_side <= MAX_N_SIDE:
+            raise ValueError(f"n_side must be in 1..{MAX_N_SIDE}, got {self.n_side}")
+        if self.eps_beta <= 0:
+            raise ValueError(f"eps_beta must be positive, got {self.eps_beta}")
+        crit = self.n_side**2 * self.eps_beta
+        if crit < 20.0:
+            raise TruncationError(
+                f"truncation too small: n_side^2 * eps * beta = {crit:.3g} < 20"
+            )

@@ -7,6 +7,10 @@ splitting the non-cancelling difference of its members' deficits; above the
 top a level solves its Prufer phase.  The finite-difference grid and
 Hamiltonian stay as a test oracle.
 
+The level solver works on numpy arrays and imports numpy where it runs, as
+the grid oracle imports numerics; the model doublets (analytic_pairs) are
+Python floats, so the cycle's readoff loads neither through this module.
+
 Units are carried by PhysicalParams (defined in params, re-exported here);
 the defaults put hbar = m = k_B = 1 and L = 1 so that the ground-state
 scale is eps = pi^2/2.
@@ -15,13 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .exceptions import NumericsError, SpectralError
-from .numerics import Grid, TridiagonalSymmetric
 from .params import MAX_PAIRS, PhysicalParams
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .numerics import Grid, TridiagonalSymmetric
 
 __all__ = [
     "PhysicalParams",
@@ -62,6 +68,10 @@ def barrier_grid(params: PhysicalParams, n_target: int = 4096) -> Grid:
     on-grid edges the effective well width is exact, which matters once U
     is large enough that the walls are effectively hard.
     """
+    import numpy as np
+
+    from .numerics import Grid
+
     if n_target < 3:
         raise ValueError(f"n_target must be >= 3, got {n_target}")
     reach = min(64, n_target // 16)
@@ -82,6 +92,10 @@ def hamiltonian(params: PhysicalParams, grid: Grid) -> TridiagonalSymmetric:
     The grid oracle for the exact levels: tests and the benchmark solve it,
     production code does not.
     """
+    import numpy as np
+
+    from .numerics import TridiagonalSymmetric
+
     x, h = grid.points, grid.spacing
     if params.d > 0:
         # the 1e-9*h slack makes barrier membership robust to float rounding,
@@ -102,6 +116,8 @@ def _phase(params: PhysicalParams, k: np.ndarray, n: np.ndarray, odd: np.ndarray
     on the branch within pi/2 of the barrier's own phase, gains k w across
     the well to theta.  No poles; at E = U the barrier solution is 1 or x.
     """
+    import numpy as np
+
     b, w = 0.5 * params.d, 0.5 * (params.L - params.d)
     zeta = np.maximum(k * k - 2.0 * params.mass / params.hbar**2 * params.U, 0.0)
     r = np.sqrt(zeta)
@@ -127,6 +143,8 @@ def _deficit(params: PhysicalParams, k: np.ndarray, n: np.ndarray, s: np.ndarray
     barrier's log-derivative at its edge (s = 1 even, -1 odd), rises with k
     and tends to 0 as U grows: nothing cancels at the hard wall.
     """
+    import numpy as np
+
     # a barrier thinner than 1e-300 acts as one of 1e-300: no level can tell,
     # and 1/tanh(kappa b) stays finite
     b, w = max(0.5 * params.d, 1e-300), 0.5 * (params.L - params.d)
@@ -150,6 +168,8 @@ def _newton(level, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: np.ndarray,
     |f''| step^2/2f' (f'' from the last two slopes), under 8 ulps.  Then the
     last steps are taken; a level that never gets there raises NumericsError.
     """
+    import numpy as np
+
     last, rtol = hi - lo, PHASE_TOL * math.pi * n
     near, s0 = 1e6 * rtol, None
     for _ in range(_MAX_STEPS):
@@ -193,6 +213,8 @@ def _exact_levels(params: PhysicalParams, n_even: int, n_odd: int):
     from eps m^2 + U d/L, between U, the free level eps m^2 (m = 2n-1 even,
     2n odd) and the separated wells' level eps' (2n)^2.
     """
+    import numpy as np
+
     c2, b, w = 2.0 * params.mass / params.hbar**2, 0.5 * params.d, 0.5 * (params.L - params.d)
     cu = c2 * params.U
     ne, no = (min(n, top) for n, top in zip((n_even, n_odd), _under_top(params)))
@@ -235,6 +257,8 @@ def _split(params: PhysicalParams, even: np.ndarray, odd: np.ndarray):
     delta keeps its digits far below the levels' rounding.  One step dk =
     D/(w + S(dk)) from the levels' difference, a few ulps of k off, solves it.
     """
+    import numpy as np
+
     c2, w = 2.0 * params.mass / params.hbar**2, 0.5 * (params.L - params.d)
     b, cu = max(0.5 * params.d, 1e-300), c2 * params.U  # as in _deficit
     k1 = np.sqrt(c2 * even)
@@ -297,20 +321,17 @@ def _splitting(params: PhysicalParams, eps_p: float, e_k: float) -> float:
     return (4.0 * eps_p / math.pi) * math.exp(-params.d * kappa)
 
 
-def analytic_pairs(params: PhysicalParams, n_pairs: int) -> np.ndarray:
-    """Model doublet family as an (n_pairs, 2) array of (E_k, delta_k) rows.
+def analytic_pairs(params: PhysicalParams, n_pairs: int) -> List[Tuple[float, float]]:
+    """Model doublet family as n_pairs (E_k, delta_k) rows of Python floats.
 
-    E_k = eps' (2k)^2; delta_k from splitting_estimate below the barrier and
-    zero above it, where the thermal weight of the affected levels is
-    negligible anyway at the temperatures this model is meant for.
+    E_k = eps' (2k)^2, an inf of no weight past the float range; delta_k from
+    splitting_estimate below the barrier and zero above it, where the thermal
+    weight of the affected levels is negligible anyway at the temperatures
+    this model is meant for.  Standard library only: the cycle's readoff
+    takes its weights from these rows without numpy.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    eps_p = params.eps_prime
-    out = np.zeros((n_pairs, 2))
-    with np.errstate(over="ignore"):  # a level past the float range is an inf of no weight
-        e = out[:, 0] = eps_p * np.arange(2.0, 2.0 * n_pairs + 1.0, 2.0) ** 2
-    # math.exp, as splitting_estimate takes it: np.exp is one ulp off for ~5% of arguments
-    deltas = [_splitting(params, eps_p, e_k) for e_k in e[e < params.U].tolist()]
-    out[: len(deltas), 1] = deltas
-    return out
+    eps_p, u = params.eps_prime, params.U
+    levels = (eps_p * (4.0 * k * k) for k in range(1, n_pairs + 1))
+    return [(e, _splitting(params, eps_p, e) if e < u else 0.0) for e in levels]

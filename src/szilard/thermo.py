@@ -52,6 +52,7 @@ class PartitionResult:
     regime_ok: bool = True
 
 
+_LN2 = math.log(2.0)
 # each certified tail of the box sums ends within this fraction of its sum
 _TAIL_TOL = 1e-12
 _MAX_TERMS = 100_000
@@ -113,11 +114,16 @@ def partition_theta(sigma: float) -> PartitionResult:
     """
     if not 0.0 < sigma < 1.0:
         raise ThermoError(f"sigma must lie in (0, 1), got {sigma}")
-    x = abs(math.log(sigma))
+    return _theta(abs(math.log(sigma)))
+
+
+def _theta(x: float) -> PartitionResult:
+    """partition_theta at x = |ln sigma| = beta eps > 0, taken as given: a sigma
+    rounded near 1 keeps only the digits of x that survive in 1 - sigma."""
     root = math.sqrt(math.pi / x)
     z = 0.5 * (root - 1.0)
     err = root * math.exp(-math.pi**2 / x) / z if z > 0.0 else math.inf
-    return PartitionResult(z, "theta-approx", 0, err, regime_ok=0.5 < sigma < 1.0)
+    return PartitionResult(z, "theta-approx", 0, err, regime_ok=x < _LN2)
 
 
 def partition_highT(params: PhysicalParams) -> PartitionResult:

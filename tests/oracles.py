@@ -60,10 +60,10 @@ def dense_readoff(p0: DensityMatrix) -> MeasurementRecord:
         for rho in (p0, post)
     ]
     di = (g1 + d1 - j1) - (g0 + d0 - j0)
+    states = (p0, post, partial_trace(post, "demon"))
     return MeasurementRecord(
-        pre=p0, post=post, demon_post=partial_trace(post, "demon"), ds_demon=d1 - d0,
-        ds_gas=g1 - g0, ds_joint=j1 - j0, di_mu=di,
-        balance_residual=abs(di - (g1 - g0) - (d1 - d0)),
+        ds_demon=d1 - d0, ds_gas=g1 - g0, ds_joint=j1 - j0, di_mu=di,
+        balance_residual=abs(di - (g1 - g0) - (d1 - d0)), states=lambda: states,
     )
 
 

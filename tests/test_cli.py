@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -320,6 +321,17 @@ class TestThermoCommand:
         assert table_value(out, "Z_exact") == pytest.approx(
             table_value(out, "Z_theta"), rel=1e-12
         )
+
+    @pytest.mark.parametrize("T", ["25", "1e6", "1e9"])
+    def test_theta_form_is_taken_from_beta_eps(self, T, capsys):
+        # Z_theta = ((pi/x)^(1/2) - 1)/2 at x = beta eps = pi^2/(2T), to 50 digits;
+        # through the rounded sigma = e^(-x) it was 4.6e-9 off at T = 1e9
+        assert main(["thermo", "--T", T, "--format", "json"]) == 0
+        z = json.loads(capsys.readouterr().out)["quantities"]["Z_theta"]
+        with mpmath.workdps(50):
+            x = mpmath.pi**2 / (2 * mpmath.mpf(T))
+            exact = (mpmath.sqrt(mpmath.pi / x) - 1) / 2
+            assert abs(z - exact) / exact <= 1e-15
 
     def test_json_floats_round_trip_exactly(self, capsys):
         assert main(["thermo", "--format", "json"]) == 0
@@ -643,8 +655,9 @@ LAYERS = ["szilard.numerics", "szilard.spectral", "szilard.thermo", "szilard.inf
     # and loads no layer but its own
     ([], ["numpy", *LAYERS]),
     ([["thermo"]], ["numpy", "szilard.numerics"]),
-    # one fair coin needs no numpy.random
-    ([["cycle"], ["sweep", "--axis", "n_steps", "--values", "1,2"]], ["numpy.random"]),
+    # the cycle's ledger is taken in Python floats from the model doublets and
+    # builds no state, so cycle and sweep load no numpy
+    ([["cycle"], ["sweep", "--axis", "n_steps", "--values", "1,2"]], ["numpy", "szilard.infodyn"]),
     ([["spectrum", "--pairs", "1"]], ["szilard.demon", "szilard.infodyn", "szilard.engine", "szilard.thermo"]),
 ], ids=["import", "thermo", "cycle-sweep", "spectrum"])
 def test_commands_load_only_their_layers(argvs, packages, tmp_path):
@@ -654,6 +667,8 @@ def test_commands_load_only_their_layers(argvs, packages, tmp_path):
 def test_module_probe_sees_what_is_loaded(tmp_path):
     # positive controls: a command, and a package name on first access, load their layers
     assert "numpy" in modules_after([["spectrum", "--pairs", "1"]], tmp_path, ["numpy"])
+    # measure reads the record's states, which are built with numpy
+    assert "numpy" in modules_after([["measure", "--N", "11"]], tmp_path, ["numpy"])
     assert modules_after([], tmp_path, LAYERS, then="szilard.partition_exact") == ["szilard.thermo"]
 
 
@@ -684,12 +699,12 @@ PUBLIC_NAMES = [
     "ConfigError", "EngineError", "NumericsError", "SpectralError", "StateError", "SzilardError",
     "ThermoError", "TruncationError",
     "Grid", "TridiagonalSymmetric", "eig_tridiagonal",
-    "PhysicalParams", "CycleConfig", "SplitPair", "analytic_pairs", "barrier_grid", "barrier_spectrum",
-    "splitting_estimate",
+    "PhysicalParams", "CycleConfig", "BasisLabeling", "SplitPair", "analytic_pairs", "barrier_grid",
+    "barrier_spectrum", "splitting_estimate",
     "PartitionResult", "StageFreeEnergies", "StageLedger", "isothermal_work", "mean_energy",
     "partition_exact", "partition_highT", "partition_theta", "spectral_stage_check",
     "stage_free_energies", "thermo_entropy",
-    "BasisLabeling", "DensityMatrix", "partial_trace", "post_insertion_dm", "product_dm",
+    "DensityMatrix", "partial_trace", "post_insertion_dm", "product_dm",
     "trace_distance", "vn_entropy",
     "DemonModel", "MeasurementRecord", "ReversalResult", "coupling_unitary",
     "premeasure", "product_of_marginals", "reset_demon", "reverse_readoff",

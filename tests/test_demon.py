@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from szilard.demon import (
     RECOVERY_TOL,
     DemonModel,
     ResetCharge,
+    ReversalResult,
     coupling_unitary,
     premeasure,
     product_of_marginals,
     reset_demon,
     reverse_readoff,
 )
+from szilard.engine import CycleConfig, readoff
 from szilard.exceptions import StateError
 from szilard.infodyn import (
     DensityMatrix,
@@ -298,13 +301,26 @@ class TestPremeasure:
         p = PhysicalParams()
         p = PhysicalParams(T=n_side * n_side * p.eps / 25.0) if rung else p
         gas = post_insertion_dm(analytic_pairs(p, n_side), p.beta)
+        exact = float(dephasing_entropy(gas.entries))
+        # the cycle's float route, and premeasure on the built state
+        assert readoff(CycleConfig(params=p, n_side=n_side)).ds_gas == pytest.approx(exact, rel=1e-14)
         rec = premeasure(ready_state(gas, model), model)
-        assert rec.ds_gas == pytest.approx(float(dephasing_entropy(gas.entries)), rel=1e-14)
+        assert rec.ds_gas == pytest.approx(exact, rel=1e-14)
+
+    # tanh(beta delta_1) = 1 - 2.1e-6 and 1 - 1.2e-5: in the atanh form the
+    # logarithms of 1 - u cancel and kept only 11 digits (5.4e-12 off at the first)
+    @pytest.mark.parametrize("T, d, U, n_side", [(0.5, 0.125, 50.0, 2), (0.5, 0.2, 60.0, 3)])
+    def test_ds_gas_keeps_its_digits_near_saturation(self, model, T, d, U, n_side):
+        p = PhysicalParams(T=T, d=d, U=U)
+        gas = post_insertion_dm(analytic_pairs(p, n_side), p.beta)
+        exact = float(dephasing_entropy(gas.entries))
+        assert readoff(CycleConfig(params=p, n_side=n_side)).ds_gas == pytest.approx(exact, rel=1e-14)
+        assert premeasure(ready_state(gas, model), model).ds_gas == pytest.approx(exact, rel=1e-14)
 
     # t = tanh(beta delta): dS_gas = t^2/2 per unit weight as t -> 0, and ln 2
     # once t rounds to 1 (beta delta >~ 19)
-    @pytest.mark.parametrize("x, limit", [(1e-9, 5e-19), (1e-4, None), (0.3, None), (19.0, None),
-                                          (50.0, LN2)])
+    @pytest.mark.parametrize("x, limit", [(1e-9, 5e-19), (1e-4, None), (0.3, None), (3.0, None),
+                                          (7.0, None), (19.0, None), (50.0, LN2)])
     def test_ds_gas_of_two_doublets(self, model, x, limit):
         p0 = two_doublets(x, model)
         rec = premeasure(p0, model)
@@ -323,6 +339,19 @@ class TestPremeasure:
 
 
 class TestReverseReadoff:
+    def test_own_post_is_recovered_without_a_state(self, box_record, monkeypatch):
+        # the record's own post reverses to its pre state by construction: no
+        # eigensolve, and a record that has not built its states builds none
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape))
+
+        def unbuilt():
+            raise AssertionError("reverse_readoff built the record's states")
+
+        for rec in (box_record, replace(box_record, states=unbuilt)):
+            assert reverse_readoff(rec) == ReversalResult(recovered=True, distance=0.0)
+        assert calls == []
+
     def test_round_trip_restores_pre_state(self, box_record):
         res = reverse_readoff(box_record)
         assert res.recovered

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from szilard.demon import DemonModel, premeasure, reset_demon
 from szilard.engine import (
     ADIABATIC_NOTE,
     PROTOCOLS,
@@ -22,7 +23,7 @@ from szilard.infodyn import DensityMatrix, partial_trace, post_insertion_dm, pro
 from szilard.spectral import PhysicalParams, analytic_pairs
 from szilard.thermo import mean_energy, stage_free_energies
 
-from oracles import entropy
+from oracles import dense_readoff, entropy
 
 LN2 = math.log(2.0)
 
@@ -271,9 +272,10 @@ def test_readoff_scales_to_ten_thousand_doublets():
 
 
 def fresh_readoff(config: CycleConfig):
-    """Oracle: the readoff rebuilt from nothing shared, with a new ready
-    pointer and the closed-form unitary on one (L_k, R_k) (x) (D_L, D_R) block,
-    and its figures as differences of six LAPACK entropies."""
+    """Oracle: the readoff rebuilt eagerly from nothing shared, with a new ready
+    pointer and the closed-form unitary on one (L_k, R_k) (x) (D_L, D_R) block;
+    its states (pre, post, post's pointer marginal) and its figures as
+    differences of six LAPACK entropies."""
     p = config.params
     gas = post_insertion_dm(analytic_pairs(p, config.n_side), p.beta, coherences=config.coherences)
     d0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -288,15 +290,16 @@ def fresh_readoff(config: CycleConfig):
     ]
     figures = {"ds_demon": m1 - m0, "ds_gas": g1 - g0, "ds_joint": j1 - j0,
                "di_mu": (g1 + m1 - j1) - (g0 + m0 - j0)}
-    return post, figures
+    return (pre, post, partial_trace(post, "demon")), figures
 
 
 class TestReadoffSharing:
-    """The readoff builds the ready pointer and the coupling unitary once and
-    hands the post-readoff demon marginal to the reset."""
+    """The readoff books its figures in floats, builds its states on first
+    read from the ready pointer and the coupling unitary it shares, and
+    hands the reset the pointer entropy without a state."""
 
     def test_run_cycle_validates_two_states(self, monkeypatch):
-        run_cycle(CycleConfig(n_side=11))  # the first readoff builds the ready pointer
+        readoff(CycleConfig(n_side=11)).pre  # the first state read builds the ready pointer
         built = []
         init = DensityMatrix.__post_init__
 
@@ -305,10 +308,15 @@ class TestReadoffSharing:
             init(self)
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
-        run_cycle(CycleConfig(n_side=11))
-        # the gas and the post pointer marginal; gas (x) D_0 and the post
+        record = run_cycle(CycleConfig(n_side=11)).record
+        # no state is built until a caller reads one
+        assert built == []
+        record.post
+        # then the gas and the post pointer marginal; gas (x) D_0 and the post
         # state inherit their spectra, and the gas marginals stay plain blocks
         assert [s.entries.shape for s in built] == [(11, 2, 2), (1, 2, 2)]
+        record.pre, record.demon_post
+        assert len(built) == 2
 
     def test_run_cycle_makes_no_lapack_call(self, monkeypatch):
         run_cycle(CycleConfig(n_side=11))
@@ -324,6 +332,20 @@ class TestReadoffSharing:
         # every 2x2 block takes the closed form and every 4x4 block its inherited spectrum
         assert shapes == []
 
+    @pytest.mark.parametrize("n_side, T, coherences", [(11, 25.0, True), (11, 25.0, False), (45, 1.0, True),
+                                                       (200, 7896.0, True)])
+    @pytest.mark.parametrize("first", ["pre", "post", "demon_post"])
+    def test_states_are_built_on_first_read_and_kept(self, n_side, T, coherences, first):
+        config = CycleConfig(params=PhysicalParams(T=T), n_side=n_side, coherences=coherences)
+        rec = readoff(config)
+        names = [first] + [n for n in ("pre", "post", "demon_post") if n != first]
+        states = {name: getattr(rec, name) for name in names}
+        eager, _ = fresh_readoff(config)
+        for name, oracle in zip(("pre", "post", "demon_post"), eager):
+            assert np.array_equal(states[name].entries, oracle.entries), name
+            assert getattr(rec, name) is states[name]
+        assert rec.pre.subsystem_dims == rec.post.subsystem_dims == (2, 2)
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         T=st.floats(0.5, 200.0),
@@ -338,12 +360,38 @@ class TestReadoffSharing:
         n += (n * n * p.eps * p.beta < 20.0) + extra
         config = CycleConfig(params=p, n_side=n, coherences=coherences)
         rec = readoff(config)
-        post, figures = fresh_readoff(config)
+        (_, post, _), figures = fresh_readoff(config)
         assert np.array_equal(rec.post.entries, post.entries)
         for name, value in figures.items():
             assert getattr(rec, name) == pytest.approx(value, abs=1e-12)
         assert rec.ds_joint == 0.0
         pairs = analytic_pairs(p, n)
-        listed = post_insertion_dm(pairs.tolist(), p.beta, coherences=coherences)
-        stacked = post_insertion_dm(pairs, p.beta, coherences=coherences)
+        listed = post_insertion_dm(pairs, p.beta, coherences=coherences)
+        stacked = post_insertion_dm(np.array(pairs), p.beta, coherences=coherences)
         assert np.array_equal(listed.entries, stacked.entries)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    T=st.floats(0.5, 200.0),
+    d=st.floats(0.01, 0.2),
+    U=st.floats(50.0, 2e4),
+    extra=st.integers(0, 40),
+    coherences=st.booleans(),
+)
+def test_float_ledger_matches_the_state_routes(T, d, U, extra, coherences):
+    # the cycle's figures and reset charge, booked in floats with no state,
+    # against premeasure on the built state and the LAPACK route of the oracles
+    p = PhysicalParams(T=T, d=d, U=U)
+    n = math.ceil(math.sqrt(20.0 / (p.eps * p.beta)))
+    n += (n * n * p.eps * p.beta < 20.0) + extra
+    config = CycleConfig(params=p, n_side=n, coherences=coherences)
+    report = run_cycle(config)
+    (pre, _, _), _ = fresh_readoff(config)
+    built, lapack = premeasure(pre, DemonModel()), dense_readoff(pre)
+    for route in (built, lapack):
+        for name in ("ds_gas", "ds_demon", "di_mu"):
+            assert getattr(report.record, name) == pytest.approx(getattr(route, name), abs=1e-12), name
+        charge = reset_demon(route.demon_post, p.T, p.k_B)
+        assert report.S_to_environment == pytest.approx(p.k_B * charge.entropy, abs=1e-12)
+        assert report.W_extracted - report.net_balance == pytest.approx(charge.free_energy, rel=1e-12)

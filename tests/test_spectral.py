@@ -407,20 +407,25 @@ class TestSplittingEstimate:
         for k, (e, _) in enumerate(pairs, start=1):
             assert e == pytest.approx(p.eps_prime * (2 * k) ** 2, rel=1e-14)
 
-    def test_analytic_pairs_is_a_float_array(self):
+    def test_analytic_pairs_returns_rows_of_floats(self):
         p = PhysicalParams(U=500.0)
         pairs = analytic_pairs(p, 5)
-        assert pairs.shape == (5, 2) and pairs.dtype == np.float64
+        assert len(pairs) == 5
+        assert all(len(row) == 2 and all(type(x) is float for x in row) for row in pairs)
+        # the levels keep the bits of the array form eps' (2k)^2
+        levels = p.eps_prime * np.arange(2.0, 11.0, 2.0) ** 2
+        assert [e for e, _ in pairs] == levels.tolist()
         for k, (e, delta) in enumerate(pairs, start=1):
             expect = splitting_estimate(p, k) if p.U > e else 0.0
             assert delta == expect  # the same operations as the scalar form
+        assert pairs[0][1] > 0.0  # read as the acceptance gate reads delta_1
 
     def test_analytic_pairs_levels_past_the_float_range(self):
         # eps' (2k)^2 overflows for the top pairs: an inf level, with no warning
         p = PhysicalParams(L=1e-153, d=1e-155, U=1e307, T=1e307)
         pairs = analytic_pairs(p, 100_000)
-        assert np.isinf(pairs[-1, 0]) and pairs[-1, 1] == 0.0
-        assert np.all(np.isfinite(pairs[:2]))
+        assert math.isinf(pairs[-1][0]) and pairs[-1][1] == 0.0
+        assert all(math.isfinite(x) for row in pairs[:2] for x in row)
 
 
 class TestAgainstMatchingOracle:
