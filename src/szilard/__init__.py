@@ -23,10 +23,10 @@ _MODULES = {
     "thermo": ("PartitionResult", "StageFreeEnergies", "StageLedger", "isothermal_work",
                "mean_energy", "partition_exact", "partition_highT", "partition_theta",
                "spectral_stage_check", "stage_free_energies", "thermo_entropy"),
-    "infodyn": ("DensityMatrix", "partial_trace", "post_insertion_dm",
-                "product_dm", "trace_distance", "vn_entropy"),
+    "infodyn": ("DensityMatrix", "partial_trace", "post_insertion_dm", "product_dm",
+                "trace_distance"),
     "demon": ("DemonModel", "MeasurementRecord", "ReversalResult", "coupling_unitary",
-              "premeasure", "product_of_marginals", "reset_demon", "reverse_readoff"),
+              "premeasure", "product_of_marginals", "reverse_readoff"),
     "engine": ("CycleReport", "extraction_work", "run_cycle", "sweep"),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

@@ -1,4 +1,4 @@
-"""Two-state measuring apparatus: coupling, readoff bookkeeping, reset.
+"""Two-state measuring apparatus: coupling, readoff bookkeeping, reversal.
 
 The apparatus has basis D_L = (1, 0), D_R = (0, 1) and starts in
 D_0 = (D_L + D_R)/sqrt(2).
@@ -44,12 +44,10 @@ __all__ = [
     "DemonModel",
     "MeasurementRecord",
     "ReversalResult",
-    "ResetCharge",
     "coupling_unitary",
     "premeasure",
     "reverse_readoff",
     "product_of_marginals",
-    "reset_demon",
 ]
 
 PRODUCT_TOL = 1e-10
@@ -233,6 +231,8 @@ def premeasure(p0: DensityMatrix, model: DemonModel) -> MeasurementRecord:
     import numpy as np
 
     gas = _require_ready_product(p0, model)
+    # to unit trace, which D_0's rounded (1/sqrt 2)^2 misses by 2 ulp: a pure pointer books 0
+    gas = gas / np.trace(gas, axis1=1, axis2=2).real.sum()
     a, d, c = gas[:, 0, 0].real.tolist(), gas[:, 1, 1].real.tolist(), np.abs(gas[:, 0, 1]).tolist()
     return _ledger(a, d, c, functools.partial(_joint_states, p0))
 
@@ -262,36 +262,12 @@ def product_of_marginals(p: DensityMatrix) -> DensityMatrix:
     """rho_gas (x) rho_demon built from p's own marginals.
 
     Same marginals as p, zero mutual information.  For the post-readoff
-    state this is what an observer holding no record would write down.
-    The two marginals are validated; the product inherits their spectra.
+    state this is what an observer holding no record would write down, at
+    trace distance 1/2 + 1/2 sum_k c_k max(0, 2 tanh(beta delta_k) - 1) from
+    it (c_k the L_k population): 1/2 only while every weighted doublet has
+    tanh(beta delta_k) <= 1/2.  The two marginals are validated; the product
+    inherits their spectra.
     """
     from .infodyn import partial_trace, product_dm
 
     return product_dm(partial_trace(p, "gas"), partial_trace(p, "demon"))
-
-
-class ResetCharge(NamedTuple):
-    entropy: float
-    free_energy: float
-
-
-def _charge(entropy: float, T: float, k_B: float) -> ResetCharge:
-    """The reset's charge for a pointer of entropy S: S to the environment, k_B T S of free energy."""
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    return ResetCharge(entropy=entropy, free_energy=k_B * T * entropy)
-
-
-def reset_demon(demon_state: DensityMatrix, T: float = 1.0, k_B: float = 1.0) -> ResetCharge:
-    """Erase the pointer back to D_0 and return the charge to the environment.
-
-    Protocol: read the pointer, then rotate the definite outcome back to
-    D_0.  The record of the outcome still exists afterwards and erasing it
-    exports the demon's pre-reset entropy S to the environment, costing
-    free energy k_B T S.  A demon already in a pure state erases nothing
-    and costs nothing.  For the standard half-half mixture S = ln 2.  A
-    cycle charges its record's pointer without building it (engine.run_cycle).
-    """
-    if demon_state.dim != 2:
-        raise StateError(f"demon state must be two-level, got dim {demon_state.dim}")
-    return _charge(_entropy(*demon_state.eigenvalues.tolist()), T, k_B)

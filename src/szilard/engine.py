@@ -9,9 +9,10 @@ is no cross-check of that bookkeeping: its jump is k_B T ln 2 by
 construction, so its deviation bounds only unpaired and above-top weight.
 
 A cycle runs on the standard library: the readoff books its figures from
-the model doublets' weights in Python floats, and its record builds the
-joint states, with numpy, only when a caller reads one.  Apart from such
-a read, only the spectral check imports numpy.
+the model doublets' weights (thermo._doublet_weights) in Python floats, and
+its record builds the joint states from the same weights, with numpy, only
+when a caller reads one.  Apart from such a read, only the spectral check
+imports numpy.
 
 Sign conventions: W_extracted > 0 is work delivered by the engine;
 Q_from_reservoir > 0 is heat absorbed by the gas; S_to_environment > 0 is
@@ -27,13 +28,13 @@ import random
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from .demon import DemonModel, MeasurementRecord, States, _charge, _joint_states, _ledger
+from .demon import DemonModel, MeasurementRecord, States, _joint_states, _ledger
 from .exceptions import EngineError, SzilardError
 from .params import (PROTOCOLS, SWEEP_AXES, BasisLabeling, CycleConfig, PhysicalParams,
                      _canon_protocol)
 from .spectral import analytic_pairs
-from .thermo import (StageLedger, _stage_ledgers, isothermal_work, spectral_stage_check,
-                     stage_free_energies)
+from .thermo import (StageLedger, _doublet_weights, _stage_ledgers, isothermal_work,
+                     spectral_stage_check, stage_free_energies)
 
 __all__ = [
     "PROTOCOLS",
@@ -51,9 +52,10 @@ __all__ = [
 SECOND_LAW_TOL = 1e-9
 
 ADIABATIC_NOTE = (
-    "single-shot adiabatic expansion: the level scaling E ~ width^-2 gives "
-    "W = (3/8) k_B T for the half-to-full stroke, not the k_B T/4 sometimes "
-    "quoted; the gas leaves the stroke cold and the reservoir restores it."
+    "single-shot adiabatic expansion: in the classical limit eps beta -> 0 the "
+    "level scaling E ~ width^-2 gives W = (3/8) k_B T for the half-to-full "
+    "stroke, not the k_B T/4 sometimes quoted; the gas leaves the stroke cold "
+    "and the reservoir restores it."
 )
 
 
@@ -131,7 +133,8 @@ class CycleReport:
 
 
 def extraction_work(protocol: str, params: PhysicalParams, n_steps: int = 8) -> float:
-    """Work delivered by expanding the one-sided gas back to full width.
+    """Work delivered by expanding the one-sided gas back to full width; the
+    adiabatic forms are the eps beta -> 0 ones (the default T = 1 has eps beta = 4.93).
 
     isothermal: quasi-static at T, W = k_B T ln 2.
     stepwise-adiabatic: n_steps adiabatic increments of width ratio
@@ -152,33 +155,11 @@ def extraction_work(protocol: str, params: PhysicalParams, n_steps: int = 8) -> 
     return n_steps * (kt / 2.0) * (1.0 - 2.0 ** (-2.0 / n_steps))
 
 
-def _weights(pairs, beta: float, coherences: bool):
-    """Each doublet's L_k and R_k population c_k and, unless coherences is
-    False, its L_k<->R_k coherence s_k, as lists of Python floats.
+def _states(c: List[float], s: List[float]) -> States:
+    """The readoff's joint states from its doublet weights, built on a first read."""
+    from .infodyn import _gas, product_dm
 
-    These are the entries infodyn.post_insertion_dm gives the gas state, in
-    the same closed form: c_k = w_k (2 + t_k)/2Z and s_k = -w_k t_k/2Z, with
-    t_k = expm1(-2 beta delta_k) and Z the sum of the w_k (2 + t_k).  The
-    state keeps numpy's rounding of them, so the two agree to an ulp or so.
-    """
-    # weights relative to the lowest member energy, as in post_insertion_dm:
-    # no exponent is positive, and one that overflows is a weight of 0
-    low = min(e - d for e, d in pairs)
-    w = [math.exp(-beta * (e - d - low)) for e, d in pairs]
-    t = [math.expm1(-2.0 * beta * d) for _, d in pairs]
-    q = [x * (2.0 + y) for x, y in zip(w, t)]  # both members' weight
-    z = 2.0 * math.fsum(q)
-    c = [x / z for x in q]
-    s = [-x * y / z for x, y in zip(w, t)] if coherences else [0.0] * len(c)
-    return c, s
-
-
-def _states(pairs, beta: float, coherences: bool) -> States:
-    """The readoff's joint states, built when a record's first state is read."""
-    from .infodyn import post_insertion_dm, product_dm
-
-    gas = post_insertion_dm(pairs, beta, coherences=coherences)
-    return _joint_states(product_dm(gas, DemonModel().ready))
+    return _joint_states(product_dm(_gas(c, s), DemonModel().ready))
 
 
 def readoff(config: CycleConfig) -> MeasurementRecord:
@@ -186,7 +167,7 @@ def readoff(config: CycleConfig) -> MeasurementRecord:
     ready pointer; coherences=False reads off the dephased gas state instead.
 
     The figures come from the doublet weights in Python floats (demon._ledger);
-    the record builds its joint states on first read.
+    the record builds its joint states from the same weights on first read.
     """
     params = config.params
     # the size cap and the truncation gate n_side^2 eps beta >= 20, checked
@@ -196,9 +177,8 @@ def readoff(config: CycleConfig) -> MeasurementRecord:
         pairs = analytic_pairs(params, config.n_side)
     except SzilardError as exc:
         raise type(exc)(f"inserted stage: {exc}") from exc
-    beta, coherences = params.beta, config.coherences
-    c, s = _weights(pairs, beta, coherences)
-    return _ledger(c, c, s, functools.partial(_states, pairs, beta, coherences))
+    c, s = _doublet_weights(pairs, params.beta, config.coherences)
+    return _ledger(c, c, s, functools.partial(_states, c, s))
 
 
 def run_cycle(config: CycleConfig) -> CycleReport:
@@ -220,10 +200,8 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     work = extraction_work(config.protocol, params, config.n_steps)
 
     # the ready pointer is pure, so the pointer the reset erases carries ds_demon
-    charge = _charge(record.ds_demon, params.T, params.k_B)
-    s_env = params.k_B * charge.entropy
-
-    net = work - charge.free_energy
+    s_env = params.k_B * record.ds_demon
+    net = work - kt * record.ds_demon
     # written so that a NaN balance raises too
     if not net <= SECOND_LAW_TOL:
         raise EngineError(

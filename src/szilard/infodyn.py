@@ -1,20 +1,19 @@
-"""Finite-dimensional density-matrix algebra and information measures.
+"""Finite-dimensional density-matrix algebra: states, marginals, products, distances.
 
 Every state is block diagonal, a stack of K equal (b, b) blocks: the gas
 holds one (L_k, R_k) block per doublet k, a gas (x) apparatus state one
 (L_k, R_k) (x) (D_L, D_R) block per doublet, and a general dense state is
 the single block K = 1.  Every function broadcasts over the block axis.
-All entropies are in units of k_B with natural logarithms; "bits" are a
-display concern.  A state handed in is validated once, its spectrum solved
-by _spectrum: 2x2 blocks (doublets, gas marginals, the pointer) in closed
-form, larger ones by LAPACK.  A product or unitary image of validated states
-inherits their spectrum (_derived); marginals that only feed an entropy stay
-plain arrays.
+A state handed in is validated once, its spectrum solved by _spectrum:
+2x2 blocks (doublets, gas marginals, the pointer) in closed form, larger
+ones by LAPACK.  A product or unitary image of validated states inherits
+their spectrum (_derived); marginals that only feed the readoff stay plain
+arrays.  No entropy is taken here: demon books the readoff's, in k_B units.
 
 This is the layer that builds states, so it imports numpy at load; nothing
-imports it before a state is needed.  The readoff's figures and the cycle's
-ledger are taken from the doublet weights as floats (demon), and the basis
-gate BasisLabeling lives in the numpy-free params (re-exported here).
+imports it before a state is needed.  The gas state is built (_gas) from
+the weights thermo._doublet_weights takes as floats, the ones the readoff
+books from.  BasisLabeling lives in the numpy-free params (re-exported here).
 """
 from __future__ import annotations
 
@@ -25,12 +24,12 @@ import numpy as np
 
 from .exceptions import StateError
 from .params import BasisLabeling
+from .thermo import _doublet_weights
 
 __all__ = [
     "DensityMatrix",
     "BasisLabeling",
     "post_insertion_dm",
-    "vn_entropy",
     "partial_trace",
     "trace_distance",
     "product_dm",
@@ -84,11 +83,6 @@ class DensityMatrix:
         object.__setattr__(self, "_eigs", eigs)
 
     @property
-    def dim(self) -> int:
-        """Dimension of the full matrix, K * b."""
-        return self.entries.shape[0] * self.entries.shape[1]
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of all blocks together, cached at construction."""
         return self._eigs
@@ -101,8 +95,9 @@ def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMat
     each doublet k with mean energy E_k and half-splitting delta_k the
     populations on L_k and R_k are w_k cosh(beta delta_k)/Z and the
     L_k<->R_k coherence is w_k sinh(beta delta_k)/Z, with w_k = e^(-beta E_k)
-    and Z = 2 sum_k w_k cosh(beta delta_k).  coherences=False drops the sinh
-    entries: that is the state an outcome-ignorant observer uses.
+    and Z = 2 sum_k w_k cosh(beta delta_k), by thermo._doublet_weights.
+    coherences=False drops the sinh entries: the state of an outcome-ignorant
+    observer.  Non-finite input is refused but for E_k = +inf, of no weight.
     """
     data = np.asarray(pairs, dtype=float)
     if not data.size:
@@ -110,19 +105,20 @@ def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMat
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError(f"pairs must be (E_k, delta_k) rows, got shape {data.shape}")
     e, d = data.T
+    bad = np.isnan(e) | (e == -np.inf) | ~np.isfinite(d)
+    if np.any(bad) or not np.isfinite(e).any():
+        raise ValueError(f"doublet row {tuple(data[np.argmax(bad)].tolist())} is not finite "
+                         "(E_k may be +inf, but not in every row)")
     if np.any(d < 0):
         raise ValueError(f"negative splitting {float(d[np.argmax(d < 0)])}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    # weights relative to the lowest member energy E_k - delta_k: no exponent is
-    # positive, one overflowing to -inf is a weight of 0; expm1 keeps small beta delta exact
-    with np.errstate(over="ignore"):
-        w = np.exp(-beta * (e - d - np.min(e - d)))
-        wc = w * (1.0 + np.exp(-2.0 * beta * d)) / 2.0
-        ws = -w * np.expm1(-2.0 * beta * d) / 2.0
-    z = 2.0 * float(np.sum(wc))
-    c = wc / z
-    s = ws / z if coherences else np.zeros_like(c)
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    return _gas(*_doublet_weights(data.tolist(), beta, coherences))
+
+
+def _gas(c, s) -> DensityMatrix:
+    """The gas state with L_k and R_k populations c_k and L_k<->R_k coherences s_k."""
+    c, s = np.array(c), np.array(s)
     return DensityMatrix(np.stack([c, s, s, c], axis=-1).reshape(-1, 2, 2))
 
 
@@ -147,17 +143,6 @@ def _spectrum(blocks: np.ndarray) -> np.ndarray:
         eigs = np.linalg.eigvalsh(blocks).ravel()
     eigs.sort()
     return eigs
-
-
-def _entropy(eigs: np.ndarray) -> float:
-    """-sum w ln w over the positive eigenvalues, in the order given (0 ln 0 := 0)."""
-    w = eigs[eigs > 0.0]
-    return max(float(-(w * np.log(w)).sum()), 0.0)
-
-
-def vn_entropy(rho: DensityMatrix) -> float:
-    """von Neumann entropy -Tr rho ln rho in units of k_B (0 ln 0 := 0)."""
-    return _entropy(rho.eigenvalues)
 
 
 def _marginal(entries: np.ndarray, dims: Tuple[int, int], keep: str) -> np.ndarray:

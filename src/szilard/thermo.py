@@ -1,7 +1,7 @@
 """Canonical-ensemble quantities for the one-molecule gas: partition
 functions (exact series, theta-form, high-temperature), internal energy,
-entropy, isothermal work, and the cycle's classical stage table, from
-which stage_free_energies reads the stage free energies.
+entropy, isothermal work, the post-insertion doublet weights, and the
+cycle's classical stage table, which stage_free_energies reads.
 
 The box's Z, <E> and S come from one certified pass over its levels
 (_box_sums) on the standard library; only spectral_stage_check loads numpy.
@@ -159,9 +159,27 @@ class StageFreeEnergies:
 
 
 def stage_free_energies(params: PhysicalParams) -> StageFreeEnergies:
-    """A, A_tilde and A_left: the A of the stage table's first three stages."""
+    """A, A_tilde and A_left: the A of the stage table's first three stages,
+    so the eps beta -> 0 (classical-limit) forms; the default T = 1 has eps beta = 4.93."""
     free, inserted, measured = _stage_ledgers(params, "L")[:3]
     return StageFreeEnergies(free.A, inserted.A, measured.A)
+
+
+def _doublet_weights(pairs, beta: float, coherences: bool):
+    """The post-insertion gas state's entries as lists of Python floats: each
+    doublet's L_k and R_k population c_k = w_k (2 + t_k)/2Z and, unless
+    coherences is False, its L_k<->R_k coherence s_k = -w_k t_k/2Z, with
+    t_k = expm1(-2 beta delta_k) and Z the sum of the w_k (2 + t_k)."""
+    # weights relative to the lowest member energy: no exponent is positive,
+    # and one that overflows is a weight of 0
+    low = min(e - d for e, d in pairs)
+    w = [math.exp(-beta * (e - d - low)) for e, d in pairs]
+    t = [math.expm1(-2.0 * beta * d) for _, d in pairs]
+    q = [x * (2.0 + y) for x, y in zip(w, t)]  # both members' weight
+    z = 2.0 * math.fsum(q)
+    c = [x / z for x in q]
+    s = [-x * y / z for x, y in zip(w, t)] if coherences else [0.0] * len(c)
+    return c, s
 
 
 def isothermal_work(v_initial: float, v_final: float, T: float, k_B: float = 1.0) -> float:

@@ -103,6 +103,24 @@ def dephasing_entropy(blocks, dps: int = 50):
         return total
 
 
+def doublet_weights(pairs, beta: float, dps: int = 50):
+    """Each (E_k, delta_k) row's L_k population c_k and L_k<->R_k coherence s_k.
+
+    The Boltzmann weights of the doublet's two levels E_k -+ delta_k, taken
+    relative to the lowest level, in the L/R basis: c_k is half their sum
+    and s_k half their difference, over the sum Z of all the levels'
+    weights.  From the float rows and beta as given, with dps digits; the
+    difference keeps dps - log10(1/(beta delta_k)) of them.  As mpmath numbers.
+    """
+    with mpmath.workdps(dps):
+        b = mpmath.mpf(beta)
+        rows = [(mpmath.mpf(e), mpmath.mpf(d)) for e, d in pairs]
+        low = min(e - d for e, d in rows)
+        levels = [(mpmath.exp(-b * (e - d - low)), mpmath.exp(-b * (e + d - low))) for e, d in rows]
+        z2 = 2 * sum(lo + hi for lo, hi in levels)
+        return [(lo + hi) / z2 for lo, hi in levels], [(lo - hi) / z2 for lo, hi in levels]
+
+
 def doublet(params, k: int, dps: int = 80):
     """(E_k, delta_k) of doublet k below the barrier top, as mpmath numbers.
 

@@ -704,10 +704,9 @@ PUBLIC_NAMES = [
     "PartitionResult", "StageFreeEnergies", "StageLedger", "isothermal_work", "mean_energy",
     "partition_exact", "partition_highT", "partition_theta", "spectral_stage_check",
     "stage_free_energies", "thermo_entropy",
-    "DensityMatrix", "partial_trace", "post_insertion_dm", "product_dm",
-    "trace_distance", "vn_entropy",
+    "DensityMatrix", "partial_trace", "post_insertion_dm", "product_dm", "trace_distance",
     "DemonModel", "MeasurementRecord", "ReversalResult", "coupling_unitary",
-    "premeasure", "product_of_marginals", "reset_demon", "reverse_readoff",
+    "premeasure", "product_of_marginals", "reverse_readoff",
     "CycleReport", "extraction_work", "run_cycle", "sweep",
 ]
 

@@ -3,22 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from szilard.demon import (
     RECOVERY_TOL,
     DemonModel,
-    ResetCharge,
     ReversalResult,
     coupling_unitary,
     premeasure,
     product_of_marginals,
-    reset_demon,
     reverse_readoff,
 )
-from szilard.engine import CycleConfig, readoff
+from szilard.engine import CycleConfig, readoff, run_cycle
 from szilard.exceptions import StateError
 from szilard.infodyn import (
     DensityMatrix,
@@ -33,6 +31,8 @@ from oracles import (
     coupling_unitary as dense_unitary,
     dense_readoff,
     dephasing_entropy,
+    doublet_weights,
+    entropy,
     mutual_information,
     reversal_distance,
     reversed_state,
@@ -409,6 +409,24 @@ class TestProductOfMarginals:
                 atol=1e-14,
             )
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(log_t=st.floats(-3.0, 1.0), d=st.floats(0.01, 0.1), extra=st.integers(0, 10))
+    @example(log_t=-9.0, d=0.05, extra=0)  # all weight in the ground doublet: 3/4
+    @example(log_t=0.0, d=0.05, extra=0)  # beta delta_1 = 0.047: 1/2
+    def test_distance_from_post_has_closed_form(self, log_t, d, extra):
+        # 1/2 + 1/2 sum_k c_k max(0, 2 tanh(beta delta_k) - 1): 1/2 only while
+        # every weighted doublet has tanh(beta delta_k) <= 1/2
+        p = PhysicalParams(T=10.0**log_t, d=d)
+        n = math.ceil(math.sqrt(20.0 / (p.eps * p.beta)))
+        n += (n * n * p.eps * p.beta < 20.0) + extra
+        rec = readoff(CycleConfig(params=p, n_side=n))
+        pairs = analytic_pairs(p, n)
+        c, _ = doublet_weights(pairs, p.beta)
+        form = 0.5 + 0.5 * sum(float(ck) * max(0.0, 2.0 * math.tanh(p.beta * dk) - 1.0)
+                               for ck, (_, dk) in zip(c, pairs))
+        distance = trace_distance(rec.post, product_of_marginals(rec.post))
+        assert distance == pytest.approx(form, abs=1e-12)
+
     def test_fixed_point_on_products(self, box_record):
         pre = box_record.pre
         assert trace_distance(product_of_marginals(pre), pre) < 1e-12
@@ -442,34 +460,51 @@ class TestProductOfMarginals:
 
 
 class TestResetDemon:
-    def test_standard_mixture_costs_ln2(self):
-        charge = reset_demon(DensityMatrix(np.eye(2) / 2.0), T=1.0)
-        assert isinstance(charge, ResetCharge)
-        assert charge.entropy == pytest.approx(LN2, rel=1e-12)
-        assert charge.free_energy == pytest.approx(LN2, rel=1e-12)
+    """The reset's charge on its production route: the pointer entropy
+    ds_demon that premeasure books, which run_cycle charges as k_B ds_demon
+    to the environment and k_B T ds_demon of free energy."""
 
-    def test_pure_pointer_resets_for_free(self):
-        charge = reset_demon(DensityMatrix(np.diag([1.0, 0.0])))
-        assert charge.entropy == 0.0
-        assert charge.free_energy == 0.0
+    @staticmethod
+    def pointer_entropy(populations, model) -> float:
+        gas = DensityMatrix(np.diag(populations))
+        return premeasure(ready_state(gas, model), model).ds_demon
 
-    def test_biased_pointer_and_temperature_scaling(self):
-        biased = DensityMatrix(np.diag([0.9, 0.1]))
+    def test_standard_mixture_costs_ln2(self, model):
+        assert self.pointer_entropy([0.5, 0.5], model) == pytest.approx(LN2, rel=1e-15)
+        report = run_cycle(CycleConfig())
+        assert report.S_to_environment == pytest.approx(LN2, rel=1e-12)
+        assert report.W_extracted - report.net_balance == pytest.approx(LN2, rel=1e-12)
+
+    def test_pure_pointer_resets_for_free(self, model):
+        # a gas wholly on L drives D_0 to D_L: nothing is left to erase
+        assert self.pointer_entropy([1.0, 0.0], model) == 0.0
+
+    def test_biased_pointer_and_temperature_scaling(self, model):
         h = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
-        charge = reset_demon(biased, T=2.0)
-        assert charge.entropy == pytest.approx(h, rel=1e-14)
-        assert charge.entropy == pytest.approx(0.3250829733914482, rel=1e-14)
-        assert charge.free_energy == pytest.approx(2.0 * h, rel=1e-14)
+        rec = premeasure(ready_state(DensityMatrix(np.diag([0.9, 0.1])), model), model)
+        assert rec.ds_demon == pytest.approx(h, rel=1e-14)
+        assert rec.ds_demon == pytest.approx(0.3250829733914482, rel=1e-14)
+        # the pointer the reset erases carries that entropy, by LAPACK
+        assert entropy(rec.demon_post.entries) == pytest.approx(h, rel=1e-14)
+        report = run_cycle(CycleConfig(params=PhysicalParams(T=2.0)))
+        charge = 2.0 * report.record.ds_demon
+        assert report.W_extracted - report.net_balance == pytest.approx(charge, rel=1e-14)
 
     def test_charge_scales_with_boltzmann_constant(self):
         # entropy stays in units of k_B; the free energy is k_B T S
-        mixed = DensityMatrix(np.eye(2) / 2.0)
-        charge = reset_demon(mixed, T=2.0, k_B=3.0)
-        assert charge.entropy == reset_demon(mixed).entropy
-        assert charge.free_energy == pytest.approx(6.0 * LN2, rel=1e-15)
+        p = PhysicalParams(k_B=3.0, T=2.0)
+        for protocol in ("isothermal", "stepwise-adiabatic"):
+            report = run_cycle(CycleConfig(params=p, protocol=protocol))
+            ds = report.record.ds_demon
+            assert ds == pytest.approx(LN2, rel=1e-12)
+            assert report.S_to_environment == 3.0 * ds
+            assert report.W_extracted - report.net_balance == pytest.approx(6.0 * ds, rel=1e-14)
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(StateError):
-            reset_demon(DensityMatrix(np.eye(4) / 4.0))
-        with pytest.raises(ValueError):
-            reset_demon(DensityMatrix(np.eye(2) / 2.0), T=0.0)
+    def test_rejects_bad_inputs(self, model):
+        # the reset erases a two-level pointer at a positive temperature: the
+        # readoff takes no other pointer, and no cycle runs at T <= 0
+        wide = DensityMatrix(np.kron(np.diag([0.5, 0.5]), np.eye(4) / 4.0), subsystem_dims=(2, 4))
+        with pytest.raises(StateError, match="subsystem_dims"):
+            premeasure(wide, model)
+        with pytest.raises(ValueError, match="T must be positive"):
+            run_cycle(CycleConfig(params=PhysicalParams(T=0.0)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szilard.demon import DemonModel, premeasure, reset_demon
+from szilard.demon import DemonModel, premeasure
 from szilard.engine import (
     ADIABATIC_NOTE,
     PROTOCOLS,
@@ -18,6 +18,7 @@ from szilard.engine import (
     run_cycle,
     sweep,
 )
+from szilard import thermo
 from szilard.exceptions import TruncationError
 from szilard.infodyn import DensityMatrix, partial_trace, post_insertion_dm, product_dm
 from szilard.spectral import PhysicalParams, analytic_pairs
@@ -318,6 +319,22 @@ class TestReadoffSharing:
         record.pre, record.demon_post
         assert len(built) == 2
 
+    def test_states_are_built_from_the_booked_weights(self, monkeypatch):
+        # the doublet weights are taken once, for the figures, and the states
+        # a read builds reuse them
+        original, calls = thermo._doublet_weights, []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("szilard.") and vars(mod).get("_doublet_weights") is original:
+                monkeypatch.setattr(mod, "_doublet_weights", counting)
+        record = readoff(CycleConfig(params=PhysicalParams(T=25.0), n_side=11))
+        record.post
+        assert len(calls) == 1
+
     def test_run_cycle_makes_no_lapack_call(self, monkeypatch):
         run_cycle(CycleConfig(n_side=11))
         shapes = []
@@ -392,6 +409,7 @@ def test_float_ledger_matches_the_state_routes(T, d, U, extra, coherences):
     for route in (built, lapack):
         for name in ("ds_gas", "ds_demon", "di_mu"):
             assert getattr(report.record, name) == pytest.approx(getattr(route, name), abs=1e-12), name
-        charge = reset_demon(route.demon_post, p.T, p.k_B)
-        assert report.S_to_environment == pytest.approx(p.k_B * charge.entropy, abs=1e-12)
-        assert report.W_extracted - report.net_balance == pytest.approx(charge.free_energy, rel=1e-12)
+        s_demon = entropy(route.demon_post.entries)
+        assert report.S_to_environment == pytest.approx(p.k_B * s_demon, abs=1e-12)
+        charge = p.k_B * p.T * s_demon
+        assert report.W_extracted - report.net_balance == pytest.approx(charge, rel=1e-12)

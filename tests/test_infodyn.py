@@ -14,12 +14,11 @@ from szilard.infodyn import (
     post_insertion_dm,
     product_dm,
     trace_distance,
-    vn_entropy,
 )
 from szilard.params import MAX_N_SIDE
 from szilard.spectral import PhysicalParams, analytic_pairs
 
-from oracles import block_spectrum, mutual_information
+from oracles import block_spectrum, entropy, mutual_information
 
 LN2 = math.log(2.0)
 
@@ -71,7 +70,7 @@ class TestDensityMatrix:
         dense = DensityMatrix(block_diag(*blocks))
         assert rho.entries.shape == (2, 2, 2) and dense.entries.shape == (1, 4, 4)
         assert rho.entries.dtype == np.float64
-        assert rho.dim == dense.dim == 4
+        assert rho.eigenvalues.size == dense.eigenvalues.size == 4
         assert np.allclose(rho.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-15)
         with pytest.raises(StateError, match="Hermitian"):
             DensityMatrix(np.array([[[0.5, 0.1], [0.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]))
@@ -104,7 +103,7 @@ class TestDensityMatrix:
     def test_accepts_complex_states(self):
         v = np.array([1.0, 1.0j]) / math.sqrt(2.0)
         rho = DensityMatrix(np.outer(v, v.conj()))
-        assert vn_entropy(rho) == pytest.approx(0.0, abs=1e-12)
+        assert entropy(rho.entries) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBasisLabeling:
@@ -165,8 +164,9 @@ class TestPostInsertion:
             return DensityMatrix(blocks)
 
         rho_l, rho_r = one_sided(0), one_sided(1)
-        assert vn_entropy(rho_i) - vn_entropy(rho_l) == pytest.approx(LN2, abs=1e-12)
-        assert vn_entropy(rho_l) == pytest.approx(vn_entropy(rho_r), abs=1e-14)
+        s_i, s_l, s_r = (entropy(rho.entries) for rho in (rho_i, rho_l, rho_r))
+        assert s_i - s_l == pytest.approx(LN2, abs=1e-12)
+        assert s_l == pytest.approx(s_r, abs=1e-14)
 
     def test_one_block_per_doublet(self):
         n = len(self.pairs)
@@ -186,7 +186,27 @@ class TestPostInsertion:
 
     def test_accepts_bare_tuples(self):
         rho = post_insertion_dm([(0.0, 0.01), (3.0, 0.001)], 1.0)
-        assert rho.dim == 4
+        assert rho.entries.shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("pairs, beta, named", [
+        ([(0.0, 0.1)], math.nan, "beta must be positive and finite, got nan"),
+        ([(0.0, 0.1)], math.inf, "beta must be positive and finite, got inf"),
+        ([(0.0, 0.1), (math.nan, 0.2)], 1.0, r"row \(nan, 0\.2\) is not finite"),
+        ([(0.0, math.nan)], 1.0, r"row \(0\.0, nan\) is not finite"),
+        ([(0.0, math.inf)], 1.0, r"row \(0\.0, inf\) is not finite"),
+        ([(-math.inf, 0.1)], 1.0, r"row \(-inf, 0\.1\) is not finite"),
+        ([(math.inf, 0.0)], 1.0, r"row \(inf, 0\.0\) is not finite.*not in every row"),
+    ])
+    def test_non_finite_input_is_named(self, pairs, beta, named):
+        # a ValueError naming the value, not a failed Hermiticity gate
+        with pytest.raises(ValueError, match=named):
+            post_insertion_dm(pairs, beta)
+
+    def test_weightless_doublets_are_accepted(self):
+        # analytic_pairs writes a level past the float range as E_k = +inf
+        rho = post_insertion_dm([(0.0, 0.1), (math.inf, 0.0)], 1.0)
+        assert np.max(np.abs(rho.entries[1])) == 0.0
+        assert np.trace(rho.entries, axis1=1, axis2=2).sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_empty_and_negative_input(self):
         with pytest.raises(ValueError, match="^need at least one doublet$"):
@@ -200,10 +220,10 @@ class TestPostInsertion:
 
 class TestEntropyAndInformation:
     def test_pure_state(self):
-        assert vn_entropy(dm([1.0, 0.0, 0.0])) == 0.0
+        assert entropy(dm([1.0, 0.0, 0.0]).entries) == 0.0
 
     def test_uniform_state(self):
-        assert vn_entropy(dm([0.25] * 4)) == pytest.approx(math.log(4.0), rel=1e-14)
+        assert entropy(dm([0.25] * 4).entries) == pytest.approx(math.log(4.0), rel=1e-14)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))
@@ -212,7 +232,7 @@ class TestEntropyAndInformation:
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = a @ a.conj().T
         rho = DensityMatrix(m / np.trace(m).real)
-        s = vn_entropy(rho)
+        s = entropy(rho.entries)
         assert 0.0 <= s <= math.log(dim) + 1e-12
 
 

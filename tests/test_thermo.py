@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import box_tails
+from oracles import box_tails, doublet_weights
 from szilard.exceptions import NumericsError, SpectralError, ThermoError
-from szilard.spectral import PhysicalParams, barrier_grid
+from szilard.spectral import PhysicalParams, analytic_pairs, barrier_grid
 from szilard.thermo import (
+    _doublet_weights,
     _tails,
     StageLedger,
     isothermal_work,
@@ -294,3 +295,31 @@ class TestSpectralStageCheck:
         p = PhysicalParams(d=0.0)
         with pytest.raises(SpectralError, match="needs a barrier"):
             spectral_stage_check(p, n_levels=8, grid=barrier_grid(p, 1024))
+
+
+EPS = PhysicalParams().eps
+
+
+class TestDoubletWeights:
+    @pytest.mark.parametrize("params, n_side", [
+        # the benchmark's temperature ladder, T = N^2 eps / 25
+        *((PhysicalParams(T=n * n * EPS / 25.0), n) for n in (11, 45, 90, 140, 200)),
+        (PhysicalParams(T=1.0), 45),
+        (PhysicalParams(T=1e-9), 45),
+        (PhysicalParams(T=25.0, d=0.02), 100),
+        (PhysicalParams(T=1e6), 20000),
+    ])
+    def test_match_50_digit_oracle(self, params, n_side):
+        # the rounding grows with the exponent beta (E_k - delta_k - min), so
+        # each weight is held to 1e-15 of itself on that scale; one the oracle
+        # puts below 1e-290 need only come out below 1e-280
+        pairs = analytic_pairs(params, n_side)
+        beta, low = params.beta, min(e - d for e, d in pairs)
+        got, want = _doublet_weights(pairs, beta, True), doublet_weights(pairs, beta)
+        for name, values, exact in zip(("c", "s"), got, want):
+            for k, ((e, d), f, f_star) in enumerate(zip(pairs, values, exact)):
+                if f_star < 1e-290:
+                    assert f < 1e-280, (name, k)
+                else:
+                    bound = 1e-15 * (1.0 + beta * (e - d - low)) * f_star
+                    assert abs(f - f_star) <= bound, (name, k, f, float(f_star))
