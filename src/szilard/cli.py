@@ -13,8 +13,10 @@ a `# master_seed=` comment so a run can be reproduced from its output
 alone; JSON payloads carry the seed as a field.
 
 Each command imports the layers it computes with when it runs, and the
-parser is built from the numpy-free params module, so `thermo` starts
-without numpy and no command loads a layer it does not use.
+parser is built from the numpy-free params module, so no command loads a
+layer it does not use, and none loads numpy: the spectra are solved and
+the readoff booked on Python floats, and measure takes its trace distances
+from the doublet weights without building a state.
 """
 from __future__ import annotations
 
@@ -266,19 +268,18 @@ def cmd_thermo(ns: argparse.Namespace) -> int:
 
 
 def cmd_measure(ns: argparse.Namespace) -> int:
-    from .demon import product_of_marginals
-    from .engine import readoff
-    from .infodyn import partial_trace, trace_distance
+    from .engine import _readoff
     from .spectral import analytic_pairs
 
     s = _resolve(ns)
     config = replace(s.config, coherences=not ns.ideal)
     p = config.params
-    record = readoff(config)
-    td_marginal = trace_distance(
-        partial_trace(record.pre, "gas"), partial_trace(record.post, "gas")
-    )
-    td_product = trace_distance(record.post, product_of_marginals(record.post))
+    # no state is built: from the doublet weights the readoff booked, the gas
+    # loses each block's coherence s_k, and the post state stands 1/2 plus
+    # each doublet's excess 2|s_k| - c_k from the product of its marginals
+    record, c, coh = _readoff(config)
+    td_marginal = math.fsum(abs(x) for x in coh)
+    td_product = 0.5 + 0.5 * math.fsum(max(0.0, 2.0 * abs(y) - x) for x, y in zip(c, coh))
     beta_delta_1 = float(p.beta * analytic_pairs(p, 1)[0][1])
     rows = [
         {"quantity": "ds_demon", "value": record.ds_demon},

@@ -11,8 +11,8 @@ construction, so its deviation bounds only unpaired and above-top weight.
 A cycle runs on the standard library: the readoff books its figures from
 the model doublets' weights (thermo._doublet_weights) in Python floats, and
 its record builds the joint states from the same weights, with numpy, only
-when a caller reads one.  Apart from such a read, only the spectral check
-imports numpy.
+when a caller reads one.  Nothing else in a cycle, the spectral check
+included, imports numpy.
 
 Sign conventions: W_extracted > 0 is work delivered by the engine;
 Q_from_reservoir > 0 is heat absorbed by the gas; S_to_environment > 0 is
@@ -169,6 +169,11 @@ def readoff(config: CycleConfig) -> MeasurementRecord:
     The figures come from the doublet weights in Python floats (demon._ledger);
     the record builds its joint states from the same weights on first read.
     """
+    return _readoff(config)[0]
+
+
+def _readoff(config: CycleConfig) -> Tuple[MeasurementRecord, List[float], List[float]]:
+    """readoff's record, with the doublet populations c_k and coherences s_k it booked."""
     params = config.params
     # the size cap and the truncation gate n_side^2 eps beta >= 20, checked
     # before any weight is taken
@@ -178,7 +183,7 @@ def readoff(config: CycleConfig) -> MeasurementRecord:
     except SzilardError as exc:
         raise type(exc)(f"inserted stage: {exc}") from exc
     c, s = _doublet_weights(pairs, params.beta, config.coherences)
-    return _ledger(c, c, s, functools.partial(_states, c, s))
+    return _ledger(c, c, s, functools.partial(_states, c, s)), c, s
 
 
 def run_cycle(config: CycleConfig) -> CycleReport:

@@ -7,9 +7,9 @@ splitting the non-cancelling difference of its members' deficits; above the
 top a level solves its Prufer phase.  The finite-difference grid and
 Hamiltonian stay as a test oracle.
 
-The level solver works on numpy arrays and imports numpy where it runs, as
-the grid oracle imports numerics; the model doublets (analytic_pairs) are
-Python floats, so the cycle's readoff loads neither through this module.
+The level solver and the model doublets (analytic_pairs) run on Python
+floats, one Newton solve per level, so no spectrum loads numpy; only the
+grid oracle imports numpy and numerics, where it runs.
 
 Units are carried by PhysicalParams (defined in params, re-exported here);
 the defaults put hbar = m = k_B = 1 and L = 1 so that the ground-state
@@ -25,8 +25,6 @@ from .exceptions import NumericsError, SpectralError
 from .params import MAX_PAIRS, PhysicalParams
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .numerics import Grid, TridiagonalSymmetric
 
 __all__ = [
@@ -42,6 +40,7 @@ __all__ = [
 _MAX_STEPS = 200  # per loop of a level solve; 200 halvings take any bracket to rounding
 # a root's residual on its phase equation, relative to n pi
 PHASE_TOL = 1e-12
+_TWO_PI, _HALF_PI = 2.0 * math.pi, 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -108,89 +107,93 @@ def hamiltonian(params: PhysicalParams, grid: Grid) -> TridiagonalSymmetric:
     return TridiagonalSymmetric(2.0 * t + v, np.full(grid.n_points - 1, -t))
 
 
-def _phase(params: PhysicalParams, k: np.ndarray, n: np.ndarray, odd: np.ndarray):
-    """Residual theta - n pi of levels k >= k_U of parity odd (bool array), and d/dk.
+def _phase(k: float, npi: float, odd: bool, b: float, w: float, cu: float):
+    """Residual theta - n pi (npi = n pi) of a level k >= k_U of parity odd, and d/dk.
 
     The barrier solution, cos or sin from the centre, reaches the edge b =
     d/2 with value psi and slope psi'; its Prufer angle atan2(k psi, psi'),
     on the branch within pi/2 of the barrier's own phase, gains k w across
     the well to theta.  No poles; at E = U the barrier solution is 1 or x.
+    cu is 2 m U/hbar^2.
     """
-    import numpy as np
-
-    b, w = 0.5 * params.d, 0.5 * (params.L - params.d)
-    zeta = np.maximum(k * k - 2.0 * params.mass / params.hbar**2 * params.U, 0.0)
-    r = np.sqrt(zeta)
+    zeta = k * k - cu
+    if zeta < 0.0:
+        zeta = 0.0
+    r = math.sqrt(zeta)
     z = r * b
-    # C, S = cos z, sin(z)/r; dS/dzeta = (b C - S)/(2 zeta), -b b b/6 where it cancels
-    c = np.cos(z)
-    s = np.divide(np.sin(z), r, out=np.full_like(z, b), where=r > 0.0)
-    ds = np.divide(b * c - s, zeta, out=np.full_like(z, -b * b * b / 3.0), where=z >= 1e-4)
-    psi, slope = np.where(odd, s, c), np.where(odd, c, -zeta * s)
-    dpsi, dslope = np.where(odd, ds, -b * s), np.where(odd, -b * s, -(s + b * c))
-    x = k * psi
-    a = np.arctan2(x, slope)
-    xi = z + np.where(odd, 0.0, 0.5 * math.pi)
-    theta = a + 2.0 * math.pi * np.round((xi - a) / (2.0 * math.pi)) + k * w - n * math.pi
-    # d(k psi)/dk = psi + k^2 dpsi and dslope/dk = k dslope (dpsi, dslope: 2 d/dzeta)
-    return theta, k * (slope * (psi / k + k * dpsi) - x * dslope) / (x * x + slope * slope) + w
+    # C, S = cos z, sin(z)/r; dS/dzeta = (b C - S)/(2 zeta), -b b b/6 where it cancels;
+    # odd: psi = S, psi' = C; even: psi = C, psi' = -zeta S.  d(k psi)/dk = psi +
+    # k^2 dpsi and dpsi'/dk = k dpsi' (dpsi, dpsi': 2 d/dzeta)
+    c = math.cos(z)
+    s = math.sin(z) / r if r > 0.0 else b
+    if odd:
+        ds = (b * c - s) / zeta if z >= 1e-4 else -b * b * b / 3.0
+        x = k * s
+        a = math.atan2(x, c)
+        theta = a + _TWO_PI * round((z - a) / _TWO_PI) + k * w - npi
+        return theta, k * (c * (s / k + k * ds) + x * (b * s)) / (x * x + c * c) + w
+    slope = -zeta * s
+    x = k * c
+    a = math.atan2(x, slope)
+    theta = a + _TWO_PI * round((z + _HALF_PI - a) / _TWO_PI) + k * w - npi
+    return theta, k * (slope * (c / k - k * (b * s)) + x * (s + b * c)) / (x * x + slope * slope) + w
 
 
-def _deficit(params: PhysicalParams, k: np.ndarray, n: np.ndarray, s: np.ndarray):
-    """Residual k w + phi - n pi of levels k below the barrier top, and d/dk.
+def _deficit(k: float, npi: float, odd: bool, b: float, w: float, cu: float):
+    """Residual k w + phi - n pi (npi = n pi) of a level k below the barrier top, and d/dk.
 
-    The deficit phi = atan2(k, rho), with rho = kappa tanh(kappa b)**s the
-    barrier's log-derivative at its edge (s = 1 even, -1 odd), rises with k
-    and tends to 0 as U grows: nothing cancels at the hard wall.
+    The deficit phi = atan2(k, rho), with rho = kappa tanh(kappa b) (even)
+    or kappa/tanh(kappa b) (odd) the barrier's log-derivative at its edge,
+    rises with k and tends to 0 as U grows: nothing cancels at the hard
+    wall.  Where rho rounds to 0 (at k = k_U, or where kappa and b are both
+    tiny) it takes its limit at kappa b -> 0: 0 (even) or 1/b (odd).
     """
-    import numpy as np
-
-    # a barrier thinner than 1e-300 acts as one of 1e-300: no level can tell,
-    # and 1/tanh(kappa b) stays finite
-    b, w = max(0.5 * params.d, 1e-300), 0.5 * (params.L - params.d)
     kk = k * k
-    kappa = np.sqrt(2.0 * params.mass / params.hbar**2 * params.U - kk)
+    kappa = math.sqrt(cu - kk) if kk < cu else 0.0
     y = kappa * b
-    t = np.tanh(y)
-    rho = kappa * t**s
+    t = math.tanh(y)
+    rho = (kappa / t if t else 0.0) if odd else kappa * t
+    if not rho:  # and phi' -> 2b (even) or b (1 + 2/3 k^2 b^2)/(1 + k^2 b^2) (odd)
+        q = kk * b * b
+        dphi = b * (1.0 + 2.0 * q / 3.0) / (1.0 + q) if odd else 2.0 * b
+        return k * w + math.atan2(k, 1.0 / b if odd else 0.0) - npi, w + dphi
+    sy = -y if odd else y
     # dphi/dk = (rho - k drho/dk)/(k^2 + rho^2), with dkappa/dk = -k/kappa and
     # drho/dkappa = (rho/kappa) (1 + s y (1 - t^2)/t); rho^2 overflows under thin barriers
-    slope = w + (1.0 + kk / (kappa * kappa) * (1.0 + s * y * (1.0 - t * t) / t)) / (rho + kk / rho)
-    return k * w + np.arctan2(k, rho) - n * math.pi, slope
+    slope = w + (1.0 + kk / (kappa * kappa) * (1.0 + sy * (1.0 - t * t) / t)) / (rho + kk / rho)
+    return k * w + math.atan2(k, rho) - npi, slope
 
 
-def _newton(level, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: np.ndarray, odd: np.ndarray):
-    """Roots in [lo, hi] of level(x) -> (residual, slope), all levels at once.
+def _newton(level, x: float, lo: float, hi: float, n: int, odd: bool, b: float, w: float,
+            cu: float) -> float:
+    """Root in [lo, hi] of level(x, n pi, odd, b, w, cu) -> (residual, slope).
 
-    A level bisects where its Newton step leaves the bracket or fails to
+    The level bisects where its Newton step leaves the bracket or fails to
     halve.  It is done once its residual is within PHASE_TOL n pi or what 8
     ulps of x resolve, or within 1e-6 n pi with the step after next,
-    |f''| step^2/2f' (f'' from the last two slopes), under 8 ulps.  Then the
-    last steps are taken; a level that never gets there raises NumericsError.
+    |f''| step^2/2f' (f'' from the last two slopes), under 8 ulps, and then
+    takes its last step; one that never gets there raises NumericsError.
     """
-    import numpy as np
-
-    last, rtol = hi - lo, PHASE_TOL * math.pi * n
-    near, s0 = 1e6 * rtol, None
+    last, rtol, npi = hi - lo, PHASE_TOL * math.pi * n, n * math.pi
+    near, s0 = 1e6 * rtol, math.nan  # no f'' before the second step
     for _ in range(_MAX_STEPS):
-        res, slope = level(x)
-        step, err = res / slope, np.abs(res)
-        new, tol = x - step, 8.0 * np.spacing(x) * slope
-        done = err <= np.maximum(rtol, tol)
-        if s0 is not None:
-            done |= (err <= near) & (np.abs((slope - s0) * step * step) <= 2.0 * tol * last)
-        # count_nonzero: a tenth of the dispatch cost of all() on a few levels
-        if np.count_nonzero(done) == x.size:
+        res, slope = level(x, npi, odd, b, w, cu)
+        step, err = res / slope, abs(res)
+        new = x - step
+        if err <= rtol:
             return new
-        up = res > 0.0
-        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
-        newton = done | (lo <= new) & (new <= hi) & (np.abs(step) <= 0.5 * last)
-        if np.count_nonzero(newton) < x.size:
-            new = np.where(newton, new, 0.5 * (lo + hi))
-        s0, last, x = slope, np.abs(new - x), new
-    j = int(np.argmin(done))
-    raise NumericsError(f"{'odd' if odd[j] else 'even'} level {n[j]:.0f} missed its phase "
-                        f"equation: residual {err[j]:.3e} > {rtol[j]:.3e}")
+        tol = 8.0 * math.ulp(x) * slope
+        if err <= tol or err <= near and abs((slope - s0) * step * step) <= 2.0 * tol * last:
+            return new
+        if res > 0.0:
+            hi = x
+        else:
+            lo = x
+        if not (lo <= new <= hi and abs(step) <= 0.5 * last):
+            new = 0.5 * (lo + hi)
+        s0, last, x = slope, abs(new - x), new
+    raise NumericsError(f"{'odd' if odd else 'even'} level {n} missed its phase "
+                        f"equation: residual {err:.3e} > {rtol:.3e}")
 
 
 def _under_top(params: PhysicalParams):
@@ -204,51 +207,54 @@ def _under_top(params: PhysicalParams):
             math.ceil((base + math.atan(0.5 * k_u * params.d)) / math.pi) - 1)
 
 
-def _exact_levels(params: PhysicalParams, n_even: int, n_odd: int):
+def _exact_levels(params: PhysicalParams, n_even: int, n_odd: int) -> Tuple[List[float], List[float]]:
     """Lowest n_even even and n_odd odd levels of the box with the barrier.
 
-    Placed once at E = U (_under_top), all levels take one Newton solve in k.
-    Below the top: the deficit (_deficit) in ((n - 1/2) pi/w, min(n pi/w,
-    k_U)), from one phase step below n pi/w.  Above: theta = n pi (_phase)
-    from eps m^2 + U d/L, between U, the free level eps m^2 (m = 2n-1 even,
-    2n odd) and the separated wells' level eps' (2n)^2.
+    Placed once at E = U (_under_top), each level takes one Newton solve in
+    k (_newton).  Below the top: the deficit (_deficit) in ((n - 1/2) pi/w,
+    min(n pi/w, k_U)), from one phase step below n pi/w.  Above: theta = n pi
+    (_phase) from eps m^2 + U d/L, between U, the free level eps m^2 (m =
+    2n-1 even, 2n odd) and the separated wells' level eps' (2n)^2.  A math
+    error on the way (an input past the float range) raises NumericsError.
     """
-    import numpy as np
-
     c2, b, w = 2.0 * params.mass / params.hbar**2, 0.5 * params.d, 0.5 * (params.L - params.d)
-    cu = c2 * params.U
-    ne, no = (min(n, top) for n, top in zip((n_even, n_odd), _under_top(params)))
-    j = ne + no  # the levels below the top come first
-    n = np.concatenate((np.arange(1, ne + 1), np.arange(1, no + 1),
-                        np.arange(ne + 1, n_even + 1), np.arange(no + 1, n_odd + 1))).astype(float)
-    odd = np.repeat([False, True, False, True], [ne, no, n_even - ne, n_odd - no])
-    s = 1.0 - 2.0 * odd[:j]
-    hard = n[:j] * math.pi / w
-    kappa = np.sqrt(np.maximum(cu - hard * hard, 0.0))
-    x = hard - np.arctan2(hard, kappa * np.tanh(np.maximum(kappa * b, 1e-300)) ** s) / w
-    lo, hi = hard - 0.5 * math.pi / w, np.minimum(hard, math.sqrt(cu))
-    if j < n.size:
-        m = 2.0 * n[j:] - 1.0 + odd[j:]
-        e_lo, e_hi = params.eps * m * m, np.maximum(params.eps_prime * (2.0 * n[j:]) ** 2, params.U)
-        e_x = np.clip(e_lo + params.U * params.d / params.L, params.U, e_hi)
-        x, lo, hi = (np.concatenate((a, np.sqrt(c2 * e))) for a, e in
-                     ((x, e_x), (lo, np.maximum(e_lo, params.U)), (hi, e_hi)))
+    u, eps, eps_p = params.U, params.eps, params.eps_prime
+    cu, lift, half = c2 * u, u * params.d / params.L, 0.5 * math.pi / w
+    k_u = math.sqrt(cu)
+    # a barrier thinner than 1e-300 acts as one of 1e-300 under the top: no
+    # level can tell, and 1/tanh(kappa b) stays finite
+    b_under = max(b, 1e-300)
+    levels = ([], [])
+    # max, min and the square are spelled out below: as calls they cost a
+    # tenth of a 90-level solve
+    for odd, count, top in zip((False, True), (n_even, n_odd), _under_top(params)):
+        for n in range(1, count + 1):
+            try:
+                if n <= top:
+                    hard = n * math.pi / w
+                    kappa, hi = (math.sqrt(cu - hard * hard), hard) if hard < k_u else (0.0, k_u)
+                    y = kappa * b
+                    t = math.tanh(y if y > 1e-300 else 1e-300)
+                    x = hard - math.atan2(hard, kappa / t if odd else kappa * t) / w
+                    k = _newton(_deficit, x, hard - half, hi, n, odd, b_under, w, cu)
+                else:
+                    m = 2 * n - 1 + odd
+                    e_free, e_hi = eps * m * m, eps_p * (4.0 * n * n)
+                    e_hi = e_hi if e_hi > u else u
+                    e_lo = e_free if e_free > u else u
+                    e_x = e_free + lift
+                    e_x = e_hi if e_x > e_hi else e_x if e_x > u else u
+                    k = _newton(_phase, math.sqrt(c2 * e_x), math.sqrt(c2 * e_lo), math.sqrt(c2 * e_hi),
+                                n, odd, b, w, cu)
+            except (ArithmeticError, ValueError) as exc:
+                parity = "odd" if odd else "even"
+                raise NumericsError(f"{parity} level {n} left the float range: {exc}") from exc
+            levels[odd].append(k * k / c2)
+    return levels
 
-    def level(k):
-        if not j:
-            return _phase(params, k, n, odd)
-        res, slope = _deficit(params, k[:j], n[:j], s)
-        if j == k.size:
-            return res, slope
-        above = _phase(params, k[j:], n[j:], odd[j:])
-        return np.concatenate((res, above[0])), np.concatenate((slope, above[1]))
 
-    e = _newton(level, x, lo, hi, n, odd) ** 2 / c2
-    return np.concatenate((e[:ne], e[j:j + n_even - ne])), np.concatenate((e[ne:j], e[j + n_even - ne:]))
-
-
-def _split(params: PhysicalParams, even: np.ndarray, odd: np.ndarray):
-    """(mean, delta) of doublets below the barrier top, from their two levels.
+def _split(params: PhysicalParams, even: List[float], odd: List[float]) -> List[Tuple[float, float]]:
+    """(mean, delta) of the doublets below the barrier top, from their two levels.
 
     The members' deficits, atan of a = k/(kappa t) (even) and k t/kappa
     (odd), differ by dk w = D - S dk (dk = k_o - k_e): D = arctan(k kappa
@@ -257,30 +263,34 @@ def _split(params: PhysicalParams, even: np.ndarray, odd: np.ndarray):
     delta keeps its digits far below the levels' rounding.  One step dk =
     D/(w + S(dk)) from the levels' difference, a few ulps of k off, solves it.
     """
-    import numpy as np
-
     c2, w = 2.0 * params.mass / params.hbar**2, 0.5 * (params.L - params.d)
-    b, cu = max(0.5 * params.d, 1e-300), c2 * params.U  # as in _deficit
-    k1 = np.sqrt(c2 * even)
-    dk = np.maximum(np.sqrt(c2 * odd) - k1, np.spacing(k1))
-    k2 = k1 + dk
-    kap1, kap2 = np.sqrt(cu - k1 * k1), np.sqrt(cu - k2 * k2)
-    y1 = kap1 * b
-    t1, t2 = np.tanh(y1), np.tanh(kap2 * b)
-    # 2/sinh(2y) = 4 e^-2y/(1 - e^-4y): finite from y -> 0 to underflow
-    d_phi = np.arctan(k1 * kap1 / cu * 4.0 * np.exp(-2.0 * y1) / -np.expm1(-4.0 * y1))
-    # (a_o(k2) - a_o(k1))/dk, with x = (kappa1 - kappa2) b and tanh y2 - tanh y1 = -sinh x sech y1 sech y2
-    ksum = k1 + k2
-    x = b * dk * ksum / (kap1 + kap2)
-    rise = (cu / (k2 * kap1 + k1 * kap2) * ksum * t2
-            - k1 * kap2 * np.sinh(x) / dk * np.sqrt((1.0 - t1 * t1) * (1.0 - t2 * t2)))
-    q = rise / (kap1 * kap2 + k1 * k2 * t1 * t2)
-    dk = d_phi / (w + np.arctan(q * dk) / dk)
-    delta = dk * (k1 + 0.5 * dk) / c2
-    return even + delta, delta
+    b, cu = max(0.5 * params.d, 1e-300), c2 * params.U  # as in _exact_levels
+    rows = []
+    for pair, (e_even, e_odd) in enumerate(zip(even, odd), 1):
+        try:
+            k1 = math.sqrt(c2 * e_even)
+            dk = max(math.sqrt(c2 * e_odd) - k1, math.ulp(k1))
+            k2 = k1 + dk
+            kap1, kap2 = math.sqrt(cu - k1 * k1), math.sqrt(cu - k2 * k2)
+            y1 = kap1 * b
+            t1, t2 = math.tanh(y1), math.tanh(kap2 * b)
+            # 2/sinh(2y) = 4 e^-2y/(1 - e^-4y): finite from y -> 0 to underflow
+            d_phi = math.atan(k1 * kap1 / cu * 4.0 * math.exp(-2.0 * y1) / -math.expm1(-4.0 * y1))
+            # (a_o(k2) - a_o(k1))/dk, with x = (kappa1 - kappa2) b and tanh y2 - tanh y1 = -sinh x sech y1 sech y2
+            ksum = k1 + k2
+            x = b * dk * ksum / (kap1 + kap2)
+            rise = (cu / (k2 * kap1 + k1 * kap2) * ksum * t2
+                    - k1 * kap2 * math.sinh(x) / dk * math.sqrt((1.0 - t1 * t1) * (1.0 - t2 * t2)))
+            q = rise / (kap1 * kap2 + k1 * k2 * t1 * t2)
+            dk = d_phi / (w + math.atan(q * dk) / dk)
+        except (ArithmeticError, ValueError) as exc:
+            raise NumericsError(f"pair {pair} left the float range: {exc}") from exc
+        delta = dk * (k1 + 0.5 * dk) / c2
+        rows.append((e_even + delta, delta))
+    return rows
 
 
-def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] = None):
+def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] = None) -> List[SplitPair]:
     """Doublets (k, E_k, delta_k) of the box with the barrier inserted.
 
     Every member must lie below the barrier top (_under_top).  Pair k is the
@@ -295,8 +305,8 @@ def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] 
     top = _under_top(params)[1]
     if n_pairs > top:
         raise SpectralError(f"pair {top + 1} reaches the barrier top (U = {params.U:.6g})")
-    means, deltas = _split(params, *_exact_levels(params, n_pairs, n_pairs))
-    return [SplitPair(k, float(e), float(dl)) for k, (e, dl) in enumerate(zip(means, deltas), 1)]
+    rows = _split(params, *_exact_levels(params, n_pairs, n_pairs))
+    return [SplitPair(k, e, delta) for k, (e, delta) in enumerate(rows, 1)]
 
 
 def splitting_estimate(params: PhysicalParams, k: int) -> float:

@@ -4,13 +4,15 @@ entropy, isothermal work, the post-insertion doublet weights, and the
 cycle's classical stage table, which stage_free_energies reads.
 
 The box's Z, <E> and S come from one certified pass over its levels
-(_box_sums) on the standard library; only spectral_stage_check loads numpy.
+(_box_sums), and spectral_stage_check sums the exact levels; all of it runs
+on the standard library.
 
 Conventions: beta = 1/(k_B T); free energy A = -k_B T ln Z; entropies
 returned by thermo_entropy carry units of k_B (natural log).
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -278,9 +280,6 @@ def spectral_stage_check(params: PhysicalParams, n_levels: int = 90, grid=None) 
         raise ThermoError(f"need at least 2 levels, got {n_levels}")
     if params.d <= 0:
         raise SpectralError("spectral_stage_check needs a barrier, got d = 0")
-    # the only numpy user here: thermo and the partition sums run without it
-    import numpy as np
-
     from .spectral import _exact_levels
 
     beta = params.beta
@@ -288,17 +287,17 @@ def spectral_stage_check(params: PhysicalParams, n_levels: int = 90, grid=None) 
     n_odd = n_levels // 2
     even, odd = _exact_levels(params, n_levels - n_odd, n_odd)
 
-    n_pairs = int(np.searchsorted(odd, params.U))
+    n_pairs = bisect.bisect_left(odd, params.U)
     if not n_pairs:
         raise ThermoError("no doublets below the barrier top; raise U or lower T")
     # weights relative to the lowest level, so that no exponent is positive
     # at any beta; e^(-beta E_k) cosh(beta delta_k) is the mean weight of the
     # doublet's two members
-    e0 = float(min(even[0], odd[0]))
-    w_even = np.exp(-beta * (even - e0))
-    w_odd = np.exp(-beta * (odd - e0))
-    z_all = float(np.sum(w_even) + np.sum(w_odd))
-    z_left = 0.5 * float(np.sum(w_even[:n_pairs]) + np.sum(w_odd[:n_pairs]))
+    e0 = min(even[0], odd[0])
+    w_even = [math.exp(-beta * (e - e0)) for e in even]
+    w_odd = [math.exp(-beta * (e - e0)) for e in odd]
+    z_all = math.fsum(w_even) + math.fsum(w_odd)
+    z_left = 0.5 * (math.fsum(w_even[:n_pairs]) + math.fsum(w_odd[:n_pairs]))
     return SpectralStageCheck(
         jump_spectral=kT * math.log(z_all / z_left),
         jump_closed=stage_free_energies(params).measurement_jump,

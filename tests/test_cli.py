@@ -18,8 +18,12 @@ from hypothesis import strategies as st
 
 import szilard
 from szilard.cli import SPLITTING_SERIES_D, main
-from szilard.engine import PROTOCOLS, SWEEP_AXES, SWEEP_COLUMNS, CycleConfig, run_cycle
-from szilard.spectral import PhysicalParams
+from szilard.demon import product_of_marginals
+from szilard.engine import PROTOCOLS, SWEEP_AXES, SWEEP_COLUMNS, CycleConfig, readoff, run_cycle
+from szilard.infodyn import partial_trace, trace_distance
+from szilard.spectral import PhysicalParams, analytic_pairs
+
+from oracles import doublet_weights
 
 LN2 = math.log(2.0)
 # the directory holding the szilard package, so child interpreters import
@@ -387,6 +391,49 @@ class TestMeasureCommand:
         assert {k: quantities[k] for k in measurement} == measurement
 
 
+    @pytest.mark.parametrize("argv", [
+        [], ["--ideal"], ["--T", "25", "--d", "0.02", "--N", "11"], ["--T", "1e-9"],
+        ["--T", "400", "--N", "45"], ["--N", "100000", "--T", "1e6"],
+    ], ids=["defaults", "ideal", "T25-N11", "T1e-9", "T400-N45", "N1e5-T1e6"])
+    def test_trace_distances_match_50_digit_weights(self, argv, capsys):
+        # the gas marginal loses each doublet's coherence, sum_k |s_k|, and the
+        # post state stands 1/2 + 1/2 sum_k max(0, 2|s_k| - c_k) from the
+        # product of its marginals.  The oracle takes only the rows with
+        # beta (E_k - delta_k - E_min) < 800; each later one weighs under e^-800
+        assert main(["measure", "--format", "json", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        q, given = payload["quantities"], payload["params"]
+        p = PhysicalParams(**{key: given[key] for key in ("L", "d", "U", "T")})
+        pairs = analytic_pairs(p, given["N"])
+        low = min(e - d for e, d in pairs)
+        c, coh = doublet_weights([(e, d) for e, d in pairs if p.beta * (e - d - low) < 800.0], p.beta)
+        if payload["ideal"]:
+            coh = [0] * len(c)
+        with mpmath.workdps(50):
+            marginal = mpmath.fsum(abs(x) for x in coh)
+            product = 0.5 + 0.5 * mpmath.fsum(max(0, 2 * abs(y) - x) for x, y in zip(c, coh))
+        assert q["td_gas_marginal"] == pytest.approx(float(marginal), rel=1e-14, abs=0.0)
+        assert q["td_post_vs_product"] == pytest.approx(float(product), rel=1e-15)
+
+    @pytest.mark.parametrize("argv, config", [
+        ([], CycleConfig()),
+        (["--ideal"], CycleConfig(coherences=False)),
+        (["--T", "25", "--d", "0.02", "--N", "11"],
+         CycleConfig(params=PhysicalParams(T=25.0, d=0.02), n_side=11)),
+        (["--T", "1e-9", "--N", "3"], CycleConfig(params=PhysicalParams(T=1e-9), n_side=3)),
+    ], ids=["defaults", "ideal", "T25-N11", "T1e-9-N3"])
+    def test_trace_distances_match_the_state_route(self, argv, config, capsys):
+        # the oracle builds the readoff's joint states and takes both trace
+        # distances from their spectra
+        assert main(["measure", "--format", "json", *argv]) == 0
+        q = json.loads(capsys.readouterr().out)["quantities"]
+        record = readoff(config)
+        marginal = trace_distance(partial_trace(record.pre, "gas"), partial_trace(record.post, "gas"))
+        product = trace_distance(record.post, product_of_marginals(record.post))
+        assert q["td_gas_marginal"] == pytest.approx(marginal, rel=1e-12, abs=1e-15)
+        assert q["td_post_vs_product"] == pytest.approx(product, abs=1e-12)
+
+
 class TestCycleCommand:
     def test_json_matches_library_call(self, capsys):
         assert main(["cycle", "--seed", "3"]) == 0
@@ -658,17 +705,24 @@ LAYERS = ["szilard.numerics", "szilard.spectral", "szilard.thermo", "szilard.inf
     # the cycle's ledger is taken in Python floats from the model doublets and
     # builds no state, so cycle and sweep load no numpy
     ([["cycle"], ["sweep", "--axis", "n_steps", "--values", "1,2"]], ["numpy", "szilard.infodyn"]),
-    ([["spectrum", "--pairs", "1"]], ["szilard.demon", "szilard.infodyn", "szilard.engine", "szilard.thermo"]),
-], ids=["import", "thermo", "cycle-sweep", "spectrum"])
+    # the exact levels are solved on Python floats
+    ([["spectrum", "--pairs", "1"]], ["numpy", "szilard.numerics", "szilard.demon", "szilard.infodyn",
+                                      "szilard.engine", "szilard.thermo"]),
+    ([["cycle", "--spectral-check"]], ["numpy", "szilard.numerics", "szilard.infodyn"]),
+    # measure takes its trace distances from the doublet weights, not from states
+    ([["measure", "--N", "11"], ["measure", "--ideal"]], ["numpy", "szilard.numerics", "szilard.infodyn"]),
+], ids=["import", "thermo", "cycle-sweep", "spectrum", "spectral-check", "measure"])
 def test_commands_load_only_their_layers(argvs, packages, tmp_path):
     assert modules_after(argvs, tmp_path, packages) == []
 
 
 def test_module_probe_sees_what_is_loaded(tmp_path):
-    # positive controls: a command, and a package name on first access, load their layers
-    assert "numpy" in modules_after([["spectrum", "--pairs", "1"]], tmp_path, ["numpy"])
-    # measure reads the record's states, which are built with numpy
-    assert "numpy" in modules_after([["measure", "--N", "11"]], tmp_path, ["numpy"])
+    # positive controls: a state read, a grid oracle, and a package name on
+    # first access load their layers
+    assert "numpy" in modules_after([["measure", "--N", "11"]], tmp_path, ["numpy"],
+                                    then="from szilard.engine import readoff; readoff(szilard.CycleConfig(n_side=11)).post")
+    assert "numpy" in modules_after([["spectrum", "--pairs", "1"]], tmp_path, ["numpy"],
+                                    then="szilard.barrier_grid(szilard.PhysicalParams(), 64)")
     assert modules_after([], tmp_path, LAYERS, then="szilard.partition_exact") == ["szilard.thermo"]
 
 

@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 
@@ -153,19 +154,18 @@ class TestBarrierSpectrum:
 
     def test_cold_solve_takes_at_most_four_evaluations(self, params, monkeypatch):
         # a deterministic stand-in for a timing: the cost of a cold solve is
-        # numpy dispatch per Newton evaluation of the level function, all ten
-        # levels at once
-        sizes = []
+        # the Newton evaluations of each level's deficit
+        calls = collections.Counter()
         deficit = spectral._deficit
 
-        def recording(*args):
-            sizes.append(args[1].size)
-            return deficit(*args)
+        def recording(k, npi, odd, *args):
+            calls[round(npi / math.pi), odd] += 1
+            return deficit(k, npi, odd, *args)
 
         monkeypatch.setattr(spectral, "_deficit", recording)
         barrier_spectrum(params, 5)
-        assert 1 <= len(sizes) <= 4
-        assert set(sizes) == {10}
+        assert set(calls) == {(n, odd) for n in range(1, 6) for odd in (False, True)}
+        assert max(calls.values()) <= 4
 
     def test_pairs_above_the_barrier_are_rejected(self):
         low = PhysicalParams(U=50.0)
@@ -198,6 +198,13 @@ class TestParityFold:
         grid = Grid(n_target, -0.5, 0.5)
         assert len(barrier_spectrum(params, 5, grid)) == 5
         assert spectral_stage_check(params, 30, grid).levels_used == 30
+
+    def test_solves_without_numpy(self, monkeypatch):
+        # the levels and splittings are solved on Python floats; only the grid
+        # oracle (barrier_grid, hamiltonian) needs numpy
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert len(barrier_spectrum(PhysicalParams(U=1e12), MAX_PAIRS)) == MAX_PAIRS
+        assert spectral_stage_check(PhysicalParams(), 90).levels_used == 90
 
     @pytest.mark.parametrize("n_points", [2048, 2049])
     def test_stage_check_levels_match_full_solve(self, params, n_points, monkeypatch):
@@ -264,7 +271,7 @@ class TestExactLevels:
     )
     def test_levels_satisfy_matching_conditions(self, d, log_u, n):
         p = PhysicalParams(d=d, U=math.exp(log_u))
-        even, odd = _exact_levels(p, n, n)
+        even, odd = map(np.asarray, _exact_levels(p, n, n))
         # ascending and alternating in parity; a doublet that closes below
         # rounding may order its two roots either way (_split solves delta)
         assert np.all(even <= odd * (1 + 1e-14)) and np.all(odd[:-1] < even[1:])
@@ -334,14 +341,44 @@ class TestThinBarrier:
     # kappa d << 1: the odd member sits at its hard-wall level to within d
     # (to within rounding from d = 1e-16) and delta tends to 0.6 E, so the
     # difference of the two levels carries delta
+    # and at the two ends of the deficit's range: U = 19.739208802178723 puts
+    # the odd level within 1e-15 of the top, so its bracket ends at k_U, where
+    # kappa -> 0; at d = 1e-310, kappa b lies below 1e-300 and tanh(kappa b) -> 0
     @pytest.mark.parametrize("d, U", [(1e-9, 5000.0), (1e-6, 50.0), (1e-8, 50.0), (1e-16, 50.0),
-                                      (1e-16, 5000.0), (1e-20, 1e12), (1e-30, 50.0)])
+                                      (1e-16, 5000.0), (1e-20, 1e12), (1e-30, 50.0),
+                                      (1e-6, 19.739208802178723), (1e-310, 50.0)])
     def test_splitting_is_the_level_difference(self, d, U):
         p = PhysicalParams(d=d, U=U)
         pair = barrier_spectrum(p, 1)[0]
         even, odd = _exact_levels(p, 1, 1)
         assert pair.delta == pytest.approx((odd[0] - even[0]) / 2, rel=1e-12)
         assert pair.delta / pair.energy == pytest.approx(0.6, abs=2e-5)
+
+    def test_splitting_where_the_barrier_log_derivative_underflows(self):
+        # a box 3.4e68 wide with U = 1.2e-110: kappa tanh(kappa b) of the even
+        # members rounds to 0, and the deficit takes its limit pi/2.  The
+        # members sit at the free box's levels (2k-1)^2 eps and (2k)^2 eps
+        p = PhysicalParams(L=3.40732639978984e68, d=2.7107235094327305e-246, U=1.1965275332044201e-110)
+        even, odd = _exact_levels(p, 2, 2)
+        for pair, lo, hi in zip(barrier_spectrum(p, 2), even, odd):
+            assert pair.delta == pytest.approx((hi - lo) / 2, rel=1e-12)
+            free = p.eps * (2 * pair.k - 1) ** 2, p.eps * (2 * pair.k) ** 2
+            assert (lo, hi) == pytest.approx(free, rel=1e-12)
+
+    @pytest.mark.parametrize("b", [0.025, 1e-300])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_deficit_takes_its_limit_at_the_barrier_top(self, b, odd):
+        # at k = k_U, kappa b is 0: the residual is the one _under_top places
+        # levels by (phi = pi/2 even, arctan(k_U b) odd), and residual and
+        # slope continue those 1e-8 below it
+        w, cu = 0.475, 1e4
+        k_u = math.sqrt(cu)
+        (res, slope), (res_below, slope_below) = (spectral._deficit(k, 3.0 * math.pi, odd, b, w, cu)
+                                                  for k in (k_u, k_u * (1.0 - 1e-8)))
+        phi = math.atan(k_u * b) if odd else 0.5 * math.pi
+        assert res == pytest.approx(k_u * w + phi - 3.0 * math.pi, rel=1e-15)
+        assert res - res_below == pytest.approx(1e-8 * k_u * slope, rel=1e-6)
+        assert slope == pytest.approx(slope_below, rel=1e-8)
 
     def test_split_solve_stops_on_its_step(self):
         # kappa d = 0.01 and delta/E = 0.03: the odd member is 2e-6 in k w
