@@ -280,7 +280,7 @@ def cmd_measure(ns: argparse.Namespace) -> int:
     record, c, coh = _readoff(config)
     td_marginal = math.fsum(abs(x) for x in coh)
     td_product = 0.5 + 0.5 * math.fsum(max(0.0, 2.0 * abs(y) - x) for x, y in zip(c, coh))
-    beta_delta_1 = float(p.beta * analytic_pairs(p, 1)[0][1])
+    beta_delta_1 = p.beta * analytic_pairs(p, 1)[0][1]
     rows = [
         {"quantity": "ds_demon", "value": record.ds_demon},
         {"quantity": "ds_gas", "value": record.ds_gas},

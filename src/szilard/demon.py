@@ -84,8 +84,8 @@ def _ready() -> DensityMatrix:
     return DensityMatrix(np.outer(d0, d0))
 
 
-# the joint state before the readoff, after it, and its pointer marginal
-States = Tuple["DensityMatrix", "DensityMatrix", "DensityMatrix"]
+# the joint state before the readoff and after it
+States = Tuple["DensityMatrix", "DensityMatrix"]
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,11 @@ class MeasurementRecord:
     All deltas are post minus pre in k_B units.  The readoff is unitary, so
     the joint entropy does not move: ds_joint and balance_residual,
     |dI_mu - (dS_gas + dS_demon)|, are 0 by that invariance.  The ready
-    pointer is pure, so ds_demon is also the entropy of demon_post, the
-    apparatus marginal of post that the reset erases.
+    pointer is pure, so ds_demon is also the entropy of post's apparatus
+    marginal, the pointer that the reset erases.
 
-    pre, post and demon_post are built by states() on the first read of any
-    of them and kept, so a record that is only booked builds no state.
+    pre and post are built by states() on the first read of either and
+    kept, so a record that is only booked builds no state.
     """
 
     ds_demon: float
@@ -120,10 +120,6 @@ class MeasurementRecord:
     @property
     def post(self) -> DensityMatrix:
         return self._built[1]
-
-    @property
-    def demon_post(self) -> DensityMatrix:
-        return self._built[2]
 
 
 class ReversalResult(NamedTuple):
@@ -175,6 +171,10 @@ def _ledger(a: Sequence[float], d: Sequence[float], c: Sequence[float],
             states: Callable[[], States]) -> MeasurementRecord:
     """The readoff's record from the 2x2 gas blocks' diagonals a, d and |rho_01| c, as floats.
 
+    The weights are taken over their total sum a + sum d, once, so both
+    figures book a unit-trace state: a total that rounds an ulp off 1
+    cannot move ds_demon off ln 2 when sum a = sum d, nor off 0 for a pure
+    pointer.
     dS_gas: a block of weight 2m, m = (a+d)/2, h = |a-d|/2, with eigenvalues
     m -+ r, r = hypot(h, c), adds m [g(r/m) - g(h/m)], its relative entropy
     of coherence, without subtracting entropies of order ln K; one of weight
@@ -188,8 +188,11 @@ def _ledger(a: Sequence[float], d: Sequence[float], c: Sequence[float],
         if m > 0.0:
             h = 0.5 * abs(x - y)
             gas.append(m * (_g(math.hypot(h, z) / m) - _g(h / m)) if h else m * _g(z / m))
-    ds_gas = max(math.fsum(gas), 0.0)
-    ds_demon = _entropy(math.fsum(a), math.fsum(d))
+    sa, sd = math.fsum(a), math.fsum(d)
+    t = sa + sd
+    # each block's term is of degree 1 in its weights, so one division normalises the sum
+    ds_gas = max(math.fsum(gas) / t, 0.0)
+    ds_demon = _entropy(sa / t, sd / t)
     return MeasurementRecord(ds_demon=ds_demon, ds_gas=ds_gas, ds_joint=0.0,
                              di_mu=ds_gas + ds_demon, balance_residual=0.0, states=states)
 
@@ -213,26 +216,23 @@ def _require_ready_product(p0: DensityMatrix, model: DemonModel) -> np.ndarray:
 
 
 def _joint_states(p0: DensityMatrix) -> States:
-    """p0, post = U p0 U^T with the spectrum it inherits from p0, and post's pointer marginal."""
-    from .infodyn import _derived, partial_trace
+    """p0 and post = U p0 U^T."""
+    from .infodyn import _derived
 
     u = coupling_unitary()
-    post = _derived(u @ p0.entries @ u.T, p0.eigenvalues, p0.subsystem_dims)
-    return p0, post, partial_trace(post, "demon")
+    return p0, _derived(u @ p0.entries @ u.T, p0.subsystem_dims)
 
 
 def premeasure(p0: DensityMatrix, model: DemonModel) -> MeasurementRecord:
     """Run the readoff unitary on a ready product state and take stock.
 
     p0 must be rho_gas (x) |D_0><D_0| with subsystem_dims (2, 2).  The figures
-    come from its gas blocks by _ledger; post inherits p0's spectrum and is
-    built, with its pointer marginal, on first read.
+    come from its gas blocks by _ledger, which takes them to unit trace (D_0's
+    rounded (1/sqrt 2)^2 misses it by 2 ulp); post is built on first read.
     """
     import numpy as np
 
     gas = _require_ready_product(p0, model)
-    # to unit trace, which D_0's rounded (1/sqrt 2)^2 misses by 2 ulp: a pure pointer books 0
-    gas = gas / np.trace(gas, axis1=1, axis2=2).real.sum()
     a, d, c = gas[:, 0, 0].real.tolist(), gas[:, 1, 1].real.tolist(), np.abs(gas[:, 0, 1]).tolist()
     return _ledger(a, d, c, functools.partial(_joint_states, p0))
 
@@ -266,7 +266,7 @@ def product_of_marginals(p: DensityMatrix) -> DensityMatrix:
     trace distance 1/2 + 1/2 sum_k c_k max(0, 2 tanh(beta delta_k) - 1) from
     it (c_k the L_k population): 1/2 only while every weighted doublet has
     tanh(beta delta_k) <= 1/2.  The two marginals are validated; the product
-    inherits their spectra.
+    is not.
     """
     from .infodyn import partial_trace, product_dm
 

@@ -30,14 +30,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .demon import DemonModel, MeasurementRecord, States, _joint_states, _ledger
 from .exceptions import EngineError, SzilardError
-from .params import (PROTOCOLS, SWEEP_AXES, BasisLabeling, CycleConfig, PhysicalParams,
-                     _canon_protocol)
+from .params import SWEEP_AXES, BasisLabeling, CycleConfig, PhysicalParams, _canon_protocol
 from .spectral import analytic_pairs
 from .thermo import (StageLedger, _doublet_weights, _stage_ledgers, isothermal_work,
                      spectral_stage_check, stage_free_energies)
 
 __all__ = [
-    "PROTOCOLS",
     "CycleConfig",
     "CycleReport",
     "readoff",
@@ -265,9 +263,7 @@ def _apply_axis(config: CycleConfig, axis: str, value) -> CycleConfig:
         return replace(config, params=replace(config.params, **{axis: float(value)}))
     if axis == "N":
         return replace(config, n_side=int(value))
-    if axis == "n_steps":
-        return replace(config, n_steps=int(value))
-    raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    return replace(config, n_steps=int(value))
 
 
 def sweep(config: CycleConfig, axis: str, values: Sequence) -> List[dict]:

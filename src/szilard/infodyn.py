@@ -6,29 +6,29 @@ holds one (L_k, R_k) block per doublet k, a gas (x) apparatus state one
 the single block K = 1.  Every function broadcasts over the block axis.
 A state handed in is validated once, its spectrum solved by _spectrum:
 2x2 blocks (doublets, gas marginals, the pointer) in closed form, larger
-ones by LAPACK.  A product or unitary image of validated states inherits
-their spectrum (_derived); marginals that only feed the readoff stay plain
-arrays.  No entropy is taken here: demon books the readoff's, in k_B units.
+ones by LAPACK.  A product or unitary image of validated states skips the
+gate (_derived) and solves its spectrum only if it is read; marginals that
+only feed the readoff stay plain arrays.  No entropy is taken here: demon
+books the readoff's, in k_B units.
 
 This is the layer that builds states, so it imports numpy at load; nothing
 imports it before a state is needed.  The gas state is built (_gas) from
 the weights thermo._doublet_weights takes as floats, the ones the readoff
-books from.  BasisLabeling lives in the numpy-free params (re-exported here).
+books from.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .exceptions import StateError
-from .params import BasisLabeling
 from .thermo import _doublet_weights
 
 __all__ = [
     "DensityMatrix",
-    "BasisLabeling",
     "post_insertion_dm",
     "partial_trace",
     "trace_distance",
@@ -49,7 +49,7 @@ class DensityMatrix:
     factorization (d_gas, d_demon) of each block, gas index slowest.  One
     Hermiticity pass, which a non-finite entry fails, then one spectrum (2x2
     blocks in closed form, larger by LAPACK) for the trace and PSD gates.
-    A state the package derives skips both and inherits its spectrum (_derived).
+    A state the package derives skips both (_derived).
     """
 
     entries: np.ndarray
@@ -80,12 +80,15 @@ class DensityMatrix:
         m.setflags(write=False)
         eigs.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "_eigs", eigs)
+        object.__setattr__(self, "eigenvalues", eigs)
 
-    @property
+    @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of all blocks together, cached at construction."""
-        return self._eigs
+        """Ascending eigenvalues of all blocks together, read-only: the ones the
+        gate solved, or on a derived state solved on first read and kept."""
+        eigs = _spectrum(self.entries)
+        eigs.setflags(write=False)
+        return eigs
 
 
 def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMatrix:
@@ -122,13 +125,12 @@ def _gas(c, s) -> DensityMatrix:
     return DensityMatrix(np.stack([c, s, s, c], axis=-1).reshape(-1, 2, 2))
 
 
-def _derived(entries: np.ndarray, eigs: np.ndarray, subsystem_dims=None) -> DensityMatrix:
-    """A state derived from validated ones, with the ascending spectrum it inherits; no gate."""
+def _derived(entries: np.ndarray, subsystem_dims=None) -> DensityMatrix:
+    """A state derived from validated ones, with no gate; its spectrum is solved if read."""
     rho = object.__new__(DensityMatrix)
-    for name, value in (("entries", entries), ("subsystem_dims", subsystem_dims), ("_eigs", eigs)):
-        object.__setattr__(rho, name, value)
+    object.__setattr__(rho, "entries", entries)
+    object.__setattr__(rho, "subsystem_dims", subsystem_dims)
     entries.setflags(write=False)
-    eigs.setflags(write=False)
     return rho
 
 
@@ -181,9 +183,6 @@ def _product_blocks(gas: np.ndarray, demon: np.ndarray) -> np.ndarray:
 
 
 def product_dm(rho_gas: DensityMatrix, rho_demon: DensityMatrix) -> DensityMatrix:
-    """Each gas block tensored with a one-block demon state; subsystem_dims records the
-    split, and the spectrum is the sorted outer product of the factors'."""
+    """Each gas block tensored with a one-block demon state; subsystem_dims records the split."""
     dims = (rho_gas.entries.shape[1], rho_demon.entries.shape[1])
-    blocks = _product_blocks(rho_gas.entries, rho_demon.entries)
-    eigs = np.sort(np.multiply.outer(rho_gas.eigenvalues, rho_demon.eigenvalues), axis=None)
-    return _derived(blocks, eigs, dims)
+    return _derived(_product_blocks(rho_gas.entries, rho_demon.entries), dims)

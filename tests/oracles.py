@@ -27,7 +27,7 @@ def mutual_information(rho: DensityMatrix) -> float:
     """I_mu = S(gas) + S(demon) - S(joint) of a bipartite state, in units of k_B.
 
     Every entropy is taken from LAPACK eigenvalues of the entries, not from
-    the spectrum a derived state carries.
+    the spectrum a state keeps.
     """
     s_gas = entropy(partial_trace(rho, "gas").entries)
     s_demon = entropy(partial_trace(rho, "demon").entries)
@@ -60,7 +60,7 @@ def dense_readoff(p0: DensityMatrix) -> MeasurementRecord:
         for rho in (p0, post)
     ]
     di = (g1 + d1 - j1) - (g0 + d0 - j0)
-    states = (p0, post, partial_trace(post, "demon"))
+    states = (p0, post)
     return MeasurementRecord(
         ds_demon=d1 - d0, ds_gas=g1 - g0, ds_joint=j1 - j0, di_mu=di,
         balance_residual=abs(di - (g1 - g0) - (d1 - d0)), states=lambda: states,

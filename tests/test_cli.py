@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 import szilard
 from szilard.cli import SPLITTING_SERIES_D, main
 from szilard.demon import product_of_marginals
-from szilard.engine import PROTOCOLS, SWEEP_AXES, SWEEP_COLUMNS, CycleConfig, readoff, run_cycle
+from szilard.engine import SWEEP_AXES, SWEEP_COLUMNS, CycleConfig, readoff, run_cycle
 from szilard.infodyn import partial_trace, trace_distance
+from szilard.params import PROTOCOLS
 from szilard.spectral import PhysicalParams, analytic_pairs
 
 from oracles import doublet_weights
@@ -483,6 +484,17 @@ class TestCycleCommand:
         assert captured.err == ""
         assert json.loads(captured.out)["spectral_jump_dev"] <= 1e-12
 
+    @pytest.mark.parametrize("ideal", [[], ["--ideal"]])
+    def test_hot_small_box_keeps_the_second_law(self, ideal, capsys):
+        # k_B T = 9.2e7: a pointer entropy one ulp below ln 2 would read as
+        # W - T dS_env = 1.5e-8, past the second-law tolerance
+        argv = ["cycle", "--L", "0.0016895616211630654", "--d", "0.0006380114709206589",
+                "--U", "3865544.6909336303", "--T", "91883781.60350323", "--N", "59"]
+        assert main(argv + ideal) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["net_balance"] == 0.0
+        assert payload["measurement"]["ds_demon"] == LN2
+
     def test_spectral_check_needs_a_barrier(self, capsys):
         assert main(["cycle", "--spectral-check", "--d", "0"]) == 2
         err = capsys.readouterr().err
@@ -568,8 +580,10 @@ def _log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: repr(10.0**x))
 
 
-# L stays 1: the physics depends only on d/L, U/eps and k_B T/eps
+# d is drawn as a fraction of L, which sets eps = pi^2/(2 L^2): U and T
+# stay absolute, so U/eps and k_B T/eps range wider than they would at L = 1
 _SETTINGS = {
+    "--L": _log_uniform(1e-12, 1e3),
     "--d": _log_uniform(1e-30, 0.99),
     "--U": _log_uniform(1e-9, 1e12),
     "--T": _log_uniform(1e-9, 1e12),
@@ -583,8 +597,14 @@ _SETTINGS = {
 def _argv(draw):
     command = draw(st.sampled_from(["spectrum", "thermo", "measure", "cycle", "sweep"]))
     argv = [command, "--format", "json"]
-    for flag, values in _SETTINGS.items():
-        argv += [flag, draw(values)]
+    values = {flag: draw(v) for flag, v in _SETTINGS.items()}
+
+    def scaled(fraction):
+        return repr(float(values["--L"]) * float(fraction))
+
+    values["--d"] = scaled(values["--d"])
+    for flag, value in values.items():
+        argv += [flag, value]
     if command == "spectrum":
         argv += ["--pairs", str(draw(st.integers(1, 8)))]
     if command in ("measure", "cycle") and draw(st.booleans()):
@@ -593,8 +613,10 @@ def _argv(draw):
         argv.append("--spectral-check")
     if command == "sweep":
         axis = draw(st.sampled_from(SWEEP_AXES))
-        values = draw(st.lists(_SETTINGS["--" + axis.replace("_", "-")], min_size=1, max_size=3))
-        argv += ["--axis", axis, "--values", ",".join(values)]
+        row_values = draw(st.lists(_SETTINGS["--" + axis.replace("_", "-")], min_size=1, max_size=3))
+        if axis == "d":
+            row_values = [scaled(v) for v in row_values]
+        argv += ["--axis", axis, "--values", ",".join(row_values)]
     return argv
 
 

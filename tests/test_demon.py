@@ -451,9 +451,9 @@ class TestProductOfMarginals:
         monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         res = reverse_readoff(box_record, product_of_marginals(box_record.post))
-        # the two marginals are validated in closed form and the product
-        # inherits their spectra; no reversed state is built, and LAPACK
-        # takes only the trace distance's 4x4 blocks
+        # the two marginals are validated in closed form and the product is
+        # not; no reversed state is built, and LAPACK takes only the trace
+        # distance's 4x4 blocks
         assert [s.entries.shape for s in built] == [(11, 2, 2), (1, 2, 2)]
         assert shapes == [(11, 4, 4)]
         assert res.distance == pytest.approx(0.5, abs=1e-12)
@@ -485,7 +485,7 @@ class TestResetDemon:
         assert rec.ds_demon == pytest.approx(h, rel=1e-14)
         assert rec.ds_demon == pytest.approx(0.3250829733914482, rel=1e-14)
         # the pointer the reset erases carries that entropy, by LAPACK
-        assert entropy(rec.demon_post.entries) == pytest.approx(h, rel=1e-14)
+        assert entropy(partial_trace(rec.post, "demon").entries) == pytest.approx(h, rel=1e-14)
         report = run_cycle(CycleConfig(params=PhysicalParams(T=2.0)))
         charge = 2.0 * report.record.ds_demon
         assert report.W_extracted - report.net_balance == pytest.approx(charge, rel=1e-14)

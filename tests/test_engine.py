@@ -4,13 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from szilard.demon import DemonModel, premeasure
 from szilard.engine import (
     ADIABATIC_NOTE,
-    PROTOCOLS,
     SWEEP_COLUMNS,
     CycleConfig,
     extraction_work,
@@ -21,6 +20,7 @@ from szilard.engine import (
 from szilard import thermo
 from szilard.exceptions import TruncationError
 from szilard.infodyn import DensityMatrix, partial_trace, post_insertion_dm, product_dm
+from szilard.params import PROTOCOLS
 from szilard.spectral import PhysicalParams, analytic_pairs
 from szilard.thermo import mean_energy, stage_free_energies
 
@@ -198,6 +198,39 @@ class TestRunCycle:
         }
 
 
+# k_B T = 9.2e7 at L = 0.0017, where each side's doublet weights sum to
+# 1/2 + 1 ulp: a pointer entropy one ulp below ln 2 read there as a
+# second-law violation of 1.5e-8
+HOT_SMALL_BOX = PhysicalParams(L=0.0016895616211630654, d=0.0006380114709206589,
+                               U=3865544.6909336303, T=91883781.60350323)
+
+
+@st.composite
+def isothermal_configs(draw):
+    # L 1e-12..1e3, eps beta 1e-3..100, U/eps 1..1e6, d/L 1e-3..0.9, and
+    # the smallest basis passing the N^2 eps beta >= 20 gate plus extra doublets
+    length = 10.0 ** draw(st.floats(-12.0, 3.0))
+    eps = math.pi**2 / (2.0 * length**2)
+    p = PhysicalParams(L=length, d=length * 10.0 ** draw(st.floats(-3.0, math.log10(0.9))),
+                       U=eps * 10.0 ** draw(st.floats(0.0, 6.0)), T=eps / 10.0 ** draw(st.floats(-3.0, 2.0)))
+    n = math.ceil(math.sqrt(20.0 / (p.eps * p.beta)))
+    n += (n * n * p.eps * p.beta < 20.0) + draw(st.integers(0, 40))
+    return CycleConfig(params=p, n_side=n, coherences=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config=isothermal_configs())
+@example(config=CycleConfig(params=HOT_SMALL_BOX, n_side=59))
+@example(config=CycleConfig(params=HOT_SMALL_BOX, n_side=59, coherences=False))
+def test_isothermal_cycle_books_ln2_exactly(config):
+    # every drawn config passes the config checks; the pointer weights sum to 1
+    # after the one normalisation, so an even pointer books ln 2 to the last
+    # bit and W - T dS_env is exactly 0 at any k_B T
+    report = run_cycle(config)
+    assert report.record.ds_demon == LN2
+    assert report.net_balance == 0.0
+
+
 @pytest.mark.parametrize("k_B", [3.0, 1.380649e-23])
 class TestNonUnitBoltzmannConstant:
     # T = 1/k_B keeps the default beta, so the readoff is the default one
@@ -299,7 +332,7 @@ class TestReadoffSharing:
     read from the ready pointer and the coupling unitary it shares, and
     hands the reset the pointer entropy without a state."""
 
-    def test_run_cycle_validates_two_states(self, monkeypatch):
+    def test_run_cycle_validates_only_the_gas_state(self, monkeypatch):
         readoff(CycleConfig(n_side=11)).pre  # the first state read builds the ready pointer
         built = []
         init = DensityMatrix.__post_init__
@@ -313,11 +346,11 @@ class TestReadoffSharing:
         # no state is built until a caller reads one
         assert built == []
         record.post
-        # then the gas and the post pointer marginal; gas (x) D_0 and the post
-        # state inherit their spectra, and the gas marginals stay plain blocks
-        assert [s.entries.shape for s in built] == [(11, 2, 2), (1, 2, 2)]
-        record.pre, record.demon_post
-        assert len(built) == 2
+        # then the gas alone: gas (x) D_0 and the post state skip the gate,
+        # and the gas marginals stay plain blocks
+        assert [s.entries.shape for s in built] == [(11, 2, 2)]
+        record.pre
+        assert len(built) == 1
 
     def test_states_are_built_from_the_booked_weights(self, monkeypatch):
         # the doublet weights are taken once, for the figures, and the states
@@ -346,22 +379,27 @@ class TestReadoffSharing:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         run_cycle(CycleConfig(n_side=11))
-        # every 2x2 block takes the closed form and every 4x4 block its inherited spectrum
+        # no state is read, and every 2x2 block takes the closed form
         assert shapes == []
 
     @pytest.mark.parametrize("n_side, T, coherences", [(11, 25.0, True), (11, 25.0, False), (45, 1.0, True),
                                                        (200, 7896.0, True)])
     @pytest.mark.parametrize("first", ["pre", "post", "demon_post"])
     def test_states_are_built_on_first_read_and_kept(self, n_side, T, coherences, first):
+        # demon_post is post's pointer marginal, the pointer the reset erases
         config = CycleConfig(params=PhysicalParams(T=T), n_side=n_side, coherences=coherences)
         rec = readoff(config)
-        names = [first] + [n for n in ("pre", "post", "demon_post") if n != first]
-        states = {name: getattr(rec, name) for name in names}
+        read = {"pre": lambda: rec.pre, "post": lambda: rec.post,
+                "demon_post": lambda: partial_trace(rec.post, "demon")}
+        names = [first] + [n for n in read if n != first]
+        states = {name: read[name]() for name in names}
         eager, _ = fresh_readoff(config)
-        for name, oracle in zip(("pre", "post", "demon_post"), eager):
+        for name, oracle in zip(read, eager):
             assert np.array_equal(states[name].entries, oracle.entries), name
-            assert getattr(rec, name) is states[name]
+        assert rec.pre is states["pre"] and rec.post is states["post"]
         assert rec.pre.subsystem_dims == rec.post.subsystem_dims == (2, 2)
+        # post = U pre U^T: the spectra each solves on its first read agree
+        assert np.allclose(rec.post.eigenvalues, rec.pre.eigenvalues, rtol=0, atol=1e-15)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -409,7 +447,7 @@ def test_float_ledger_matches_the_state_routes(T, d, U, extra, coherences):
     for route in (built, lapack):
         for name in ("ds_gas", "ds_demon", "di_mu"):
             assert getattr(report.record, name) == pytest.approx(getattr(route, name), abs=1e-12), name
-        s_demon = entropy(route.demon_post.entries)
+        s_demon = entropy(partial_trace(route.post, "demon").entries)
         assert report.S_to_environment == pytest.approx(p.k_B * s_demon, abs=1e-12)
         charge = p.k_B * p.T * s_demon
         assert report.W_extracted - report.net_balance == pytest.approx(charge, rel=1e-12)

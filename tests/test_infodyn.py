@@ -8,14 +8,13 @@ from scipy.linalg import block_diag
 
 from szilard.exceptions import StateError, TruncationError
 from szilard.infodyn import (
-    BasisLabeling,
     DensityMatrix,
     partial_trace,
     post_insertion_dm,
     product_dm,
     trace_distance,
 )
-from szilard.params import MAX_N_SIDE
+from szilard.params import MAX_N_SIDE, BasisLabeling
 from szilard.spectral import PhysicalParams, analytic_pairs
 
 from oracles import block_spectrum, entropy, mutual_information
@@ -253,9 +252,8 @@ class TestBipartite:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(k=st.integers(1, 50), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_product_inherits_the_spectrum_of_its_entries(self, k, complex_, seed):
-        # the product is not re-solved: its spectrum is the sorted outer
-        # product of its factors', which must be that of its 4x4 blocks
+    def test_product_spectrum_is_that_of_its_entries(self, k, complex_, seed):
+        # the product skips the gate and solves its spectrum on first read
         rng = np.random.default_rng(seed)
 
         def state(n, b):
@@ -263,11 +261,18 @@ class TestBipartite:
             m = a @ a.conj().transpose(0, 2, 1)
             return DensityMatrix(m / np.trace(m, axis1=1, axis2=2).real.sum())
 
-        joint = product_dm(state(k, 2), state(1, 2))
+        gas, demon = state(k, 2), state(1, 2)
+        joint = product_dm(gas, demon)
         assert joint.entries.shape == (k, 4, 4)
         assert np.allclose(joint.eigenvalues, block_spectrum(joint.entries), rtol=0, atol=1e-15)
+        # and that of its factors, the outer product of their spectra
+        outer = np.sort(np.multiply.outer(gas.eigenvalues, demon.eigenvalues), axis=None)
+        assert np.allclose(joint.eigenvalues, outer, rtol=0, atol=1e-15)
+        assert joint.eigenvalues is joint.eigenvalues
         with pytest.raises(ValueError):
             joint.entries[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            joint.eigenvalues[0] = 1.0
 
     def test_mutual_information_of_product_vanishes(self):
         joint = product_dm(dm([0.7, 0.3]), dm([0.4, 0.6]))
