@@ -17,7 +17,7 @@ _MODULES = {
     "exceptions": ("ConfigError", "EngineError", "NumericsError", "SpectralError", "StateError",
                    "SzilardError", "ThermoError", "TruncationError"),
     "numerics": ("Grid", "TridiagonalSymmetric", "eig_tridiagonal"),
-    "params": ("PhysicalParams", "CycleConfig", "BasisLabeling"),
+    "params": ("PhysicalParams", "CycleConfig"),
     "spectral": ("SplitPair", "analytic_pairs", "barrier_grid", "barrier_spectrum",
                  "splitting_estimate"),
     "thermo": ("PartitionResult", "StageFreeEnergies", "StageLedger", "isothermal_work",

@@ -25,41 +25,24 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exceptions import ConfigError, SpectralError, SzilardError, TruncationError
-from .params import MAX_N_SIDE, MAX_PAIRS, PROTOCOLS, SWEEP_AXES, CycleConfig, PhysicalParams
+from .params import (MAX_N_SIDE, MAX_PAIRS, SETTINGS, SWEEP_AXES, CycleConfig, PhysicalParams,
+                     configure)
 
 __all__ = ["main"]
 
 ENV_PREFIX = "SZILARD_"
 FORMATS = ("table", "csv", "json")
 
-# every setting a flag, a SZILARD_* variable or a config key can give: its
-# type and help; unset ones take the library's defaults
-_OPTIONS = {
-    "L": (float, "box width"),
-    "d": (float, "barrier width"),
-    "U": (float, "barrier height"),
-    "T": (float, "temperature"),
-    "N": (int, f"doublet truncation per side, at most {MAX_N_SIDE}"),
-    "protocol": (str, " | ".join(PROTOCOLS)),
-    "n_steps": (int, "stepwise increment count"),
-    "seed": (int, "master seed"),
-    "format": (str, " | ".join(FORMATS)),
-}
-_PARAMS = ("L", "d", "U", "T")
-# per-command fallback when --format is not given anywhere
-_FORMAT_DEFAULT = {
-    "spectrum": "csv",
-    "thermo": "table",
-    "measure": "table",
-    "cycle": "json",
-    "sweep": "csv",
-}
+# every key a flag, a SZILARD_* variable or a config file can give: the run
+# settings and the output format; unset ones take the library's defaults
+_OPTIONS = {**SETTINGS, "format": (str, " | ".join(FORMATS))}
 
+# the companion series' barrier widths, as fractions of the box width L
 SPLITTING_SERIES_D = tuple(round(0.02 + 0.01 * i, 2) for i in range(9))
 
 
@@ -72,8 +55,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class Settings:
+class Settings(NamedTuple):
     config: CycleConfig
     format: str
     out: Optional[Path]
@@ -131,15 +113,12 @@ def _resolve(ns: argparse.Namespace) -> Settings:
             values[key] = _coerce(key, env, "environment")
         elif key in config:
             values[key] = _coerce(key, config[key], "config")
-    fmt = values.pop("format", None) or _FORMAT_DEFAULT[ns.command]
+    fmt = values.pop("format", None) or _COMMANDS[ns.command][1]
     if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
-    if "N" in values:
-        if not 1 <= values["N"] <= MAX_N_SIDE:
-            raise ConfigError(f"--N must be in 1..{MAX_N_SIDE}, got {values['N']}")
-        values["n_side"] = values.pop("N")
-    params = PhysicalParams(**{key: values.pop(key) for key in _PARAMS if key in values})
-    return Settings(CycleConfig(params, **values), fmt, Path(ns.out) if ns.out else None)
+    if not 1 <= values.get("N", 1) <= MAX_N_SIDE:
+        raise ConfigError(f"--N must be in 1..{MAX_N_SIDE}, got {values['N']}")
+    return Settings(configure(CycleConfig(), values), fmt, Path(ns.out) if ns.out else None)
 
 
 def _render(value) -> str:
@@ -213,7 +192,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
     # before anything is written, so a failing run leaves no partial output
     series_cols = ["d", "delta_1", "estimate", "ratio"]
     series = []
-    for d in SPLITTING_SERIES_D:
+    for d in (params.L * f for f in SPLITTING_SERIES_D):
         pd = replace(params, d=d)
         try:
             pair = barrier_spectrum(pd, 1)[0]
@@ -334,38 +313,35 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: _Parser) -> None:
-    for key, (_, text) in _OPTIONS.items():
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
-    parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--config", help="flat key = value config file")
+_IDEAL = ("--ideal", {"action": "store_true", "help": "drop gas coherences first"})
+# every command: its help, its --format fallback, its handler and its own flags
+_COMMANDS = {
+    "spectrum": ("doublet energies and splittings", "csv", cmd_spectrum, [
+        ("--pairs", {"type": int, "default": 5, "help": f"doublets to report, at most {MAX_PAIRS}"}),
+    ]),
+    "thermo": ("partition functions and free energies", "table", cmd_thermo, []),
+    "measure": ("readoff entropy/information bookkeeping", "table", cmd_measure, [_IDEAL]),
+    "cycle": ("run one full engine cycle", "json", cmd_cycle, [_IDEAL, ("--spectral-check", {
+        "action": "store_true",
+        "help": "cross-check the measurement jump against the exact barrier spectrum"})]),
+    "sweep": ("run one cycle per value of an axis", "csv", cmd_sweep, [
+        ("--axis", {"required": True, "help": f"one of {', '.join(SWEEP_AXES)}"}),
+        ("--values", {"required": True, "help": "comma-separated values"}),
+    ]),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="szilard", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    sp = sub.add_parser("spectrum", help="doublet energies and splittings", parents=[])
-    _add_common(sp)
-    sp.add_argument("--pairs", type=int, default=5, help=f"doublets to report, at most {MAX_PAIRS}")
-    sp.set_defaults(func=cmd_spectrum)
-    th = sub.add_parser("thermo", help="partition functions and free energies")
-    _add_common(th)
-    th.set_defaults(func=cmd_thermo)
-    me = sub.add_parser("measure", help="readoff entropy/information bookkeeping")
-    _add_common(me)
-    me.add_argument("--ideal", action="store_true", help="drop gas coherences first")
-    me.set_defaults(func=cmd_measure)
-    cy = sub.add_parser("cycle", help="run one full engine cycle")
-    _add_common(cy)
-    cy.add_argument("--ideal", action="store_true", help="drop gas coherences first")
-    cy.add_argument("--spectral-check", dest="spectral_check", action="store_true",
-                    help="cross-check the measurement jump against the exact barrier spectrum")
-    cy.set_defaults(func=cmd_cycle)
-    sw = sub.add_parser("sweep", help="run one cycle per value of an axis")
-    _add_common(sw)
-    sw.add_argument("--axis", required=True, help=f"one of {', '.join(SWEEP_AXES)}")
-    sw.add_argument("--values", required=True, help="comma-separated values")
-    sw.set_defaults(func=cmd_sweep)
+    for name, (text, _, _, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for key, (_, help_text) in _OPTIONS.items():
+            command.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
+        command.add_argument("--out", help="write output to this path instead of stdout")
+        command.add_argument("--config", help="flat key = value config file")
+        for flag, kwargs in flags:
+            command.add_argument(flag, **kwargs)
     return parser
 
 
@@ -373,7 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        return _COMMANDS[ns.command][2](ns)
     except (ConfigError, ValueError, TruncationError) as exc:
         print(f"szilard: invalid configuration: {exc}", file=sys.stderr)
         return 1

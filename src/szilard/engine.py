@@ -25,12 +25,12 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .demon import DemonModel, MeasurementRecord, States, _joint_states, _ledger
-from .exceptions import EngineError, SzilardError
-from .params import SWEEP_AXES, BasisLabeling, CycleConfig, PhysicalParams, _canon_protocol
+from .exceptions import EngineError, SzilardError, TruncationError
+from .params import SWEEP_AXES, CycleConfig, PhysicalParams, _canon_protocol, configure
 from .spectral import analytic_pairs
 from .thermo import (StageLedger, _doublet_weights, _stage_ledgers, isothermal_work,
                      spectral_stage_check, stage_free_energies)
@@ -46,7 +46,7 @@ __all__ = [
     "SWEEP_COLUMNS",
 ]
 
-# largest W - T dS_env a cycle may report and still obey the second law
+# largest W - T dS_env a cycle may report and still obey the second law, in units of k_B T
 SECOND_LAW_TOL = 1e-9
 
 ADIABATIC_NOTE = (
@@ -63,6 +63,7 @@ class CycleReport:
 
     net_balance = W_extracted minus the reset's free-energy charge can never
     be positive; the isothermal protocol with ideal reset saturates it at 0.
+    kT is the reservoir's k_B T, the unit the second-law tolerance is set in.
     Q_from_reservoir, second_law_ok and closure follow from the fields and
     the model, so they are properties rather than stored values.
     """
@@ -74,6 +75,7 @@ class CycleReport:
     net_balance: float
     outcome: str
     seed: int
+    kT: float
     note: str = ""
     spectral_jump_dev: Optional[float] = None
 
@@ -84,8 +86,8 @@ class CycleReport:
 
     @property
     def second_law_ok(self) -> bool:
-        """net_balance <= SECOND_LAW_TOL; run_cycle raises instead of reporting False."""
-        return self.net_balance <= SECOND_LAW_TOL
+        """net_balance <= SECOND_LAW_TOL k_B T; run_cycle raises instead of reporting False."""
+        return self.net_balance <= SECOND_LAW_TOL * self.kT
 
     @property
     def closure(self) -> float:
@@ -173,9 +175,8 @@ def readoff(config: CycleConfig) -> MeasurementRecord:
 def _readoff(config: CycleConfig) -> Tuple[MeasurementRecord, List[float], List[float]]:
     """readoff's record, with the doublet populations c_k and coherences s_k it booked."""
     params = config.params
-    # the size cap and the truncation gate n_side^2 eps beta >= 20, checked
-    # before any weight is taken
-    BasisLabeling(config.n_side, params.eps * params.beta)
+    if (crit := config.n_side**2 * (params.eps * params.beta)) < 20.0:
+        raise TruncationError(f"truncation too small: n_side^2 * eps * beta = {crit:.3g} < 20")
     try:
         pairs = analytic_pairs(params, config.n_side)
     except SzilardError as exc:
@@ -206,7 +207,7 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     s_env = params.k_B * record.ds_demon
     net = work - kt * record.ds_demon
     # written so that a NaN balance raises too
-    if not net <= SECOND_LAW_TOL:
+    if not net <= SECOND_LAW_TOL * kt:
         raise EngineError(
             f"second-law balance violated: W - T dS_env = {net:.6e} > 0"
         )
@@ -237,6 +238,7 @@ def run_cycle(config: CycleConfig) -> CycleReport:
         net_balance=net,
         outcome=outcome,
         seed=config.seed,
+        kT=kt,
         note="; ".join(notes),
         spectral_jump_dev=jump_dev,
     )
@@ -258,14 +260,6 @@ SWEEP_COLUMNS = (
 )
 
 
-def _apply_axis(config: CycleConfig, axis: str, value) -> CycleConfig:
-    if axis in ("T", "U", "d"):
-        return replace(config, params=replace(config.params, **{axis: float(value)}))
-    if axis == "N":
-        return replace(config, n_side=int(value))
-    return replace(config, n_steps=int(value))
-
-
 def sweep(config: CycleConfig, axis: str, values: Sequence) -> List[dict]:
     """Run one cycle per value of `axis`, collecting summary rows.
 
@@ -282,8 +276,7 @@ def sweep(config: CycleConfig, axis: str, values: Sequence) -> List[dict]:
         row["value"] = value
         row["seed"] = config.seed + i
         try:
-            cfg = _apply_axis(config, axis, value)
-            cfg = replace(cfg, seed=config.seed + i)
+            cfg = configure(config, {axis: value, "seed": config.seed + i})
             report = run_cycle(cfg)
             fe = stage_free_energies(cfg.params)
             row.update(

@@ -1,6 +1,7 @@
 """Run definition that needs no numpy: the unit system and engine geometry,
-the cycle settings and protocol names, and the size limits, truncation gate
-and sweep axes a run is checked against.
+the cycle settings and protocol names, the size limits a run is checked
+against, and SETTINGS, the one table of run settings, which configure casts
+onto a CycleConfig for the command line and the sweep alike.
 
 This is the layer the command line resolves every command's settings into
 before it imports anything that computes, so `szilard thermo` runs on the
@@ -10,12 +11,10 @@ spectral re-exports PhysicalParams, and engine CycleConfig and SWEEP_AXES.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
-from .exceptions import TruncationError
-
-__all__ = ["PhysicalParams", "CycleConfig", "BasisLabeling", "PROTOCOLS", "MAX_PAIRS", "MAX_N_SIDE",
-           "SWEEP_AXES"]
+__all__ = ["PhysicalParams", "CycleConfig", "PROTOCOLS", "MAX_PAIRS", "MAX_N_SIDE", "SETTINGS",
+           "SWEEP_AXES", "configure"]
 
 # most doublets barrier_spectrum solves in one call, so a huge request fails
 # before any level is solved; each level is a scalar root solve, and all
@@ -24,8 +23,6 @@ MAX_PAIRS = 2048
 # most doublets per side a gas basis may hold; a joint readoff state keeps
 # one real 4x4 block per doublet, 12.8 MB at the cap
 MAX_N_SIDE = 100_000
-# the CycleConfig settings a sweep can vary
-SWEEP_AXES = ("T", "U", "d", "N", "n_steps")
 
 PROTOCOLS = ("isothermal", "stepwise-adiabatic", "single-adiabatic")
 _PROTOCOL_ALIASES = {
@@ -44,6 +41,22 @@ def _canon_protocol(name: str) -> str:
         raise ValueError(
             f"unknown protocol {name!r}; choose from {sorted(set(_PROTOCOL_ALIASES))}"
         ) from None
+
+
+# every run setting, its type and help: L, d, U and T set CycleConfig.params,
+# N sets n_side and the rest set the CycleConfig field of their own name
+SETTINGS = {
+    "L": (float, "box width"),
+    "d": (float, "barrier width"),
+    "U": (float, "barrier height"),
+    "T": (float, "temperature"),
+    "N": (int, f"doublet truncation per side, at most {MAX_N_SIDE}"),
+    "protocol": (str, " | ".join(PROTOCOLS)),
+    "n_steps": (int, "stepwise increment count"),
+    "seed": (int, "master seed"),
+}
+# the settings a sweep can vary
+SWEEP_AXES = ("T", "U", "d", "N", "n_steps")
 
 
 @dataclass(frozen=True)
@@ -111,10 +124,10 @@ class PhysicalParams:
 class CycleConfig:
     """Everything one cycle run depends on.
 
-    n_side is the doublet truncation per side.  It is checked against the
-    temperature (n_side^2*eps*beta >= 20, BasisLabeling) by the
-    readoff, before any state is built, so a config can be made first and
-    given its temperature later.  grid_points changes nothing (no cycle step
+    n_side is the doublet truncation per side, at most MAX_N_SIDE.  The
+    readoff checks it against the temperature (n_side^2 eps beta >= 20)
+    before it takes any weight, so a config can be made first and given its
+    temperature later.  grid_points changes nothing (no cycle step
     solves a grid); it is kept only because the benchmark constructs
     CycleConfig with it.  coherences=False runs the readoff on the dephased
     post-insertion state (the ideal-measurement limit).
@@ -131,6 +144,8 @@ class CycleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "protocol", _canon_protocol(self.protocol))
+        if not 1 <= self.n_side <= MAX_N_SIDE:
+            raise ValueError(f"n_side must be in 1..{MAX_N_SIDE}, got {self.n_side}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.seed < 0:
@@ -139,27 +154,13 @@ class CycleConfig:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
 
 
-@dataclass(frozen=True)
-class BasisLabeling:
-    """Bookkeeping for the truncated localized basis.
+def configure(config: CycleConfig, settings: dict) -> CycleConfig:
+    """config with the named SETTINGS set, each value cast by its type.
 
-    n_side doublets per side; the gas basis is one (L_k, R_k) block per
-    doublet k = 1..n_side, 2 n_side states in all.  n_side is capped at
-    MAX_N_SIDE, so an oversized basis is refused before any state is built.
-    The truncation criterion n_side^2 * eps * beta >= 20 guarantees the
-    discarded thermal weight is negligible for every state built here.
+    L, d, U and T go to config.params and N to n_side; the constructors
+    check every value.
     """
-
-    n_side: int
-    eps_beta: float
-
-    def __post_init__(self):
-        if not 1 <= self.n_side <= MAX_N_SIDE:
-            raise ValueError(f"n_side must be in 1..{MAX_N_SIDE}, got {self.n_side}")
-        if self.eps_beta <= 0:
-            raise ValueError(f"eps_beta must be positive, got {self.eps_beta}")
-        crit = self.n_side**2 * self.eps_beta
-        if crit < 20.0:
-            raise TruncationError(
-                f"truncation too small: n_side^2 * eps * beta = {crit:.3g} < 20"
-            )
+    values = {"n_side" if key == "N" else key: SETTINGS[key][0](value)
+              for key, value in settings.items()}
+    geometry = {key: values.pop(key) for key in ("L", "d", "U", "T") if key in values}
+    return replace(config, params=replace(config.params, **geometry), **values)

@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import szilard
-from szilard.cli import SPLITTING_SERIES_D, main
+from szilard.cli import SPLITTING_SERIES_D, _build_parser, _resolve, main
 from szilard.demon import product_of_marginals
-from szilard.engine import SWEEP_AXES, SWEEP_COLUMNS, CycleConfig, readoff, run_cycle
+from szilard.engine import SWEEP_AXES, SWEEP_COLUMNS, CycleConfig, readoff, run_cycle, sweep
 from szilard.infodyn import partial_trace, trace_distance
-from szilard.params import PROTOCOLS
+from szilard.params import PROTOCOLS, SETTINGS, configure
 from szilard.spectral import PhysicalParams, analytic_pairs
 
 from oracles import doublet_weights
@@ -157,6 +157,65 @@ class TestPrecedence:
         assert "not a int" in capsys.readouterr().err.replace("an int", "a int")
 
 
+# a valid value other than the default for every setting
+_NON_DEFAULT = {"L": "2.0", "d": "0.1", "U": "1000.0", "T": "3.0", "N": "11",
+                "protocol": "stepwise-adiabatic", "n_steps": "4", "seed": "7"}
+
+
+def _setting(config, key):
+    """The value config holds for the setting key."""
+    if key == "N":
+        return config.n_side
+    return getattr(config.params if key in ("L", "d", "U", "T") else config, key)
+
+
+class TestSettingsTable:
+    def test_every_setting_has_a_value_here(self):
+        assert set(_NON_DEFAULT) == set(SETTINGS)
+        assert set(SWEEP_AXES) <= set(SETTINGS)
+
+    def test_every_setting_is_a_flag_on_every_command(self):
+        parser = _build_parser()
+        flags = [arg for key, value in _NON_DEFAULT.items()
+                 for arg in ("--" + key.replace("_", "-"), value)]
+        extras = {"sweep": ["--axis", "T", "--values", "1"]}
+        for command in ("spectrum", "thermo", "measure", "cycle", "sweep"):
+            config = _resolve(parser.parse_args([command, *flags, *extras.get(command, [])])).config
+            for key, value in _NON_DEFAULT.items():
+                assert _setting(config, key) == SETTINGS[key][0](value), (command, key)
+
+    def test_every_setting_is_a_variable_and_a_config_key(self, tmp_path, monkeypatch):
+        parser = _build_parser()
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in _NON_DEFAULT.items()))
+        from_file = _resolve(parser.parse_args(["thermo", "--config", str(cfg)])).config
+        for key, value in _NON_DEFAULT.items():
+            monkeypatch.setenv("SZILARD_" + key.upper(), value)
+        from_env = _resolve(parser.parse_args(["thermo"])).config
+        for key, value in _NON_DEFAULT.items():
+            assert _setting(from_file, key) == _setting(from_env, key) == SETTINGS[key][0](value)
+
+    def test_configure_maps_and_casts(self):
+        base = CycleConfig(coherences=False)
+        config = configure(base, {"N": 11.0, "T": 3, "d": "0.1", "n_steps": "4", "seed": 7.0,
+                                  "protocol": "stepwise"})
+        assert config == CycleConfig(params=PhysicalParams(T=3.0, d=0.1), n_side=11,
+                                     protocol="stepwise-adiabatic", n_steps=4, seed=7,
+                                     coherences=False)
+        assert type(config.n_side) is int and type(config.params.T) is float
+        assert type(config.seed) is int
+        assert configure(base, {}) == base
+        with pytest.raises(ValueError, match="n_side must be in 1..100000, got 0"):
+            configure(base, {"N": 0})
+
+    def test_sweep_row_is_the_cycle_command(self, capsys):
+        (row,) = sweep(CycleConfig(), "N", [11])
+        assert main(["cycle", "--N", "11"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (row["W_extracted"], row["net_balance"]) == (payload["W_extracted"],
+                                                            payload["net_balance"])
+
+
 class TestConfigFile:
     def test_comments_quotes_and_inline_comments(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
@@ -283,6 +342,18 @@ class TestSpectrumCommand:
         assert main(argv + ["--out", str(tmp_path / "spec.txt")]) == 2
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_small_box_series_scales_with_its_width(self, capsys):
+        # the series widths are fractions of L, so a box narrower than the
+        # widest one at L = 1 still has its companion series
+        assert main(["spectrum", "--L", "0.05", "--d", "0.01", "--U", "1e6",
+                     "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        series = json.loads("{" + out.split("\n{", 1)[1])["series"]
+        assert [row["d"] for row in series] == [0.05 * f for f in SPLITTING_SERIES_D]
+        deltas = [row["delta_1"] for row in series]
+        assert all(b < a for a, b in zip(deltas, deltas[1:]))
 
     def test_thin_barrier_with_many_pairs(self, capsys):
         # thin barrier, delta_5/E_5 = 2.3e-3: every pair is a valid doublet
@@ -581,7 +652,9 @@ def _log_uniform(lo: float, hi: float):
 
 
 # d is drawn as a fraction of L, which sets eps = pi^2/(2 L^2): U and T
-# stay absolute, so U/eps and k_B T/eps range wider than they would at L = 1
+# stay absolute, so U/eps and k_B T/eps range wider than they would at L = 1.
+# spectrum draws U/eps over 1..1e6 instead: an absolute U mostly lies
+# near or below eps, where its first pair reaches the barrier top
 _SETTINGS = {
     "--L": _log_uniform(1e-12, 1e3),
     "--d": _log_uniform(1e-30, 0.99),
@@ -603,6 +676,9 @@ def _argv(draw):
         return repr(float(values["--L"]) * float(fraction))
 
     values["--d"] = scaled(values["--d"])
+    if command == "spectrum":
+        eps = math.pi**2 / (2.0 * float(values["--L"]) ** 2)
+        values["--U"] = repr(eps * float(draw(_log_uniform(1.0, 1e6))))
     for flag, value in values.items():
         argv += [flag, value]
     if command == "spectrum":
@@ -775,7 +851,7 @@ PUBLIC_NAMES = [
     "ConfigError", "EngineError", "NumericsError", "SpectralError", "StateError", "SzilardError",
     "ThermoError", "TruncationError",
     "Grid", "TridiagonalSymmetric", "eig_tridiagonal",
-    "PhysicalParams", "CycleConfig", "BasisLabeling", "SplitPair", "analytic_pairs", "barrier_grid",
+    "PhysicalParams", "CycleConfig", "SplitPair", "analytic_pairs", "barrier_grid",
     "barrier_spectrum", "splitting_estimate",
     "PartitionResult", "StageFreeEnergies", "StageLedger", "isothermal_work", "mean_energy",
     "partition_exact", "partition_highT", "partition_theta", "spectral_stage_check",

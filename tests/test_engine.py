@@ -17,10 +17,10 @@ from szilard.engine import (
     run_cycle,
     sweep,
 )
-from szilard import thermo
-from szilard.exceptions import TruncationError
+from szilard import engine, thermo
+from szilard.exceptions import EngineError, TruncationError
 from szilard.infodyn import DensityMatrix, partial_trace, post_insertion_dm, product_dm
-from szilard.params import PROTOCOLS
+from szilard.params import MAX_N_SIDE, PROTOCOLS
 from szilard.spectral import PhysicalParams, analytic_pairs
 from szilard.thermo import mean_energy, stage_free_energies
 
@@ -57,6 +57,23 @@ class TestCycleConfig:
         with pytest.raises(TruncationError):
             readoff(CycleConfig(n_side=2))
         readoff(CycleConfig(n_side=3))
+
+    def test_truncation_gate(self):
+        # at eps beta = 0.01 the gate passes 45^2 * 0.01 = 20.25 and refuses 44^2 * 0.01 = 19.36
+        p = PhysicalParams(T=PhysicalParams().eps / 0.01)
+        assert p.eps * p.beta == pytest.approx(0.01, rel=1e-15)
+        readoff(CycleConfig(params=p, n_side=45))
+        run_cycle(CycleConfig(params=p, n_side=45))
+        for call in (readoff, run_cycle):
+            with pytest.raises(TruncationError, match=r"n_side\^2 \* eps \* beta = 19.4 < 20"):
+                call(CycleConfig(params=p, n_side=44))
+
+    def test_side_count_is_capped(self):
+        # checked where the config is made: no weight of this size is taken
+        assert CycleConfig(n_side=MAX_N_SIDE).n_side == MAX_N_SIDE
+        for n_side in (0, MAX_N_SIDE + 1):
+            with pytest.raises(ValueError, match=f"n_side must be in 1..{MAX_N_SIDE}, got {n_side}"):
+                CycleConfig(n_side=n_side)
 
 
 class TestExtractionWork:
@@ -256,6 +273,35 @@ class TestNonUnitBoltzmannConstant:
         fe = stage_free_energies(p)
         stages = run_cycle(CycleConfig(params=p)).stages
         assert (fe.A, fe.A_tilde, fe.A_left) == tuple(s.A for s in stages[:3])
+
+
+def excess_work(monkeypatch, rel):
+    """Let run_cycle book W (1 + rel), an excess of rel W over the reset charge."""
+    work = engine.extraction_work
+    monkeypatch.setattr(engine, "extraction_work", lambda *a: work(*a) * (1.0 + rel))
+
+
+class TestSecondLawTolerance:
+    # the tolerance is 1e-9 k_B T: an absolute one passes any excess in SI
+    # units and refuses a rounding-sized one at k_B T = 1e20
+
+    def test_si_units_refuse_a_micro_kt_excess(self, monkeypatch):
+        # an electron in a 1 nm box at 300 K, eps beta = 14.5
+        p = PhysicalParams(hbar=1.054571817e-34, mass=9.1093837015e-31, k_B=1.380649e-23,
+                           L=1e-9, d=5e-11, U=3e-16, T=300.0)
+        config = CycleConfig(params=p)
+        assert run_cycle(config).net_balance == 0.0
+        excess_work(monkeypatch, 1e-6)
+        with pytest.raises(EngineError, match="second-law balance violated"):
+            run_cycle(config)
+
+    def test_hot_box_passes_a_rounding_sized_excess(self, monkeypatch):
+        p = PhysicalParams(L=1e-12, d=5e-14, U=1e27, T=1e20)
+        excess_work(monkeypatch, 1e-12)
+        r = run_cycle(CycleConfig(params=p))
+        assert r.net_balance == pytest.approx(1e-12 * LN2 * 1e20, rel=1e-3)
+        assert r.second_law_ok
+        assert not replace(r, net_balance=2e-9 * 1e20).second_law_ok
 
 
 class TestSweep:

@@ -14,7 +14,6 @@ from szilard.infodyn import (
     product_dm,
     trace_distance,
 )
-from szilard.params import MAX_N_SIDE, BasisLabeling
 from szilard.spectral import PhysicalParams, analytic_pairs
 
 from oracles import block_spectrum, entropy, mutual_information
@@ -103,20 +102,6 @@ class TestDensityMatrix:
         v = np.array([1.0, 1.0j]) / math.sqrt(2.0)
         rho = DensityMatrix(np.outer(v, v.conj()))
         assert entropy(rho.entries) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestBasisLabeling:
-    def test_truncation_gate(self):
-        BasisLabeling(45, 0.01)
-        with pytest.raises(TruncationError):
-            BasisLabeling(44, 0.01)
-
-    def test_side_count_is_capped(self):
-        # a label only: no state of this size is built
-        BasisLabeling(MAX_N_SIDE, 1.0)
-        for n_side in (0, MAX_N_SIDE + 1):
-            with pytest.raises(ValueError, match=f"n_side must be in 1..{MAX_N_SIDE}, got {n_side}"):
-                BasisLabeling(n_side, 1.0)
 
 
 class TestPostInsertion:
