@@ -16,16 +16,15 @@ Each command imports the layers it computes with when it runs, and the
 parser is built from the numpy-free params module, so no command loads a
 layer it does not use, and none loads numpy: the spectra are solved and
 the readoff booked on Python floats, and measure takes its trace distances
-from the doublet weights without building a state.
+from the doublet weights without building a state.  json is imported only
+where a JSON payload is written, and no command loads dataclasses.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -98,7 +97,9 @@ def _coerce(key: str, raw, source: str):
             return float(raw)
         return str(raw)
     except ValueError as exc:
-        raise ConfigError(f"{source} value for {key} is not a {kind.__name__}: {raw!r}") from exc
+        # only the int and float casts can fail
+        name = "an int" if kind is int else "a float"
+        raise ConfigError(f"{source} value for {key} is not {name}: {raw!r}") from exc
 
 
 def _resolve(ns: argparse.Namespace) -> Settings:
@@ -155,6 +156,8 @@ def _emit(settings, schema, body, columns, rows, out, sep="") -> None:
     render rows under the seed header, after sep.
     """
     if settings.format == "json":
+        import json
+
         text = json.dumps({"schema": schema, "seed": settings.config.seed, **body}, indent=2) + "\n"
     else:
         text = sep + _emit_rows(columns, rows, settings)
@@ -193,7 +196,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
     series_cols = ["d", "delta_1", "estimate", "ratio"]
     series = []
     for d in (params.L * f for f in SPLITTING_SERIES_D):
-        pd = replace(params, d=d)
+        pd = params._replace(d=d)
         try:
             pair = barrier_spectrum(pd, 1)[0]
         except SzilardError as exc:
@@ -251,7 +254,7 @@ def cmd_measure(ns: argparse.Namespace) -> int:
     from .spectral import analytic_pairs
 
     s = _resolve(ns)
-    config = replace(s.config, coherences=not ns.ideal)
+    config = s.config._replace(coherences=not ns.ideal)
     p = config.params
     # no state is built: from the doublet weights the readoff booked, the gas
     # loses each block's coherence s_k, and the post state stands 1/2 plus
@@ -259,22 +262,13 @@ def cmd_measure(ns: argparse.Namespace) -> int:
     record, c, coh = _readoff(config)
     td_marginal = math.fsum(abs(x) for x in coh)
     td_product = 0.5 + 0.5 * math.fsum(max(0.0, 2.0 * abs(y) - x) for x, y in zip(c, coh))
-    beta_delta_1 = p.beta * analytic_pairs(p, 1)[0][1]
-    rows = [
-        {"quantity": "ds_demon", "value": record.ds_demon},
-        {"quantity": "ds_gas", "value": record.ds_gas},
-        {"quantity": "ds_joint", "value": record.ds_joint},
-        {"quantity": "di_mu", "value": record.di_mu},
-        {"quantity": "balance_residual", "value": record.balance_residual},
-        {"quantity": "td_gas_marginal", "value": td_marginal},
-        {"quantity": "td_post_vs_product", "value": td_product},
-        {"quantity": "beta_delta_1", "value": beta_delta_1},
-        {"quantity": "ln2", "value": math.log(2.0)},
-    ]
+    quantities = {**record._asdict(), "td_gas_marginal": td_marginal, "td_post_vs_product": td_product,
+                  "beta_delta_1": p.beta * analytic_pairs(p, 1)[0][1], "ln2": math.log(2.0)}
+    rows = [{"quantity": k, "value": v} for k, v in quantities.items()]
     body = {
         "ideal": bool(ns.ideal),
         "params": {"L": p.L, "d": p.d, "U": p.U, "T": p.T, "N": config.n_side},
-        "quantities": {r["quantity"]: r["value"] for r in rows},
+        "quantities": quantities,
     }
     _emit(s, "szilard.measure/1", body, ["quantity", "value"], rows, s.out)
     return 0
@@ -284,8 +278,8 @@ def cmd_cycle(ns: argparse.Namespace) -> int:
     from .engine import run_cycle
 
     s = _resolve(ns)
-    d = run_cycle(replace(s.config, coherences=not ns.ideal,
-                          spectral_check=ns.spectral_check)).to_dict()
+    d = run_cycle(s.config._replace(coherences=not ns.ideal,
+                                    spectral_check=ns.spectral_check)).to_dict()
     rows = [{"quantity": k, "value": v} for k, v in d.items()
             if k not in ("stages", "measurement")]
     for st in d["stages"]:

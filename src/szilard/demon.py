@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .exceptions import StateError
+from .params import _checked_make
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,8 +55,7 @@ RECOVERY_TOL = 1e-12
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class DemonModel:
+class DemonModel(NamedTuple):
     """Ready state D_0 of the apparatus in its pointer basis D_L, D_R; the
     coupling angle is fixed at pi/4, so it has no coupling-strength parameter."""
 
@@ -88,8 +87,15 @@ def _ready() -> DensityMatrix:
 States = Tuple["DensityMatrix", "DensityMatrix"]
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class _Figures(NamedTuple):
+    ds_demon: float
+    ds_gas: float
+    ds_joint: float
+    di_mu: float
+    balance_residual: float
+
+
+class MeasurementRecord(_Figures):
     """Entropy bookkeeping across one readoff, and the joint states it names.
 
     All deltas are post minus pre in k_B units.  The readoff is unitary, so
@@ -98,16 +104,25 @@ class MeasurementRecord:
     pointer is pure, so ds_demon is also the entropy of post's apparatus
     marginal, the pointer that the reset erases.
 
-    pre and post are built by states() on the first read of either and
-    kept, so a record that is only booked builds no state.
+    The record is the tuple of its five figures, which its repr and its
+    equality read; states, the builder of pre and post, is kept beside
+    them.  pre and post are built by states() on the first read of either
+    and kept, so a record that is only booked builds no state.
     """
 
-    ds_demon: float
-    ds_gas: float
-    ds_joint: float
-    di_mu: float
-    balance_residual: float
-    states: Callable[[], States] = field(repr=False, compare=False)
+    _make = classmethod(_checked_make)  # six values, the builder last
+
+    def __new__(cls, ds_demon, ds_gas, ds_joint, di_mu, balance_residual, states):
+        self = super().__new__(cls, ds_demon, ds_gas, ds_joint, di_mu, balance_residual)
+        self.states = states
+        return self
+
+    def _replace(self, **changes) -> MeasurementRecord:
+        """A copy with changes, which may name states; the built states are not carried over."""
+        return type(self)(**{**self._asdict(), "states": self.states, **changes})
+
+    def __getnewargs__(self):  # copy and pickle rebuild a record with its builder
+        return (*self, self.states)
 
     @functools.cached_property
     def _built(self) -> States:

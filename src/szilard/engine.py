@@ -25,11 +25,10 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .demon import DemonModel, MeasurementRecord, States, _joint_states, _ledger
-from .exceptions import EngineError, SzilardError, TruncationError
+from .exceptions import EngineError, SpectralError, SzilardError, TruncationError
 from .params import SWEEP_AXES, CycleConfig, PhysicalParams, _canon_protocol, configure
 from .spectral import analytic_pairs
 from .thermo import (StageLedger, _doublet_weights, _stage_ledgers, isothermal_work,
@@ -57,15 +56,16 @@ ADIABATIC_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """Immutable record of one cycle run.
 
     net_balance = W_extracted minus the reset's free-energy charge can never
     be positive; the isothermal protocol with ideal reset saturates it at 0.
     kT is the reservoir's k_B T, the unit the second-law tolerance is set in.
     Q_from_reservoir, second_law_ok and closure follow from the fields and
-    the model, so they are properties rather than stored values.
+    the model, so they are properties rather than stored values.  Like every
+    record here it is a NamedTuple: _asdict() names its fields, and to_dict()
+    is its JSON form.
     """
 
     stages: Tuple[StageLedger, ...]
@@ -122,13 +122,7 @@ class CycleReport:
                 }
                 for s in self.stages
             ],
-            "measurement": {
-                "ds_demon": self.record.ds_demon,
-                "ds_gas": self.record.ds_gas,
-                "ds_joint": self.record.ds_joint,
-                "di_mu": self.record.di_mu,
-                "balance_residual": self.record.balance_residual,
-            },
+            "measurement": self.record._asdict(),
         }
 
 
@@ -168,6 +162,7 @@ def readoff(config: CycleConfig) -> MeasurementRecord:
 
     The figures come from the doublet weights in Python floats (demon._ledger);
     the record builds its joint states from the same weights on first read.
+    Raises SpectralError when d = 0: with no barrier there is no side to read.
     """
     return _readoff(config)[0]
 
@@ -175,6 +170,8 @@ def readoff(config: CycleConfig) -> MeasurementRecord:
 def _readoff(config: CycleConfig) -> Tuple[MeasurementRecord, List[float], List[float]]:
     """readoff's record, with the doublet populations c_k and coherences s_k it booked."""
     params = config.params
+    if params.d <= 0:
+        raise SpectralError("the readoff needs a barrier, got d = 0")
     if (crit := config.n_side**2 * (params.eps * params.beta)) < 20.0:
         raise TruncationError(f"truncation too small: n_side^2 * eps * beta = {crit:.3g} < 20")
     try:

@@ -7,11 +7,15 @@ This is the layer the command line resolves every command's settings into
 before it imports anything that computes, so `szilard thermo` runs on the
 standard library and every command's help is built without numpy.
 spectral re-exports PhysicalParams, and engine CycleConfig and SWEEP_AXES.
+
+The records here, and every record a command builds, are NamedTuples, so
+no command imports dataclasses; the validated ones check their fields in
+__new__ and build _replace(...) through it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 __all__ = ["PhysicalParams", "CycleConfig", "PROTOCOLS", "MAX_PAIRS", "MAX_N_SIDE", "SETTINGS",
            "SWEEP_AXES", "configure"]
@@ -59,15 +63,12 @@ SETTINGS = {
 SWEEP_AXES = ("T", "U", "d", "N", "n_steps")
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Unit system and engine geometry.
+def _checked_make(cls, iterable):
+    """_make, and so _replace, of a record whose __new__ checks its fields."""
+    return cls(*iterable)
 
-    hbar, mass, k_B fix the unit system; L is the box width, d and U the
-    barrier width and height, T the reservoir temperature.  d = 0 is allowed
-    and means "no barrier"; operations that need one will say so.
-    """
 
+class _PhysicalFields(NamedTuple):
     hbar: float = 1.0
     mass: float = 1.0
     k_B: float = 1.0
@@ -76,10 +77,24 @@ class PhysicalParams:
     U: float = 5000.0
     T: float = 1.0
 
-    def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+
+class PhysicalParams(_PhysicalFields):
+    """Unit system and engine geometry.
+
+    hbar, mass, k_B fix the unit system; L is the box width, d and U the
+    barrier width and height, T the reservoir temperature.  d = 0 means
+    "no barrier", which the spectra and the readoff refuse by name.
+    Construction and _replace(...) both check every field.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("hbar", "mass", "k_B", "L", "U", "T"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -94,6 +109,7 @@ class PhysicalParams:
                 raise ValueError(f"{name} is out of floating-point range") from None
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        return self
 
     @property
     def beta(self) -> float:
@@ -120,20 +136,8 @@ class PhysicalParams:
         return math.sqrt(2.0 * math.pi * self.hbar**2 * self.beta / self.mass)
 
 
-@dataclass(frozen=True)
-class CycleConfig:
-    """Everything one cycle run depends on.
-
-    n_side is the doublet truncation per side, at most MAX_N_SIDE.  The
-    readoff checks it against the temperature (n_side^2 eps beta >= 20)
-    before it takes any weight, so a config can be made first and given its
-    temperature later.  grid_points changes nothing (no cycle step
-    solves a grid); it is kept only because the benchmark constructs
-    CycleConfig with it.  coherences=False runs the readoff on the dephased
-    post-insertion state (the ideal-measurement limit).
-    """
-
-    params: PhysicalParams = field(default_factory=PhysicalParams)
+class _CycleFields(NamedTuple):
+    params: PhysicalParams = PhysicalParams()
     n_side: int = 45
     protocol: str = "isothermal"
     n_steps: int = 8
@@ -142,8 +146,28 @@ class CycleConfig:
     coherences: bool = True
     spectral_check: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "protocol", _canon_protocol(self.protocol))
+
+class CycleConfig(_CycleFields):
+    """Everything one cycle run depends on.
+
+    n_side is the doublet truncation per side, at most MAX_N_SIDE.  The
+    readoff checks it against the temperature (n_side^2 eps beta >= 20)
+    before it takes any weight, so a config can be made first and given its
+    temperature later.  grid_points changes nothing (no cycle step
+    solves a grid); it is kept only because the benchmark constructs
+    CycleConfig with it.  coherences=False runs the readoff on the dephased
+    post-insertion state (the ideal-measurement limit).  Construction and
+    _replace(...) both check every field and store protocol by its
+    canonical name.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if (protocol := _canon_protocol(self.protocol)) != self.protocol:
+            return self._replace(protocol=protocol)
         if not 1 <= self.n_side <= MAX_N_SIDE:
             raise ValueError(f"n_side must be in 1..{MAX_N_SIDE}, got {self.n_side}")
         if self.n_steps < 1:
@@ -152,6 +176,7 @@ class CycleConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.grid_points < 3:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
+        return self
 
 
 def configure(config: CycleConfig, settings: dict) -> CycleConfig:
@@ -163,4 +188,4 @@ def configure(config: CycleConfig, settings: dict) -> CycleConfig:
     values = {"n_side" if key == "N" else key: SETTINGS[key][0](value)
               for key, value in settings.items()}
     geometry = {key: values.pop(key) for key in ("L", "d", "U", "T") if key in values}
-    return replace(config, params=replace(config.params, **geometry), **values)
+    return config._replace(params=config.params._replace(**geometry), **values)

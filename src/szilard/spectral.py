@@ -18,11 +18,10 @@ scale is eps = pi^2/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from .exceptions import NumericsError, SpectralError
-from .params import MAX_PAIRS, PhysicalParams
+from .params import MAX_PAIRS, PhysicalParams, _checked_make
 
 if TYPE_CHECKING:
     from .numerics import Grid, TridiagonalSymmetric
@@ -43,17 +42,23 @@ PHASE_TOL = 1e-12
 _TWO_PI, _HALF_PI = 2.0 * math.pi, 0.5 * math.pi
 
 
-@dataclass(frozen=True)
-class SplitPair:
-    """A below-barrier doublet: its members sit at energy -/+ delta, the symmetric one lower."""
-
+class _PairFields(NamedTuple):
     k: int
     energy: float
     delta: float
 
-    def __post_init__(self):
+
+class SplitPair(_PairFields):
+    """A below-barrier doublet: its members sit at energy -/+ delta, the symmetric one lower."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        return self
 
 
 def barrier_grid(params: PhysicalParams, n_target: int = 4096) -> Grid:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exceptions import NumericsError, SpectralError, ThermoError
-from .params import PhysicalParams
+from .params import PhysicalParams, _checked_make
 
 __all__ = [
     "PartitionResult",
@@ -37,8 +37,7 @@ __all__ = [
 STAGES = ("free", "inserted", "measured-L", "measured-R", "expanded")
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(NamedTuple):
     """A partition-function value plus provenance.
 
     method is one of exact-series | theta-approx | high-T.
@@ -137,8 +136,7 @@ def partition_highT(params: PhysicalParams) -> PartitionResult:
     return PartitionResult(z, "high-T", 0, err, regime_ok=eb <= 0.1)
 
 
-@dataclass(frozen=True)
-class StageFreeEnergies:
+class StageFreeEnergies(NamedTuple):
     """Closed-form stage free energies in the high-temperature regime.
 
     A: barrier-free box of width L.  A_tilde: barrier inserted, width L - d.
@@ -207,23 +205,29 @@ def thermo_entropy(params: PhysicalParams, beta: float) -> float:
     return math.log1p(r) + beta * params.eps * e / (1.0 + r)
 
 
-@dataclass(frozen=True)
-class StageLedger:
-    """Per-stage thermodynamic record; A and S_thermo follow from Z, E_int, T."""
-
+class _StageFields(NamedTuple):
     stage: str
     Z: float
     E_int: float
     T: float
     k_B: float = 1.0
 
-    def __post_init__(self):
+
+class StageLedger(_StageFields):
+    """Per-stage thermodynamic record; A and S_thermo follow from Z, E_int, T."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}, expected one of {STAGES}")
         if not self.Z > 0:
             raise ValueError(f"Z must be positive, got {self.Z}")
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
+        return self
 
     @property
     def A(self) -> float:
@@ -246,8 +250,7 @@ def _stage_ledgers(params: PhysicalParams, outcome: str) -> tuple[StageLedger, .
     return tuple(StageLedger(stage, w / lam, e_int, params.T, params.k_B) for stage, w in widths)
 
 
-@dataclass(frozen=True)
-class SpectralStageCheck:
+class SpectralStageCheck(NamedTuple):
     """The measurement jump recomputed from the exact barrier spectrum.
 
     Z_all sums every computed level of the inserted-barrier box; Z_left

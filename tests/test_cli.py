@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import glob
 import importlib
@@ -154,7 +155,8 @@ class TestPrecedence:
     def test_env_var_type_checked(self, monkeypatch, capsys):
         monkeypatch.setenv("SZILARD_N", "a lot")
         assert main(["thermo"]) == 1
-        assert "not a int" in capsys.readouterr().err.replace("an int", "a int")
+        assert capsys.readouterr().err == (
+            "szilard: invalid configuration: environment value for N is not an int: 'a lot'\n")
 
 
 # a valid value other than the default for every setting
@@ -441,6 +443,12 @@ class TestMeasureCommand:
     def test_truncation_gate(self, capsys):
         assert main(["measure", "--T", "1000", "--N", "11"]) == 1
 
+    def test_needs_a_barrier(self, capsys):
+        # d = 0 leaves the box undivided: the readoff refuses it, it reads no ln 2
+        assert main(["measure", "--d", "0"]) == 2
+        assert capsys.readouterr() == (
+            "", "szilard: computation failed: the readoff needs a barrier, got d = 0\n")
+
     def test_side_count_is_capped(self, capsys):
         # refused before any state is built, naming the flag
         for n in ("100001", "0"):
@@ -518,6 +526,13 @@ class TestCycleCommand:
         first = capsys.readouterr().out
         assert main(["cycle", "--seed", "5"]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("ideal", [[], ["--ideal"]])
+    def test_needs_a_barrier(self, ideal, capsys):
+        # d = 0 never divides the box, so no k_B T ln 2 is reported from it
+        assert main(["cycle", "--d", "0", *ideal]) == 2
+        assert capsys.readouterr() == (
+            "", "szilard: computation failed: the readoff needs a barrier, got d = 0\n")
 
     def test_adiabatic_note_and_work(self, capsys):
         assert main(["cycle", "--protocol", "adiabatic", "--T", "2.0"]) == 0
@@ -742,18 +757,18 @@ def test_module_entry_point(tmp_path):
 
 
 # imports szilard and szilard.cli, runs szilard.cli.main on each argv given
-# as JSON, then the statement given next, then prints the exit codes and
-# every loaded module that is one of the packages given as JSON last or
-# lies inside one
+# as a Python literal, then the statement given next, then prints the exit
+# codes and every loaded module that is one of the packages given last or
+# lies inside one; literals rather than JSON, so the probe loads no json
 MODULE_PROBE = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 import szilard, szilard.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [szilard.cli.main(argv) for argv in json.loads(sys.argv[1])]
+    codes = [szilard.cli.main(argv) for argv in ast.literal_eval(sys.argv[1])]
 exec(sys.argv[2])
-packages = json.loads(sys.argv[3])
-print(json.dumps([codes, sorted(m for m in sys.modules
-                                if any(m == p or m.startswith(p + ".") for p in packages))]))
+packages = ast.literal_eval(sys.argv[3])
+print(repr([codes, sorted(m for m in sys.modules
+                          if any(m == p or m.startswith(p + ".") for p in packages))]))
 """
 
 
@@ -761,14 +776,14 @@ def modules_after(argvs, cwd, packages, then="pass"):
     """Modules in packages that a fresh interpreter holds after running
     argvs through the CLI and then the statement then."""
     proc = subprocess.run(
-        [sys.executable, "-c", MODULE_PROBE, json.dumps(argvs), then, json.dumps(packages)],
+        [sys.executable, "-c", MODULE_PROBE, repr(argvs), then, repr(packages)],
         capture_output=True,
         text=True,
         env=child_env(),
         cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr
-    codes, modules = json.loads(proc.stdout)
+    codes, modules = ast.literal_eval(proc.stdout)
     assert codes == [0] * len(argvs)
     return modules
 
@@ -793,23 +808,28 @@ def test_numpy_commands_leave_out_scipy(tmp_path):
 
 LAYERS = ["szilard.numerics", "szilard.spectral", "szilard.thermo", "szilard.infodyn",
           "szilard.demon", "szilard.engine"]
+# loaded by no command and by no bare import: every record is a NamedTuple
+# and no command builds a state
+NEVER = ["numpy", "dataclasses", "inspect"]
 
 
 @pytest.mark.parametrize("argvs, packages", [
     # the package and the parser load no layer; thermo runs on the standard library
     # and loads no layer but its own
-    ([], ["numpy", *LAYERS]),
-    ([["thermo"]], ["numpy", "szilard.numerics"]),
+    ([], [*NEVER, "json", *LAYERS]),
+    ([["thermo"]], [*NEVER, "json", "szilard.numerics"]),
     # the cycle's ledger is taken in Python floats from the model doublets and
-    # builds no state, so cycle and sweep load no numpy
-    ([["cycle"], ["sweep", "--axis", "n_steps", "--values", "1,2"]], ["numpy", "szilard.infodyn"]),
+    # builds no state, so cycle and sweep load no numpy; a csv sweep writes no JSON
+    ([["cycle"], ["sweep", "--axis", "n_steps", "--values", "1,2"]], [*NEVER, "szilard.infodyn"]),
+    ([["sweep", "--axis", "n_steps", "--values", "1,2"]], [*NEVER, "json", "szilard.infodyn"]),
     # the exact levels are solved on Python floats
-    ([["spectrum", "--pairs", "1"]], ["numpy", "szilard.numerics", "szilard.demon", "szilard.infodyn",
-                                      "szilard.engine", "szilard.thermo"]),
-    ([["cycle", "--spectral-check"]], ["numpy", "szilard.numerics", "szilard.infodyn"]),
+    ([["spectrum", "--pairs", "1"]], [*NEVER, "json", "szilard.numerics", "szilard.demon",
+                                      "szilard.infodyn", "szilard.engine", "szilard.thermo"]),
+    ([["cycle", "--spectral-check"]], [*NEVER, "szilard.numerics", "szilard.infodyn"]),
     # measure takes its trace distances from the doublet weights, not from states
-    ([["measure", "--N", "11"], ["measure", "--ideal"]], ["numpy", "szilard.numerics", "szilard.infodyn"]),
-], ids=["import", "thermo", "cycle-sweep", "spectrum", "spectral-check", "measure"])
+    ([["measure", "--N", "11"], ["measure", "--ideal"]],
+     [*NEVER, "json", "szilard.numerics", "szilard.infodyn"]),
+], ids=["import", "thermo", "cycle-sweep", "csv-sweep", "spectrum", "spectral-check", "measure"])
 def test_commands_load_only_their_layers(argvs, packages, tmp_path):
     assert modules_after(argvs, tmp_path, packages) == []
 
@@ -822,6 +842,9 @@ def test_module_probe_sees_what_is_loaded(tmp_path):
     assert "numpy" in modules_after([["spectrum", "--pairs", "1"]], tmp_path, ["numpy"],
                                     then="szilard.barrier_grid(szilard.PhysicalParams(), 64)")
     assert modules_after([], tmp_path, LAYERS, then="szilard.partition_exact") == ["szilard.thermo"]
+    # the grid types are the dataclasses left, and a JSON payload loads json
+    assert modules_after([], tmp_path, ["dataclasses"], then="szilard.Grid") == ["dataclasses"]
+    assert "json" in modules_after([["cycle"]], tmp_path, ["json"])
 
 
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -348,7 +347,7 @@ class TestReverseReadoff:
         def unbuilt():
             raise AssertionError("reverse_readoff built the record's states")
 
-        for rec in (box_record, replace(box_record, states=unbuilt)):
+        for rec in (box_record, box_record._replace(states=unbuilt)):
             assert reverse_readoff(rec) == ReversalResult(recovered=True, distance=0.0)
         assert calls == []
 

@@ -1,6 +1,6 @@
+import copy
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from szilard.engine import (
     sweep,
 )
 from szilard import engine, thermo
-from szilard.exceptions import EngineError, TruncationError
+from szilard.exceptions import EngineError, SpectralError, TruncationError
 from szilard.infodyn import DensityMatrix, partial_trace, post_insertion_dm, product_dm
 from szilard.params import MAX_N_SIDE, PROTOCOLS
 from szilard.spectral import PhysicalParams, analytic_pairs
@@ -75,6 +75,19 @@ class TestCycleConfig:
             with pytest.raises(ValueError, match=f"n_side must be in 1..{MAX_N_SIDE}, got {n_side}"):
                 CycleConfig(n_side=n_side)
 
+    def test_derived_configs_are_checked(self):
+        # _replace builds through the checking constructor, as the sweep and the CLI derive configs
+        with pytest.raises(ValueError, match="T must be positive, got -1"):
+            CycleConfig()._replace(params=PhysicalParams()._replace(T=-1))
+        with pytest.raises(ValueError, match=f"n_side must be in 1..{MAX_N_SIDE}, got 0"):
+            CycleConfig()._replace(n_side=0)
+        with pytest.raises(ValueError, match="unknown protocol 'isochoric'"):
+            CycleConfig()._replace(protocol="isochoric")
+        derived = CycleConfig()._replace(protocol="stepwise")
+        assert derived.protocol == "stepwise-adiabatic"
+        assert derived == CycleConfig(protocol="stepwise-adiabatic")
+        assert type(derived) is CycleConfig and type(derived.params) is PhysicalParams
+
 
 class TestExtractionWork:
     def test_isothermal_is_kt_ln2(self):
@@ -125,7 +138,7 @@ class TestExtractionWork:
         total = 0.0
         for i in range(n):
             w = half * 2.0 ** (i / n)
-            e = mean_energy(replace(p, L=w, d=0.0), p.beta)
+            e = mean_energy(p._replace(L=w, d=0.0), p.beta)
             total += e * (1.0 - 2.0 ** (-2.0 / n))
         closed = extraction_work("stepwise", p, n_steps=n)
         assert total == pytest.approx(closed, rel=5e-2)
@@ -190,6 +203,13 @@ class TestRunCycle:
         assert ADIABATIC_NOTE in r.note
         assert "k_B T/4" in r.note
         assert r.second_law_ok
+
+    def test_needs_a_barrier(self):
+        # with d = 0 the box was never divided: no side to read, no bit to spend
+        no_barrier = CycleConfig(params=PhysicalParams(d=0.0))
+        for call in (readoff, run_cycle):
+            with pytest.raises(SpectralError, match="^the readoff needs a barrier, got d = 0$"):
+                call(no_barrier)
 
     def test_dephased_readoff(self):
         r = run_cycle(CycleConfig(coherences=False))
@@ -301,7 +321,7 @@ class TestSecondLawTolerance:
         r = run_cycle(CycleConfig(params=p))
         assert r.net_balance == pytest.approx(1e-12 * LN2 * 1e20, rel=1e-3)
         assert r.second_law_ok
-        assert not replace(r, net_balance=2e-9 * 1e20).second_law_ok
+        assert not r._replace(net_balance=2e-9 * 1e20).second_law_ok
 
 
 class TestSweep:
@@ -332,6 +352,12 @@ class TestSweep:
         rows = sweep(CycleConfig(protocol="stepwise"), "n_steps", [1, 2, 4, 8])
         ws = [r["W_extracted"] for r in rows]
         assert all(b > a for a, b in zip(ws, ws[1:]))
+
+    def test_a_row_without_a_barrier_records_the_refusal(self):
+        rows = sweep(CycleConfig(), "d", [0.0, 0.05])
+        assert rows[0]["error"] == "the readoff needs a barrier, got d = 0"
+        assert rows[0]["W_extracted"] is None
+        assert rows[1]["error"] is None
 
     def test_row_shape(self):
         rows = sweep(CycleConfig(), "T", [1.0])
@@ -377,6 +403,19 @@ class TestReadoffSharing:
     """The readoff books its figures in floats, builds its states on first
     read from the ready pointer and the coupling unitary it shares, and
     hands the reset the pointer entropy without a state."""
+
+    def test_record_repr_and_equality_leave_out_its_states(self):
+        # the builder holds both weight lists: at the side cap its repr would run to megabytes
+        record = readoff(CycleConfig(n_side=MAX_N_SIDE))
+        text = repr(record)
+        assert text.startswith("MeasurementRecord(ds_demon=") and len(text) < 200
+        assert "states" not in text
+        other = record._replace(states=None)
+        assert other == record and other.states is None
+        # a derived record keeps the builder, and builds its own states from it
+        small = readoff(CycleConfig(n_side=3))
+        assert small._replace(ds_gas=0.0).post.entries.shape == (3, 4, 4)
+        assert copy.deepcopy(small) == small and copy.copy(small).states is small.states
 
     def test_run_cycle_validates_only_the_gas_state(self, monkeypatch):
         readoff(CycleConfig(n_side=11)).pre  # the first state read builds the ready pointer

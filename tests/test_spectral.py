@@ -15,6 +15,7 @@ from szilard.numerics import Grid, eig_tridiagonal
 from szilard.spectral import (
     MAX_PAIRS,
     PhysicalParams,
+    SplitPair,
     _exact_levels,
     analytic_pairs,
     barrier_grid,
@@ -139,6 +140,11 @@ class TestBarrierSpectrum:
             assert pair.k == k
             assert pair.delta > 0
             assert pair.energy == pytest.approx(params.eps_prime * (2 * k) ** 2, rel=0.05)
+
+    def test_pairs_refuse_a_negative_splitting(self, default_pairs):
+        for make in (lambda: SplitPair(1, 1.0, -1e-3), lambda: default_pairs[0]._replace(delta=-1e-3)):
+            with pytest.raises(ValueError, match="delta must be nonnegative, got -0.001"):
+                make()
 
     def test_requires_barrier_and_enough_points(self, params):
         with pytest.raises(SpectralError):

@@ -274,6 +274,14 @@ class TestStageLedger:
         with pytest.raises(ValueError, match="T"):
             StageLedger("free", 2.0, 0.5, -1.0)
 
+    def test_derived_ledger_is_checked(self):
+        led = StageLedger("free", 2.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="Z must be positive, got 0"):
+            led._replace(Z=0)
+        with pytest.raises(ValueError, match="unknown stage 'squeezed'"):
+            led._replace(stage="squeezed")
+        assert led._replace(Z=3.0) == StageLedger("free", 3.0, 0.5, 1.0)
+
 
 class TestSpectralStageCheck:
     def test_jump_from_numerical_spectra(self):
