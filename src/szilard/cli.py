@@ -217,6 +217,8 @@ def cmd_thermo(ns: argparse.Namespace) -> int:
 
     s = _resolve(ns)
     p = s.config.params
+    if p.d <= 0:
+        raise ConfigError("thermo needs a barrier: d must be positive")
     beta = p.beta
     z_exact = partition_exact(p, beta)
     # from beta eps itself: sigma = e^(-beta eps) rounds away its digits at high T
@@ -226,7 +228,9 @@ def cmd_thermo(ns: argparse.Namespace) -> int:
     e_mean = mean_energy(p, beta)
     s_th = thermo_entropy(p, beta)
     rows = [
-        {"quantity": "Z_exact", "value": z_exact.Z, "detail": f"terms={z_exact.terms_used}"},
+        # Z reads 0.0 where e^(-beta eps) underflows; E_mean and S_thermo do not need it
+        {"quantity": "Z_exact", "value": z_exact.Z,
+         "detail": f"terms={z_exact.terms_used}" + (" underflow" if z_exact.Z == 0.0 else "")},
         {"quantity": "Z_theta", "value": z_theta.Z,
          "detail": f"regime_ok={str(z_theta.regime_ok).lower()} est_error={_render(z_theta.est_error)}"},
         {"quantity": "Z_highT", "value": z_hight.Z,

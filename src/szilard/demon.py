@@ -280,8 +280,8 @@ def product_of_marginals(p: DensityMatrix) -> DensityMatrix:
     state this is what an observer holding no record would write down, at
     trace distance 1/2 + 1/2 sum_k c_k max(0, 2 tanh(beta delta_k) - 1) from
     it (c_k the L_k population): 1/2 only while every weighted doublet has
-    tanh(beta delta_k) <= 1/2.  The two marginals are validated; the product
-    is not.
+    tanh(beta delta_k) <= 1/2.  Neither the marginals nor the product is
+    validated again: each is derived from p.
     """
     from .infodyn import partial_trace, product_dm
 

@@ -6,10 +6,11 @@ holds one (L_k, R_k) block per doublet k, a gas (x) apparatus state one
 the single block K = 1.  Every function broadcasts over the block axis.
 A state handed in is validated once, its spectrum solved by _spectrum:
 2x2 blocks (doublets, gas marginals, the pointer) in closed form, larger
-ones by LAPACK.  A product or unitary image of validated states skips the
-gate (_derived) and solves its spectrum only if it is read; marginals that
-only feed the readoff stay plain arrays.  No entropy is taken here: demon
-books the readoff's, in k_B units.
+ones by LAPACK.  A marginal, product or unitary image of validated states
+is a state by construction, so it skips the gate (_derived) and solves its
+spectrum only if it is read; marginals that only feed the readoff stay
+plain arrays.  No entropy is taken here: demon books the readoff's, in k_B
+units.
 
 This is the layer that builds states, so it imports numpy at load; nothing
 imports it before a state is needed.  The gas state is built (_gas) from
@@ -159,10 +160,11 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """Marginal of a bipartite state; keep is 'gas' or 'demon'.
 
     The gas marginal keeps the blocks; the demon marginal sums them into one.
+    Derived from rho, so not validated again (_derived).
     """
     if rho.subsystem_dims is None:
         raise StateError("partial trace needs declared subsystem_dims")
-    return DensityMatrix(_marginal(rho.entries, rho.subsystem_dims, keep))
+    return _derived(_marginal(rho.entries, rho.subsystem_dims, keep))
 
 
 def trace_distance(p: DensityMatrix, q: DensityMatrix) -> float:

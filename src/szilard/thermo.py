@@ -3,9 +3,13 @@ functions (exact series, theta-form, high-temperature), internal energy,
 entropy, isothermal work, the post-insertion doublet weights, and the
 cycle's classical stage table, which stage_free_energies reads.
 
-The box's Z, <E> and S come from one certified pass over its levels
-(_box_sums), and spectral_stage_check sums the exact levels; all of it runs
-on the standard library.
+The box's Z, <E> and S come from one certified pass (_box_sums) in O(1)
+terms at every temperature, on one of two sides of x = beta eps = 1: at
+x >= 1 the direct sum over the levels, at most 5 of them; below it the
+theta transformation, which turns the direct sum's 5/x^(1/2) levels into one
+dual term.  Each side stops on a geometric bound within 1e-12 of the sums,
+which partition_exact reports as est_error.  spectral_stage_check sums the
+exact levels; all of it runs on the standard library.
 
 Conventions: beta = 1/(k_B T); free energy A = -k_B T ln Z; entropies
 returned by thermo_entropy carry units of k_B (natural log).
@@ -13,10 +17,11 @@ returned by thermo_entropy carry units of k_B (natural log).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from typing import NamedTuple
 
-from .exceptions import NumericsError, SpectralError, ThermoError
+from .exceptions import SpectralError, ThermoError
 from .params import PhysicalParams, _checked_make
 
 __all__ = [
@@ -56,7 +61,6 @@ class PartitionResult(NamedTuple):
 _LN2 = math.log(2.0)
 # each certified tail of the box sums ends within this fraction of its sum
 _TAIL_TOL = 1e-12
-_MAX_TERMS = 100_000
 
 
 def _tails(x: float, n: int) -> tuple[float, float]:
@@ -72,33 +76,72 @@ def _tails(x: float, n: int) -> tuple[float, float]:
 
 
 def _box_sums(eps: float, beta: float) -> tuple[float, float, int, float]:
-    """(r, e, levels summed, r's tail bound) for the box levels E_n = eps n^2, with
-    r = sum_{n>=2} w_n and e = sum_n (n^2 - 1) w_n over w_n = e^(-beta eps (n^2 - 1)).
+    """(r, m, terms summed, r's remainder bound) for the box levels E_n = eps n^2,
+    with r = sum_{n>=2} w_n over w_n = e^(-x (n^2 - 1)), x = beta eps, and
+    m = e/(1 + r), e = sum_n (n^2 - 1) w_n: the mean excitation <n^2> - 1.
 
-    One pass, stopped once both _tails are within 1e-12 of r and e, so Z, <E>
-    and S come out to 1e-12 even where S is tiny.
+    At x >= 1 the direct series, stopped once both _tails are within 1e-12 of
+    r and e: at most 5 levels.  Below x = 1 the theta side (_dual_sums), where
+    the direct series would need about 5/x^(1/2) levels and the dual one
+    needs one term; at x = 4.93 (T = 1) the dual form would cancel.  Either
+    way Z, <E> and S come out to 1e-12 even where S is tiny; where every w_n
+    underflows, r = m = 0 and Z = e^(-x) may read 0.0.
     """
     if not beta > 0:
         raise ThermoError(f"beta must be positive, got {beta}")
     x = beta * eps
-    if math.exp(-x) == 0.0:
-        raise ThermoError("series underflows at this beta")
+    if x < 1.0:
+        return _dual_sums(x)
     r = e = 0.0
-    for n in range(1, _MAX_TERMS):
+    for n in itertools.count(1):
         g = n * (n + 2)
         w = math.exp(-x * g)
         if g * w <= _TAIL_TOL * e:  # the e tail past level n is at least g w
             tail_r, tail_e = _tails(x, n)
             if tail_r <= _TAIL_TOL * r and tail_e <= _TAIL_TOL * e:
-                return r, e, n, tail_r
+                return r, e / (1.0 + r), n, tail_r
         r += w
         e += g * w
-    raise NumericsError(f"series tail bound not satisfied after {_MAX_TERMS} terms")
+
+
+def _dual_sums(x: float) -> tuple[float, float, int, float]:
+    """_box_sums below x = 1 by the theta transformation (Whittaker and Watson,
+    ch. 21): sum_{n>=1} e^(-x n^2) = s b and its derivative in -x,
+    sum_{n>=1} n^2 e^(-x n^2) = s a/(2x), with s = (pi/x)^(1/2), y = pi^2/x,
+    b = (1 - 1/s)/2 + D, a = 1/2 + D - 2F, D = sum_{k>=1} e^(-y k^2) and
+    F = sum_{k>=1} y k^2 e^(-y k^2).
+
+    So 1 + r = e^x s b and m = a/(2x b) - 1.  Dual terms k are added until the
+    remainders of r and of e = (1 + r) m, bounded through _tails(y, k) as
+    geometric series, are within 1e-12 of r and e; y > pi^2 makes that one
+    term at every x < 1.  Refuses an x so small that y leaves the float range,
+    k_B T/eps near 1e308, where <E>/eps would overflow.
+    """
+    s, y = math.sqrt(math.pi / x), math.pi**2 / x
+    if y == math.inf:
+        raise ThermoError(f"beta eps = {x:.3g} is too small for floats: k_B T/eps overflows")
+    grow = math.exp(x) * s  # 1 + r = grow b and e = grow (h - b), h = a/(2x)
+    lift = math.exp(-y)
+    d = f = 0.0
+    for k in itertools.count(1):
+        w = math.exp(-y * k * k)
+        d, f = d + w, f + y * k * k * w
+        b, h = 0.5 * (1.0 - 1.0 / s) + d, (0.5 + d - 2.0 * f) / (2.0 * x)
+        # the remainders of D and F past term k: e^(-y) times the _tails of y
+        t_d, t_e = _tails(y, k)
+        rem_d, rem_f = lift * t_d, y * lift * (t_d + t_e)
+        r = grow * b - 1.0
+        if (grow * rem_d <= _TAIL_TOL * r
+                and (rem_d + 2.0 * rem_f) / (2.0 * x) + rem_d <= _TAIL_TOL * (h - b)):
+            return r, (h - b) / b, k, grow * rem_d
 
 
 def partition_exact(params: PhysicalParams, beta: float) -> PartitionResult:
-    """Z = e^(-beta eps) (1 + r) of the box spectrum E_n = eps n^2 (_box_sums);
-    est_error is the certified relative bound on the tail left out."""
+    """Z = e^(-beta eps) (1 + r) of the box spectrum E_n = eps n^2, from _box_sums:
+    the direct series at beta eps >= 1, the theta-transformed one below it, each
+    certified.  est_error is the bound on the relative remainder left out.  Z
+    reads 0.0 where e^(-beta eps) underflows; <E> and S do not need it.
+    """
     r, _, terms, tail_r = _box_sums(params.eps, beta)
     z = math.exp(-beta * params.eps) * (1.0 + r)
     return PartitionResult(z, "exact-series", terms, tail_r / (1.0 + r))
@@ -193,16 +236,17 @@ def isothermal_work(v_initial: float, v_final: float, T: float, k_B: float = 1.0
 
 
 def mean_energy(params: PhysicalParams, beta: float) -> float:
-    """Canonical mean energy <E> = eps (1 + e/(1 + r)) from the pass _box_sums."""
-    r, e, _, _ = _box_sums(params.eps, beta)
-    return params.eps * (1.0 + e / (1.0 + r))
+    """Canonical mean energy <E> = eps (1 + m) from the pass _box_sums."""
+    _, m, _, _ = _box_sums(params.eps, beta)
+    return params.eps * (1.0 + m)
 
 
 def thermo_entropy(params: PhysicalParams, beta: float) -> float:
     """Thermodynamic entropy S/k_B = ln Z + beta <E>, summed without cancelling
-    as ln(1 + r) + beta eps e/(1 + r) from the pass _box_sums."""
-    r, e, _, _ = _box_sums(params.eps, beta)
-    return math.log1p(r) + beta * params.eps * e / (1.0 + r)
+    as ln(1 + r) + beta eps m from the pass _box_sums; m = 0 adds nothing, even
+    where beta eps overflows."""
+    r, m, _, _ = _box_sums(params.eps, beta)
+    return math.log1p(r) + (beta * params.eps * m if m else 0.0)
 
 
 class _StageFields(NamedTuple):

@@ -165,3 +165,36 @@ def box_tails(x: float, n: int, dps: int = 50):
             if x * m * m > 1 and g * w <= e * mpmath.mpf(10) ** -dps:
                 return r, e
             m += 1
+
+
+def theta_tails(x: float, k: int, dps: int = 50):
+    """The parts of 1 + r and of e (as box_tails(x, 1) gives r and e) that the
+    dual terms j > k of the theta transformation carry, as mpmath numbers.
+
+    With s = (pi/x)^(1/2) and y = pi^2/x, sum_{n>=1} e^(-x n^2) = s ((1 - 1/s)/2 + D)
+    and sum n^2 e^(-x n^2) = s (1/2 + D - 2F)/(2x), D = sum_j e^(-y j^2) and
+    F = sum_j y j^2 e^(-y j^2); 1 + r and e are e^x times the first sum and
+    times the second less the first.  Summed until a term falls below
+    10^-dps, with dps digits.
+    """
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        s, y = mpmath.sqrt(mpmath.pi / x), mpmath.pi**2 / x
+        d, f, j = mpmath.mpf(0), mpmath.mpf(0), k + 1
+        while True:
+            w = mpmath.exp(-y * j * j)
+            d, f = d + w, f + y * j * j * w
+            if y * j * j * w < mpmath.mpf(10) ** -dps:
+                grow = mpmath.exp(x) * s
+                return grow * d, grow * ((d - 2 * f) / (2 * x) - d)
+            j += 1
+
+
+def theta_sums(x: float, dps: int = 50):
+    """(r, e) of box_tails(x, 1) by the theta transformation (theta_tails at k = 0
+    plus the closed parts), at any x > 0, as mpmath numbers."""
+    with mpmath.workdps(dps):
+        tail_z, tail_e = theta_tails(x, 0, dps)
+        x = mpmath.mpf(x)
+        grow, b = mpmath.exp(x) * mpmath.sqrt(mpmath.pi / x), (1 - mpmath.sqrt(x / mpmath.pi)) / 2
+        return grow * b - 1 + tail_z, grow * (1 / (4 * x) - b) + tail_e

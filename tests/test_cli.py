@@ -411,6 +411,32 @@ class TestThermoCommand:
             exact = (mpmath.sqrt(mpmath.pi / x) - 1) / 2
             assert abs(z - exact) / exact <= 1e-15
 
+    def test_needs_a_barrier(self, capsys):
+        # d = 0 never divides the box: no measurement jump or A_measured for it
+        assert main(["thermo", "--d", "0"]) == 1
+        assert capsys.readouterr() == (
+            "", "szilard: invalid configuration: thermo needs a barrier: d must be positive\n")
+
+    @pytest.mark.parametrize("T", ["1e12", "1e100", "0.001", "1e-300"])
+    def test_answers_at_both_temperature_ends(self, T, capsys):
+        assert main(["thermo", "--T", T, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        q, eps = payload["quantities"], PhysicalParams().eps
+        if float(T) < 1.0:
+            # e^(-beta eps) underflows: Z_exact says so, <E> and S need no Z
+            assert (q["Z_exact"], payload["details"]["Z_exact"]) == (0.0, "terms=1 underflow")
+            assert (q["E_mean"], q["S_thermo"]) == (eps, 0.0)
+        else:
+            assert payload["details"]["Z_exact"] == "terms=1"
+            # k_B T/2 up to the surface term, 1.3e-6 of it at T = 1e12
+            assert q["E_mean"] == pytest.approx(float(T) / 2.0, rel=1e-5)
+
+    def test_refuses_beta_eps_past_the_float_range(self, capsys):
+        assert main(["thermo", "--L", "1e5", "--T", "1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "szilard: computation failed: beta eps = 4.93e-318 is too small for floats: "
+            "k_B T/eps overflows\n")
+
     def test_json_floats_round_trip_exactly(self, capsys):
         assert main(["thermo", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -724,7 +750,8 @@ def test_input_boundary(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 1, 2)
+    # thermo answers at every temperature and every divided box
+    assert code == 0 if argv[0] == "thermo" else code in (0, 1, 2)
     if code == 0:
         assert err == ""
         decoder, end, docs = json.JSONDecoder(parse_constant=_reject_constant), 0, 0

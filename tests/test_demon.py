@@ -435,7 +435,7 @@ class TestProductOfMarginals:
         with pytest.raises(StateError):
             product_of_marginals(bare)
 
-    def test_reversal_validates_two_marginals_and_calls_lapack_once(self, box_record, monkeypatch):
+    def test_reversal_validates_no_state_and_calls_lapack_once(self, box_record, monkeypatch):
         built, shapes = [], []
         init, eigvalsh = DensityMatrix.__post_init__, np.linalg.eigvalsh
 
@@ -450,10 +450,10 @@ class TestProductOfMarginals:
         monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         res = reverse_readoff(box_record, product_of_marginals(box_record.post))
-        # the two marginals are validated in closed form and the product is
-        # not; no reversed state is built, and LAPACK takes only the trace
-        # distance's 4x4 blocks
-        assert [s.entries.shape for s in built] == [(11, 2, 2), (1, 2, 2)]
+        # the marginals and their product are derived from the post state, so
+        # none is validated; no reversed state is built, and LAPACK takes only
+        # the trace distance's 4x4 blocks
+        assert built == []
         assert shapes == [(11, 4, 4)]
         assert res.distance == pytest.approx(0.5, abs=1e-12)
 

@@ -5,12 +5,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import box_tails, doublet_weights
-from szilard.exceptions import NumericsError, SpectralError, ThermoError
+from oracles import box_tails, doublet_weights, theta_sums, theta_tails
+from szilard.exceptions import SpectralError, ThermoError
 from szilard.spectral import PhysicalParams, analytic_pairs, barrier_grid
 from szilard.thermo import (
     _doublet_weights,
@@ -47,27 +47,62 @@ class TestPartitionExact:
         assert res.Z == pytest.approx(brute_force_Z(p.eps * p.beta), rel=1e-13)
 
     def test_underflow_guard(self):
-        with pytest.raises(ThermoError):
-            partition_exact(PhysicalParams(T=1e-3), 1000.0)
+        # every weight relative to the ground level underflows: <E> and S need
+        # none of them, and Z = e^(-beta eps) reads 0.0; beta eps = inf as well
+        cases = ((PhysicalParams(T=1e-3), 1000.0), (PhysicalParams(L=1e-150, d=0.0, T=1e-10), 1e10))
+        for p, beta in cases:
+            res = partition_exact(p, beta)
+            assert (res.Z, res.terms_used, res.est_error) == (0.0, 1, 0.0)
+            assert mean_energy(p, beta) == p.eps
+            assert thermo_entropy(p, beta) == 0.0
 
-    def test_refuses_a_series_too_long_to_certify(self):
-        # eps beta = 4.9e-12 needs about 2.4 million levels
+    def test_answers_where_the_direct_series_is_too_long(self):
+        # eps beta = 4.9e-12 needs about 2.4 million levels directly; the theta
+        # side takes one dual term
         p = PhysicalParams(T=1e12)
-        with pytest.raises(NumericsError, match="after 100000 terms"):
+        res = partition_exact(p, p.beta)
+        x = p.beta * p.eps
+        r, e = theta_sums(x)
+        with mpmath.workdps(50):
+            z, e_mean = mpmath.exp(-x) * (1 + r), p.eps * (1 + e / (1 + r))
+            s = mpmath.log1p(r) + x * e / (1 + r)
+        assert res.terms_used == 1
+        assert res.Z == pytest.approx(float(z), rel=1e-12)
+        assert mean_energy(p, p.beta) == pytest.approx(float(e_mean), rel=1e-12)
+        assert thermo_entropy(p, p.beta) == pytest.approx(float(s), rel=1e-12)
+
+    def test_refuses_beta_eps_past_the_float_range(self):
+        # pi^2/(beta eps) overflows, and k_B T/eps with it
+        p = PhysicalParams(L=1e5, T=1e308)
+        with pytest.raises(ThermoError, match="too small for floats"):
             partition_exact(p, p.beta)
 
-    @pytest.mark.parametrize("eps_beta", [1e-4, 0.01, 1.0, math.pi**2 / 2.0, 30.0])
+    @pytest.mark.parametrize("eps_beta", [1e-4, 0.01, 0.5, 0.99, 1.0, math.pi**2 / 2.0, 30.0])
     def test_stops_on_a_certified_tail(self, eps_beta):
         # past terms_used, the 50-digit remainders of both sums lie within the
-        # bounds the pass stopped on: est_error for Z, 1e-12 of e for <E>
+        # bounds the pass stopped on: est_error for Z, 1e-12 of e for <E>; below
+        # eps beta = 1 the terms are the dual ones of the theta transformation
         p = PhysicalParams(T=p_for(eps_beta))
         res = partition_exact(p, p.beta)
         x = p.beta * p.eps
         r, e = box_tails(x, 1)
-        tail_r, tail_e = box_tails(x, res.terms_used)
+        tail_r, tail_e = (box_tails if x >= 1.0 else theta_tails)(x, res.terms_used)
         assert 0.0 <= res.est_error <= 1e-12
-        assert tail_r / (1 + r) <= res.est_error * (1 + 1e-15)
-        assert tail_e <= 1e-12 * e
+        # as floats: a remainder below the smallest float is bounded by 0.0
+        assert float(tail_r / (1 + r)) <= res.est_error * (1 + 1e-15)
+        assert abs(tail_e) <= 1e-12 * e
+
+    def test_takes_at_most_six_terms_at_any_eps_beta(self):
+        # O(1) at every temperature: the dual side takes one term below
+        # eps beta = 1, the direct side at most 5 at eps beta = 1
+        p = PhysicalParams()
+        grid = [10.0 ** (i / 20.0) for i in range(-6000, 6001)]
+        grid += [1.0 + i / 1000.0 for i in range(10001)]
+        for x in grid:
+            res = partition_exact(p, x / p.eps)
+            assert res.method == "exact-series"
+            assert 1 <= res.terms_used <= 6, x
+            assert res.est_error <= 1e-12, x
 
     # levels whose first tail weight e^(-x n(n+2)) does not underflow
     @pytest.mark.parametrize("x, n", [(x, n) for x in (1e-3, 0.1, 0.7, 1.0, 2.0, 5.0)
@@ -82,17 +117,21 @@ class TestPartitionExact:
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(log_eps_beta=st.floats(math.log(1e-6), math.log(700.0)))
+@given(log_eps_beta=st.floats(math.log(1e-12), math.log(1e4)))
+@example(log_eps_beta=math.log(math.pi**2 / 2e100))  # T = 1e100
 def test_box_sums_match_50_digit_sums(log_eps_beta):
     p = PhysicalParams(T=p_for(math.exp(log_eps_beta)))
     x = p.beta * p.eps
-    r, e = box_tails(x, 1)
+    # the direct 50-digit sums take about 11/x^(1/2) terms; below x = 1e-3
+    # the theta side summed to 50 digits stands in for them
+    r, e = box_tails(x, 1) if x >= 1e-3 else theta_sums(x)
     with mpmath.workdps(50):
         z = mpmath.exp(-x) * (1 + r)
         e_mean = p.eps * (1 + e / (1 + r))
         # ln Z + beta<E> without cancelling, as thermo_entropy takes it
         s = mpmath.log1p(r) + x * e / (1 + r)
-    assert partition_exact(p, p.beta).Z == pytest.approx(float(z), rel=2e-12)
+    # Z underflows past eps beta = 745
+    assert partition_exact(p, p.beta).Z == pytest.approx(float(z), rel=2e-12, abs=sys.float_info.min)
     assert mean_energy(p, p.beta) == pytest.approx(float(e_mean), rel=2e-12)
     # S falls below the smallest normal float near eps beta = 236, where no
     # relative precision is left to hold
