@@ -75,8 +75,11 @@ def _read_config(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if len(val) >= 2 and val[0] in "\"'" and val[-1] == val[0]:
-            val = val[1:-1]
+        if val[:1] in ("'", '"'):
+            end = val.find(val[0], 1)
+            if end < 0 or val[end + 1:].strip()[:1] not in ("", "#"):
+                raise ConfigError(f"{path}:{lineno}: unclosed quote or text after it: {raw!r}")
+            val = val[1:end]
         else:
             val = val.split("#", 1)[0].strip()
         if key not in _OPTIONS:
@@ -88,14 +91,10 @@ def _read_config(path: str) -> dict:
     return data
 
 
-def _coerce(key: str, raw, source: str):
+def _coerce(key: str, raw: str, source: str):
     kind = _OPTIONS[key][0]
     try:
-        if kind is int:
-            return int(str(raw), 10)
-        if kind is float:
-            return float(raw)
-        return str(raw)
+        return kind(raw)
     except ValueError as exc:
         # only the int and float casts can fail
         name = "an int" if kind is int else "a float"

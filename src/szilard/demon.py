@@ -24,13 +24,15 @@ coherence rho_01 sends weight a to D_L and d to D_R, and the dephasing the
 two orthogonal pointer states cause costs it its relative entropy of
 coherence.  _ledger sums both over the blocks as Python floats; the joint
 states a record names are built on first read, so a cycle runs on the
-standard library and numpy is imported only where a state is built.
+standard library and numpy is imported only where a state is built.  A
+state is checked only where it enters: the package builds the ready pointer
+and post = U pre U^T, so neither passes the gate (infodyn._derived).
 """
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .exceptions import StateError
 from .params import _checked_make
@@ -77,14 +79,10 @@ def _ready() -> DensityMatrix:
     # (1/sqrt 2)^2 rounds below it
     import numpy as np
 
-    from .infodyn import DensityMatrix
+    from .infodyn import _derived
 
     d0 = DemonModel().d0
-    return DensityMatrix(np.outer(d0, d0))
-
-
-# the joint state before the readoff and after it
-States = Tuple["DensityMatrix", "DensityMatrix"]
+    return _derived(np.outer(d0, d0)[None])
 
 
 class _Figures(NamedTuple):
@@ -105,36 +103,35 @@ class MeasurementRecord(_Figures):
     marginal, the pointer that the reset erases.
 
     The record is the tuple of its five figures, which its repr and its
-    equality read; states, the builder of pre and post, is kept beside
-    them.  pre and post are built by states() on the first read of either
-    and kept, so a record that is only booked builds no state.
+    equality read; build_pre, the pre state's builder, is kept beside them.
+    pre and post = U pre U^T are each built on their first read and kept,
+    with no gate, so a record that is only booked builds no state.
     """
 
     _make = classmethod(_checked_make)  # six values, the builder last
 
-    def __new__(cls, ds_demon, ds_gas, ds_joint, di_mu, balance_residual, states):
+    def __new__(cls, ds_demon, ds_gas, ds_joint, di_mu, balance_residual, build_pre):
         self = super().__new__(cls, ds_demon, ds_gas, ds_joint, di_mu, balance_residual)
-        self.states = states
+        self.build_pre = build_pre
         return self
 
     def _replace(self, **changes) -> MeasurementRecord:
-        """A copy with changes, which may name states; the built states are not carried over."""
-        return type(self)(**{**self._asdict(), "states": self.states, **changes})
+        """A copy with changes, which may name build_pre; the built states are not carried over."""
+        return type(self)(**{**self._asdict(), "build_pre": self.build_pre, **changes})
 
     def __getnewargs__(self):  # copy and pickle rebuild a record with its builder
-        return (*self, self.states)
+        return (*self, self.build_pre)
 
     @functools.cached_property
-    def _built(self) -> States:
-        return self.states()
-
-    @property
     def pre(self) -> DensityMatrix:
-        return self._built[0]
+        return self.build_pre()
 
-    @property
+    @functools.cached_property
     def post(self) -> DensityMatrix:
-        return self._built[1]
+        from .infodyn import _derived
+
+        u = coupling_unitary()
+        return _derived(u @ self.pre.entries @ u.T, self.pre.subsystem_dims)
 
 
 class ReversalResult(NamedTuple):
@@ -183,7 +180,7 @@ def _entropy(*weights: float) -> float:
 
 
 def _ledger(a: Sequence[float], d: Sequence[float], c: Sequence[float],
-            states: Callable[[], States]) -> MeasurementRecord:
+            build_pre: Callable[[], DensityMatrix]) -> MeasurementRecord:
     """The readoff's record from the 2x2 gas blocks' diagonals a, d and |rho_01| c, as floats.
 
     The weights are taken over their total sum a + sum d, once, so both
@@ -194,8 +191,8 @@ def _ledger(a: Sequence[float], d: Sequence[float], c: Sequence[float],
     m -+ r, r = hypot(h, c), adds m [g(r/m) - g(h/m)], its relative entropy
     of coherence, without subtracting entropies of order ln K; one of weight
     0 adds 0.  dS_demon: the pointer goes from the pure D_0 to
-    diag(sum a, sum d), whose entropy the reset later charges.  states builds
-    the record's joint states when one is first read.
+    diag(sum a, sum d), whose entropy the reset later charges.  build_pre
+    builds the record's pre state when it or post is first read.
     """
     gas = []
     for x, y, z in zip(a, d, c):
@@ -209,7 +206,7 @@ def _ledger(a: Sequence[float], d: Sequence[float], c: Sequence[float],
     ds_gas = max(math.fsum(gas) / t, 0.0)
     ds_demon = _entropy(sa / t, sd / t)
     return MeasurementRecord(ds_demon=ds_demon, ds_gas=ds_gas, ds_joint=0.0,
-                             di_mu=ds_gas + ds_demon, balance_residual=0.0, states=states)
+                             di_mu=ds_gas + ds_demon, balance_residual=0.0, build_pre=build_pre)
 
 
 def _require_ready_product(p0: DensityMatrix, model: DemonModel) -> np.ndarray:
@@ -230,26 +227,20 @@ def _require_ready_product(p0: DensityMatrix, model: DemonModel) -> np.ndarray:
     return gas
 
 
-def _joint_states(p0: DensityMatrix) -> States:
-    """p0 and post = U p0 U^T."""
-    from .infodyn import _derived
-
-    u = coupling_unitary()
-    return p0, _derived(u @ p0.entries @ u.T, p0.subsystem_dims)
-
-
 def premeasure(p0: DensityMatrix, model: DemonModel) -> MeasurementRecord:
     """Run the readoff unitary on a ready product state and take stock.
 
     p0 must be rho_gas (x) |D_0><D_0| with subsystem_dims (2, 2).  The figures
     come from its gas blocks by _ledger, which takes them to unit trace (D_0's
-    rounded (1/sqrt 2)^2 misses it by 2 ulp); post is built on first read.
+    rounded (1/sqrt 2)^2 misses it by 2 ulp); pre and post are built on first read.
     """
     import numpy as np
 
+    from .infodyn import _derived
+
     gas = _require_ready_product(p0, model)
     a, d, c = gas[:, 0, 0].real.tolist(), gas[:, 1, 1].real.tolist(), np.abs(gas[:, 0, 1]).tolist()
-    return _ledger(a, d, c, functools.partial(_joint_states, p0))
+    return _ledger(a, d, c, functools.partial(_derived, p0.entries, p0.subsystem_dims))
 
 
 def reverse_readoff(

@@ -25,14 +25,17 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
-from .demon import DemonModel, MeasurementRecord, States, _joint_states, _ledger
+from .demon import DemonModel, MeasurementRecord, _ledger
 from .exceptions import EngineError, SpectralError, SzilardError, TruncationError
 from .params import SWEEP_AXES, CycleConfig, PhysicalParams, _canon_protocol, configure
 from .spectral import analytic_pairs
 from .thermo import (StageLedger, _doublet_weights, _stage_ledgers, isothermal_work,
-                     spectral_stage_check, stage_free_energies)
+                     spectral_stage_check)
+
+if TYPE_CHECKING:
+    from .infodyn import DensityMatrix
 
 __all__ = [
     "CycleConfig",
@@ -149,11 +152,11 @@ def extraction_work(protocol: str, params: PhysicalParams, n_steps: int = 8) -> 
     return n_steps * (kt / 2.0) * (1.0 - 2.0 ** (-2.0 / n_steps))
 
 
-def _states(c: List[float], s: List[float]) -> States:
-    """The readoff's joint states from its doublet weights, built on a first read."""
+def _pre(c: List[float], s: List[float]) -> DensityMatrix:
+    """The readoff's pre state from its doublet weights, built on a first read."""
     from .infodyn import _gas, product_dm
 
-    return _joint_states(product_dm(_gas(c, s), DemonModel().ready))
+    return product_dm(_gas(c, s), DemonModel().ready)
 
 
 def readoff(config: CycleConfig) -> MeasurementRecord:
@@ -179,7 +182,7 @@ def _readoff(config: CycleConfig) -> Tuple[MeasurementRecord, List[float], List[
     except SzilardError as exc:
         raise type(exc)(f"inserted stage: {exc}") from exc
     c, s = _doublet_weights(pairs, params.beta, config.coherences)
-    return _ledger(c, c, s, functools.partial(_states, c, s)), c, s
+    return _ledger(c, c, s, functools.partial(_pre, c, s)), c, s
 
 
 def run_cycle(config: CycleConfig) -> CycleReport:
@@ -275,13 +278,13 @@ def sweep(config: CycleConfig, axis: str, values: Sequence) -> List[dict]:
         try:
             cfg = configure(config, {axis: value, "seed": config.seed + i})
             report = run_cycle(cfg)
-            fe = stage_free_energies(cfg.params)
+            free, inserted, measured = report.stages[:3]
             row.update(
                 W_extracted=report.W_extracted,
                 Q_from_reservoir=report.Q_from_reservoir,
                 S_to_environment=report.S_to_environment,
-                insertion_cost=fe.insertion_cost,
-                measurement_jump=fe.measurement_jump,
+                insertion_cost=inserted.A - free.A,
+                measurement_jump=measured.A - inserted.A,
                 net_balance=report.net_balance,
                 second_law_ok=report.second_law_ok,
                 outcome=report.outcome,

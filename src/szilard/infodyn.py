@@ -4,13 +4,13 @@ Every state is block diagonal, a stack of K equal (b, b) blocks: the gas
 holds one (L_k, R_k) block per doublet k, a gas (x) apparatus state one
 (L_k, R_k) (x) (D_L, D_R) block per doublet, and a general dense state is
 the single block K = 1.  Every function broadcasts over the block axis.
-A state handed in is validated once, its spectrum solved by _spectrum:
-2x2 blocks (doublets, gas marginals, the pointer) in closed form, larger
-ones by LAPACK.  A marginal, product or unitary image of validated states
-is a state by construction, so it skips the gate (_derived) and solves its
-spectrum only if it is read; marginals that only feed the readoff stay
-plain arrays.  No entropy is taken here: demon books the readoff's, in k_B
-units.
+A state is checked only where it enters: the DensityMatrix constructor
+gates a state handed in from outside, its spectrum solved by LAPACK.  A
+state the package builds skips the gate (_derived): the gas state from
+thermo._doublet_weights, whose blocks are Hermitian with c_k >= |s_k| and
+unit total trace by construction, and every marginal, product or unitary
+image of a state.  Marginals that only feed the readoff stay plain arrays.
+No entropy is taken here: demon books the readoff's, in k_B units.
 
 This is the layer that builds states, so it imports numpy at load; nothing
 imports it before a state is needed.  The gas state is built (_gas) from
@@ -19,7 +19,6 @@ books from.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -48,9 +47,9 @@ class DensityMatrix:
     entries has shape (K, b, b); a (b, b) input is one block, real input
     stays real.  subsystem_dims, when set, declares the gas (x) demon
     factorization (d_gas, d_demon) of each block, gas index slowest.  One
-    Hermiticity pass, which a non-finite entry fails, then one spectrum (2x2
-    blocks in closed form, larger by LAPACK) for the trace and PSD gates.
-    A state the package derives skips both (_derived).
+    Hermiticity pass, which a non-finite entry fails, then one LAPACK
+    spectrum of all blocks for the trace and PSD gates.  A state the
+    package builds skips both (_derived).
     """
 
     entries: np.ndarray
@@ -66,30 +65,17 @@ class DensityMatrix:
             herm = float(np.abs(m - adj.transpose(0, 2, 1)).max())
         if not herm <= HERMITICITY_TOL:
             raise StateError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        eigs = _spectrum(m)
+        eigs = np.linalg.eigvalsh(m)
         tr = float(eigs.sum())
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateError(f"trace must be 1, got {tr}")
-        if self.subsystem_dims is not None:
-            dg, dd = self.subsystem_dims
-            if dg * dd != m.shape[1]:
-                raise StateError(
-                    f"subsystem dims {self.subsystem_dims} do not factor block size {m.shape[1]}"
-                )
-        if not eigs[0] >= PSD_TOL:
-            raise StateError(f"not positive semidefinite: min eigenvalue {eigs[0]:.3e}")
+        dims = self.subsystem_dims
+        if dims is not None and dims[0] * dims[1] != m.shape[1]:
+            raise StateError(f"subsystem dims {dims} do not factor block size {m.shape[1]}")
+        if not (low := float(eigs.min())) >= PSD_TOL:
+            raise StateError(f"not positive semidefinite: min eigenvalue {low:.3e}")
         m.setflags(write=False)
-        eigs.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "eigenvalues", eigs)
-
-    @functools.cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of all blocks together, read-only: the ones the
-        gate solved, or on a derived state solved on first read and kept."""
-        eigs = _spectrum(self.entries)
-        eigs.setflags(write=False)
-        return eigs
 
 
 def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMatrix:
@@ -121,31 +107,18 @@ def post_insertion_dm(pairs, beta: float, coherences: bool = True) -> DensityMat
 
 
 def _gas(c, s) -> DensityMatrix:
-    """The gas state with L_k and R_k populations c_k and L_k<->R_k coherences s_k."""
+    """The gas state, with thermo._doublet_weights' populations c_k and coherences s_k."""
     c, s = np.array(c), np.array(s)
-    return DensityMatrix(np.stack([c, s, s, c], axis=-1).reshape(-1, 2, 2))
+    return _derived(np.stack([c, s, s, c], axis=-1).reshape(-1, 2, 2))
 
 
 def _derived(entries: np.ndarray, subsystem_dims=None) -> DensityMatrix:
-    """A state derived from validated ones, with no gate; its spectrum is solved if read."""
+    """A state the package built, which skips the gate."""
     rho = object.__new__(DensityMatrix)
     object.__setattr__(rho, "entries", entries)
     object.__setattr__(rho, "subsystem_dims", subsystem_dims)
     entries.setflags(write=False)
     return rho
-
-
-def _spectrum(blocks: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian (K, b, b) stack; a 2x2 block's are
-    (a+d)/2 -+ hypot((a-d)/2, |rho_01|), halved first so no finite entry overflows."""
-    if blocks.shape[-1] == 2:
-        a, d = blocks[:, 0, 0].real / 2.0, blocks[:, 1, 1].real / 2.0
-        r, mean = np.hypot(a - d, np.abs(blocks[:, 0, 1])), a + d
-        eigs = np.concatenate([mean - r, mean + r])
-    else:
-        eigs = np.linalg.eigvalsh(blocks).ravel()
-    eigs.sort()
-    return eigs
 
 
 def _marginal(entries: np.ndarray, dims: Tuple[int, int], keep: str) -> np.ndarray:

@@ -9,9 +9,9 @@ from szilard.infodyn import DensityMatrix, partial_trace, trace_distance
 
 
 def block_spectrum(blocks: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian (K, b, b) stack by LAPACK, 2x2 blocks included.
+    """Ascending eigenvalues of all blocks of a Hermitian (K, b, b) stack together, by LAPACK.
 
-    DensityMatrix takes 2x2 blocks in closed form; this is the general route.
+    No state keeps a spectrum, so tests read one from its entries here.
     """
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
@@ -26,8 +26,7 @@ def entropy(blocks: np.ndarray) -> float:
 def mutual_information(rho: DensityMatrix) -> float:
     """I_mu = S(gas) + S(demon) - S(joint) of a bipartite state, in units of k_B.
 
-    Every entropy is taken from LAPACK eigenvalues of the entries, not from
-    the spectrum a state keeps.
+    Every entropy is taken from LAPACK eigenvalues of the entries.
     """
     s_gas = entropy(partial_trace(rho, "gas").entries)
     s_demon = entropy(partial_trace(rho, "demon").entries)
@@ -51,6 +50,8 @@ def dense_readoff(p0: DensityMatrix) -> MeasurementRecord:
 
     post = U p0 U^T is built and validated by LAPACK, and every figure is a
     difference of the six marginal and joint entropies across the readoff.
+    The record's post is set to that state: the record would build its own
+    with the 4x4 block unitary, which fits only the (2, 2) layout.
     """
     u = coupling_unitary(p0.subsystem_dims[0])
     post = DensityMatrix(u @ p0.entries @ u.T, subsystem_dims=p0.subsystem_dims)
@@ -60,11 +61,12 @@ def dense_readoff(p0: DensityMatrix) -> MeasurementRecord:
         for rho in (p0, post)
     ]
     di = (g1 + d1 - j1) - (g0 + d0 - j0)
-    states = (p0, post)
-    return MeasurementRecord(
+    record = MeasurementRecord(
         ds_demon=d1 - d0, ds_gas=g1 - g0, ds_joint=j1 - j0, di_mu=di,
-        balance_residual=abs(di - (g1 - g0) - (d1 - d0)), states=lambda: states,
+        balance_residual=abs(di - (g1 - g0) - (d1 - d0)), build_pre=lambda: p0,
     )
+    record.post = post
+    return record
 
 
 def reversed_state(record, state: DensityMatrix) -> DensityMatrix:

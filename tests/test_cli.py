@@ -226,12 +226,15 @@ class TestConfigFile:
             "\n"
             'protocol = "stepwise"\n'
             "T = 2.0  # reservoir\n"
+            'format = "json"  # output\n'
+            "seed = '7'#\n"
         )
-        assert main(["cycle", "--config", str(cfg), "--format", "json"]) == 0
+        assert main(["cycle", "--config", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["W_extracted"] == pytest.approx(
             8 * (2.0 / 2.0) * (1.0 - 2.0 ** (-2.0 / 8)), rel=1e-12
         )
+        assert payload["seed"] == 7
 
     def test_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -244,6 +247,13 @@ class TestConfigFile:
         cfg.write_text("just some words\n")
         assert main(["thermo", "--config", str(cfg)]) == 1
         assert "key = value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ['format = "json" csv', "format = 'json", 'format = "json"x # c'])
+    def test_quoted_value_ends_at_its_quote(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("T = 2.0\n" + line + "\n")
+        assert main(["thermo", "--config", str(cfg)]) == 1
+        assert f"bad.cfg:2: unclosed quote or text after it: {line!r}" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["thermo", "--config", "/no/such/file.cfg"]) == 1

@@ -112,8 +112,6 @@ class TestApparatus:
         assert np.array_equal(ready.entries[0], np.outer(model.d0, model.d0))
         with pytest.raises(ValueError):
             ready.entries[0, 0, 0] = 0.5
-        with pytest.raises(ValueError):
-            ready.eigenvalues[0] = 0.5
 
 
 class TestCouplingUnitary:
@@ -347,7 +345,7 @@ class TestReverseReadoff:
         def unbuilt():
             raise AssertionError("reverse_readoff built the record's states")
 
-        for rec in (box_record, box_record._replace(states=unbuilt)):
+        for rec in (box_record, box_record._replace(build_pre=unbuilt)):
             assert reverse_readoff(rec) == ReversalResult(recovered=True, distance=0.0)
         assert calls == []
 

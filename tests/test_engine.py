@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from szilard.demon import DemonModel, premeasure
+from szilard.demon import DemonModel, premeasure, product_of_marginals, reverse_readoff
 from szilard.engine import (
     ADIABATIC_NOTE,
     SWEEP_COLUMNS,
@@ -17,14 +17,14 @@ from szilard.engine import (
     run_cycle,
     sweep,
 )
-from szilard import engine, thermo
-from szilard.exceptions import EngineError, SpectralError, TruncationError
+from szilard import demon, engine, thermo
+from szilard.exceptions import EngineError, SpectralError, StateError, TruncationError
 from szilard.infodyn import DensityMatrix, partial_trace, post_insertion_dm, product_dm
 from szilard.params import MAX_N_SIDE, PROTOCOLS
 from szilard.spectral import PhysicalParams, analytic_pairs
 from szilard.thermo import mean_energy, stage_free_energies
 
-from oracles import dense_readoff, entropy
+from oracles import block_spectrum, dense_readoff, entropy
 
 LN2 = math.log(2.0)
 
@@ -409,16 +409,17 @@ class TestReadoffSharing:
         record = readoff(CycleConfig(n_side=MAX_N_SIDE))
         text = repr(record)
         assert text.startswith("MeasurementRecord(ds_demon=") and len(text) < 200
-        assert "states" not in text
-        other = record._replace(states=None)
-        assert other == record and other.states is None
+        assert "build_pre" not in text
+        other = record._replace(build_pre=None)
+        assert other == record and other.build_pre is None
         # a derived record keeps the builder, and builds its own states from it
         small = readoff(CycleConfig(n_side=3))
         assert small._replace(ds_gas=0.0).post.entries.shape == (3, 4, 4)
-        assert copy.deepcopy(small) == small and copy.copy(small).states is small.states
+        assert copy.deepcopy(small) == small and copy.copy(small).build_pre is small.build_pre
 
     def test_run_cycle_validates_only_the_gas_state(self, monkeypatch):
-        readoff(CycleConfig(n_side=11)).pre  # the first state read builds the ready pointer
+        # every state a cycle or a reversal builds is package-built, the gas
+        # included, so none meets the gate; a state handed in still does
         built = []
         init = DensityMatrix.__post_init__
 
@@ -427,14 +428,16 @@ class TestReadoffSharing:
             init(self)
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        demon._ready.cache_clear()  # the next state read builds the ready pointer again
         record = run_cycle(CycleConfig(n_side=11)).record
-        # no state is built until a caller reads one
+        record.pre, record.post
+        reverse_readoff(record, product_of_marginals(record.post))
+        p = PhysicalParams(T=25.0)
+        post_insertion_dm(analytic_pairs(p, 11), p.beta)
+        DemonModel().ready
         assert built == []
-        record.post
-        # then the gas alone: gas (x) D_0 and the post state skip the gate,
-        # and the gas marginals stay plain blocks
-        assert [s.entries.shape for s in built] == [(11, 2, 2)]
-        record.pre
+        with pytest.raises(StateError, match="trace"):
+            DensityMatrix(np.diag([0.6, 0.6]))
         assert len(built) == 1
 
     def test_states_are_built_from_the_booked_weights(self, monkeypatch):
@@ -464,7 +467,7 @@ class TestReadoffSharing:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         run_cycle(CycleConfig(n_side=11))
-        # no state is read, and every 2x2 block takes the closed form
+        # no state is read, so none is solved
         assert shapes == []
 
     @pytest.mark.parametrize("n_side, T, coherences", [(11, 25.0, True), (11, 25.0, False), (45, 1.0, True),
@@ -483,8 +486,9 @@ class TestReadoffSharing:
             assert np.array_equal(states[name].entries, oracle.entries), name
         assert rec.pre is states["pre"] and rec.post is states["post"]
         assert rec.pre.subsystem_dims == rec.post.subsystem_dims == (2, 2)
-        # post = U pre U^T: the spectra each solves on its first read agree
-        assert np.allclose(rec.post.eigenvalues, rec.pre.eigenvalues, rtol=0, atol=1e-15)
+        # post = U pre U^T: the spectra of the two agree
+        assert np.allclose(block_spectrum(rec.post.entries), block_spectrum(rec.pre.entries),
+                           rtol=0, atol=1e-15)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from oracles import box_tails, doublet_weights, theta_sums, theta_tails
 from szilard.exceptions import SpectralError, ThermoError
+from szilard.infodyn import TRACE_TOL
 from szilard.spectral import PhysicalParams, analytic_pairs, barrier_grid
 from szilard.thermo import (
     _doublet_weights,
@@ -370,3 +371,21 @@ class TestDoubletWeights:
                 else:
                     bound = 1e-15 * (1.0 + beta * (e - d - low)) * f_star
                     assert abs(f - f_star) <= bound, (name, k, f, float(f_star))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(log_beta=st.floats(-12.0, 6.0), n=st.integers(1, 20000), seed=st.integers(0, 2**32 - 1),
+           coherences=st.booleans())
+    @example(log_beta=6.0, n=20000, seed=0, coherences=True)
+    @example(log_beta=-12.0, n=20000, seed=1, coherences=True)
+    def test_every_block_is_a_state(self, log_beta, n, seed, coherences):
+        # what the DensityMatrix gate would check of the gas state, which skips
+        # it: each block [[c, s], [s, c]] has c_k >= |s_k| >= 0 exactly, and
+        # the blocks' total trace 2 sum c_k is 1; E_k = +inf rows (but the
+        # first) are of no weight, and a delta_k of 0 is an unsplit doublet
+        rng = np.random.default_rng(seed)
+        e = 10.0 ** rng.uniform(-3.0, 6.0, n)
+        e[1:][rng.random(n - 1) < 0.1] = math.inf
+        d = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-300.0, 3.0, n))
+        c, s = _doublet_weights(list(zip(e.tolist(), d.tolist())), 10.0**log_beta, coherences)
+        assert all(ck >= abs(sk) >= 0.0 for ck, sk in zip(c, s))
+        assert abs(2.0 * math.fsum(c) - 1.0) <= TRACE_TOL
