@@ -145,14 +145,10 @@ class ReversalResult(NamedTuple):
     distance: float
 
 
+@functools.cache
 def coupling_unitary() -> np.ndarray:
     """Closed-form readoff unitary on one (L_k, R_k) (x) (D_L, D_R) block: real orthogonal,
     rotation by pi/4 in the pointer plane, sense set by the gas side; one read-only copy."""
-    return _coupling()
-
-
-@functools.cache
-def _coupling() -> np.ndarray:
     import numpy as np
 
     u = math.cos(math.pi / 4.0) * (np.eye(4) + np.kron(np.diag([1.0, -1.0]), [[0.0, 1.0], [-1.0, 0.0]]))

@@ -206,11 +206,6 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     # the ready pointer is pure, so the pointer the reset erases carries ds_demon
     s_env = params.k_B * record.ds_demon
     net = work - kt * record.ds_demon
-    # written so that a NaN balance raises too
-    if not net <= SECOND_LAW_TOL * kt:
-        raise EngineError(
-            f"second-law balance violated: W - T dS_env = {net:.6e} > 0"
-        )
 
     notes = []
     if config.protocol == "single-adiabatic":
@@ -230,7 +225,7 @@ def run_cycle(config: CycleConfig) -> CycleReport:
             f"relative from k_B T ln 2 ({chk.pairs_used} doublets)"
         )
 
-    return CycleReport(
+    report = CycleReport(
         stages=_stage_ledgers(params, outcome),
         W_extracted=work,
         S_to_environment=s_env,
@@ -242,6 +237,10 @@ def run_cycle(config: CycleConfig) -> CycleReport:
         note="; ".join(notes),
         spectral_jump_dev=jump_dev,
     )
+    # second_law_ok is False on a NaN balance too, so that raises
+    if not report.second_law_ok:
+        raise EngineError(f"second-law balance violated: W - T dS_env = {net:.6e} > 0")
+    return report
 
 
 SWEEP_COLUMNS = (

@@ -1,5 +1,6 @@
 """Single-molecule spectra: the exact levels of the box with a centred
-rectangular barrier, its tunneling doublets (k, E_k, delta_k), and the
+rectangular barrier, its tunneling doublets (k, E_k, delta_k), the
+asymptotic splitting of an exact doublet (splitting_estimate), and the
 closed-form model doublets the cycle uses.  No wave function is sampled:
 the readoff needs only each doublet's energy and splitting.  Below the
 barrier top each level solves its phase deficit, k w = n pi - phi, and each
@@ -276,6 +277,8 @@ def _split(params: PhysicalParams, even: List[float], odd: List[float]) -> List[
             k1 = math.sqrt(c2 * e_even)
             dk = max(math.sqrt(c2 * e_odd) - k1, math.ulp(k1))
             k2 = k1 + dk
+            if k2 * k2 >= cu:  # an odd member at the top to rounding, that _under_top counted below
+                raise SpectralError(f"pair {pair} reaches the barrier top (U = {params.U:.6g})")
             kap1, kap2 = math.sqrt(cu - k1 * k1), math.sqrt(cu - k2 * k2)
             y1 = kap1 * b
             t1, t2 = math.tanh(y1), math.tanh(kap2 * b)
@@ -314,20 +317,20 @@ def barrier_spectrum(params: PhysicalParams, n_pairs: int, grid: Optional[Grid] 
     return [SplitPair(k, e, delta) for k, (e, delta) in enumerate(rows, 1)]
 
 
-def splitting_estimate(params: PhysicalParams, k: int) -> float:
-    """Closed-form doublet half-splitting estimate.
+def splitting_estimate(params: PhysicalParams, pair: SplitPair) -> float:
+    """Square-double-well asymptotic half-splitting of a doublet below the top.
 
-    Delta_k ~= (4 eps'/pi) * exp(-d * sqrt(2 m (U - E_k)) / hbar) with
-    E_k = eps' (2k)^2.  Valid only below the barrier top; above it the
-    doublet structure dissolves and the formula has no meaning.
+    delta_k ~= 4 E_k (1 - E_k/U) e^(-kappa_k d)/(1 + kappa_k w), with E_k the
+    pair's own level, kappa_k = sqrt(2 m (U - E_k))/hbar and w = (L - d)/2
+    (Merzbacher, ch. 8); its relative error is within 2 e^(-2 kappa_k d) at
+    E_k <= U/2.  A pair at or above the barrier top has no estimate.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    eps_p = params.eps_prime
-    e_k = eps_p * (2 * k) ** 2
-    if params.U <= e_k:
-        raise SpectralError(f"level k={k} sits above the barrier (E_k = {e_k:.6g}, U = {params.U:.6g})")
-    return _splitting(params, eps_p, e_k)
+    e_k, u = pair.energy, params.U
+    if e_k >= u:
+        raise SpectralError(f"pair {pair.k} sits above the barrier (E_k = {e_k:.6g}, U = {u:.6g})")
+    kappa = math.sqrt(2.0 * params.mass * (u - e_k)) / params.hbar
+    w = 0.5 * (params.L - params.d)
+    return 4.0 * e_k * (1.0 - e_k / u) * math.exp(-kappa * params.d) / (1.0 + kappa * w)
 
 
 def _splitting(params: PhysicalParams, eps_p: float, e_k: float) -> float:
@@ -339,11 +342,13 @@ def _splitting(params: PhysicalParams, eps_p: float, e_k: float) -> float:
 def analytic_pairs(params: PhysicalParams, n_pairs: int) -> List[Tuple[float, float]]:
     """Model doublet family as n_pairs (E_k, delta_k) rows of Python floats.
 
-    E_k = eps' (2k)^2, an inf of no weight past the float range; delta_k from
-    splitting_estimate below the barrier and zero above it, where the thermal
-    weight of the affected levels is negligible anyway at the temperatures
-    this model is meant for.  Standard library only: the cycle's readoff
-    takes its weights from these rows without numpy.
+    E_k = eps' (2k)^2, an inf of no weight past the float range; delta_k the
+    model's (4 eps'/pi) e^(-kappa_k d) below the barrier (_splitting) and zero
+    above it, where the thermal weight of the affected levels is negligible
+    anyway at the temperatures this model is meant for.  The model is not
+    the exact doublet: at the defaults its delta_1 is 4 times the exact one.
+    Standard library only: the cycle's readoff takes its weights from these
+    rows without numpy.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")

@@ -1,5 +1,6 @@
 """Canonical-ensemble quantities for the one-molecule gas: partition
-functions (exact series, theta-form, high-temperature), internal energy,
+functions (the certified exact series, and the theta-form and
+high-temperature approximations it is compared with), internal energy,
 entropy, isothermal work, the post-insertion doublet weights, and the
 cycle's classical stage table, which stage_free_energies reads.
 
@@ -152,18 +153,14 @@ def partition_theta(sigma: float) -> PartitionResult:
 
     Adequate in the window 1/2 < sigma < 1; outside it the value is still
     computed but flagged regime_ok = False (for small sigma the formula
-    even goes negative).  est_error is the leading dual term of the Poisson
-    resummation, (pi/x)^(1/2) e^(-pi^2/x)/Z with x = |ln sigma|, by which
-    the exact series exceeds the form; inf where Z <= 0.
+    even goes negative).  est_error is the leading dual term of the theta
+    transformation (Whittaker and Watson, ch. 21), (pi/x)^(1/2) e^(-pi^2/x)/Z
+    with x = |ln sigma|, by which the exact series exceeds the form; inf
+    where Z <= 0.  partition_exact is the certified Z at every temperature.
     """
     if not 0.0 < sigma < 1.0:
         raise ThermoError(f"sigma must lie in (0, 1), got {sigma}")
-    return _theta(abs(math.log(sigma)))
-
-
-def _theta(x: float) -> PartitionResult:
-    """partition_theta at x = |ln sigma| = beta eps > 0, taken as given: a sigma
-    rounded near 1 keeps only the digits of x that survive in 1 - sigma."""
+    x = abs(math.log(sigma))
     root = math.sqrt(math.pi / x)
     z = 0.5 * (root - 1.0)
     err = root * math.exp(-math.pi**2 / x) / z if z > 0.0 else math.inf

@@ -322,25 +322,25 @@ class TestSpectrumCommand:
         assert len(rows) == 2 + len(SPLITTING_SERIES_D)
         assert all(row["estimate"] == 0.0 and row["ratio"] is None for row in rows)
 
-    def test_estimate_is_empty_where_the_model_level_reaches_the_top(self, capsys):
-        # at U = 21 the exact doublet sits at E = 13.30, but the model level
-        # eps' (2k)^2 = 21.87 is above the top: the pair is printed, its
-        # estimate and ratio are left empty, and so are the series rows whose
-        # model level reaches the top
-        assert main(["spectrum", "--U", "21", "--pairs", "1", "--format", "json"]) == 0
+    def test_estimate_is_the_splitting_form_of_each_pair(self, capsys):
+        # the asymptotic form reads each exact level: ratios within 5e-5 of 1
+        # at the defaults, 1.7% off at the thinnest series barrier
+        assert main(["spectrum", "--format", "json"]) == 0
         chunks = capsys.readouterr().out.split("\n{", 1)
-        (pair,), series = json.loads(chunks[0])["pairs"], json.loads("{" + chunks[1])["series"]
-        assert pair["E_n"] == pytest.approx(13.3045, rel=1e-5) and pair["delta_k"] > 0
-        assert pair["estimate"] is None and pair["ratio"] is None
-        assert len(series) == len(SPLITTING_SERIES_D)
-        for row in series:
-            model = PhysicalParams(d=row["d"]).eps_prime * 4.0
-            assert (row["estimate"] is None) == (model >= 21.0)
-            assert (row["ratio"] is None) == (model >= 21.0)
-        assert [row["estimate"] is None for row in series] == [False, False] + [True] * 7
-        assert main(["spectrum", "--U", "21", "--pairs", "1"]) == 0
-        row = capsys.readouterr().out.splitlines()[2]
-        assert row.startswith("1,13.3045") and row.endswith(",,")  # CSV leaves both empty
+        pairs, series = json.loads(chunks[0])["pairs"], json.loads("{" + chunks[1])["series"]
+        assert [abs(row["ratio"] - 1.0) <= 5e-5 for row in pairs] == [True] * 5
+        gaps = [row["ratio"] - 1.0 for row in series]
+        assert 0.017 <= gaps[0] <= 0.019 and 0.0 < gaps[-1] <= 3e-9
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("argv, tol", [(["--U", "1e30", "--d", "1e-14"], 1e-12),
+                                           (["--U", "21"], 0.2)])
+    def test_estimate_answers_for_every_pair(self, argv, tol, capsys):
+        # a very high, very thin barrier; and U = 21, where the model level
+        # eps' (2k)^2 = 21.87 of the old estimate stood above the top
+        assert main(["spectrum", *argv, "--pairs", "1", "--format", "json"]) == 0
+        (pair,) = json.loads(capsys.readouterr().out.split("\n{", 1)[0])["pairs"]
+        assert pair["estimate"] > 0.0 and abs(pair["ratio"] - 1.0) <= tol
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_failing_series_writes_nothing(self, fmt, tmp_path, capsys):
@@ -403,24 +403,6 @@ class TestThermoCommand:
         assert a_ins - a_free == pytest.approx(table_value(out, "insertion_cost"), rel=1e-10)
         assert a_meas - a_ins == pytest.approx(kt * LN2, rel=1e-10)
 
-    def test_theta_form_agrees_in_its_regime(self, capsys):
-        assert main(["thermo", "--T", "22.0"]) == 0
-        out = capsys.readouterr().out
-        assert table_value(out, "Z_exact") == pytest.approx(
-            table_value(out, "Z_theta"), rel=1e-12
-        )
-
-    @pytest.mark.parametrize("T", ["25", "1e6", "1e9"])
-    def test_theta_form_is_taken_from_beta_eps(self, T, capsys):
-        # Z_theta = ((pi/x)^(1/2) - 1)/2 at x = beta eps = pi^2/(2T), to 50 digits;
-        # through the rounded sigma = e^(-x) it was 4.6e-9 off at T = 1e9
-        assert main(["thermo", "--T", T, "--format", "json"]) == 0
-        z = json.loads(capsys.readouterr().out)["quantities"]["Z_theta"]
-        with mpmath.workdps(50):
-            x = mpmath.pi**2 / (2 * mpmath.mpf(T))
-            exact = (mpmath.sqrt(mpmath.pi / x) - 1) / 2
-            assert abs(z - exact) / exact <= 1e-15
-
     def test_needs_a_barrier(self, capsys):
         # d = 0 never divides the box: no measurement jump or A_measured for it
         assert main(["thermo", "--d", "0"]) == 1
@@ -446,6 +428,13 @@ class TestThermoCommand:
         assert capsys.readouterr().err == (
             "szilard: computation failed: beta eps = 4.93e-318 is too small for floats: "
             "k_B T/eps overflows\n")
+
+    def test_prints_only_certified_quantities(self, capsys):
+        # the theta and classical forms are off at T = 1 (Z_theta < 0): not printed
+        assert main(["thermo", "--format", "json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["quantities"]) == [
+            "Z_exact", "lambda_th", "A_free", "A_inserted", "A_measured", "insertion_cost",
+            "measurement_jump", "E_mean", "S_thermo"]
 
     def test_json_floats_round_trip_exactly(self, capsys):
         assert main(["thermo", "--format", "json"]) == 0
@@ -704,7 +693,7 @@ def _log_uniform(lo: float, hi: float):
 
 # d is drawn as a fraction of L, which sets eps = pi^2/(2 L^2): U and T
 # stay absolute, so U/eps and k_B T/eps range wider than they would at L = 1.
-# spectrum draws U/eps over 1..1e6 instead: an absolute U mostly lies
+# spectrum draws U/eps over 1..1e30 instead: an absolute U mostly lies
 # near or below eps, where its first pair reaches the barrier top
 _SETTINGS = {
     "--L": _log_uniform(1e-12, 1e3),
@@ -729,7 +718,7 @@ def _argv(draw):
     values["--d"] = scaled(values["--d"])
     if command == "spectrum":
         eps = math.pi**2 / (2.0 * float(values["--L"]) ** 2)
-        values["--U"] = repr(eps * float(draw(_log_uniform(1.0, 1e6))))
+        values["--U"] = repr(eps * float(draw(_log_uniform(1.0, 1e30))))
     for flag, value in values.items():
         argv += [flag, value]
     if command == "spectrum":
@@ -764,12 +753,17 @@ def test_input_boundary(argv):
     assert code == 0 if argv[0] == "thermo" else code in (0, 1, 2)
     if code == 0:
         assert err == ""
-        decoder, end, docs = json.JSONDecoder(parse_constant=_reject_constant), 0, 0
+        decoder, end, docs = json.JSONDecoder(parse_constant=_reject_constant), 0, []
         while end < len(out):
-            _, end = decoder.raw_decode(out, end)
+            doc, end = decoder.raw_decode(out, end)
             assert out[end] == "\n"
-            end, docs = end + 1, docs + 1
-        assert docs == (2 if argv[0] == "spectrum" else 1)
+            end = end + 1
+            docs.append(doc)
+        assert len(docs) == (2 if argv[0] == "spectrum" else 1)
+        if argv[0] == "spectrum":
+            # every exact pair lies below the top, so each has an estimate
+            rows = docs[0]["pairs"] + docs[1]["series"]
+            assert all(type(row["estimate"]) is float for row in rows)
     else:
         assert len(err.splitlines()) == 1 and err.endswith("\n"), err
 

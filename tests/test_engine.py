@@ -323,6 +323,11 @@ class TestSecondLawTolerance:
         assert r.second_law_ok
         assert not r._replace(net_balance=2e-9 * 1e20).second_law_ok
 
+    def test_a_nan_balance_raises(self, monkeypatch):
+        monkeypatch.setattr(engine, "extraction_work", lambda *a: math.nan)
+        with pytest.raises(EngineError, match=r"^second-law balance violated: W - T dS_env = nan > 0$"):
+            run_cycle(CycleConfig(n_side=11))
+
 
 class TestSweep:
     def test_insertion_cost_tracks_barrier_width(self):

@@ -179,6 +179,17 @@ class TestBarrierSpectrum:
         with pytest.raises(SpectralError, match="barrier top"):
             barrier_spectrum(low, 2, grid)
 
+    @pytest.mark.parametrize("L", [10.0, 0.0905797775942566])
+    def test_an_odd_member_at_the_top_is_refused(self, L):
+        # U = 100 eps over a barrier of 1e-7 L: the odd member of pair 5 sits
+        # at the top to rounding, where the count at E = U still places it
+        # below; its kappa is 0 and the splitting has no deficit to solve
+        p = PhysicalParams(L=L, d=1e-7 * L, U=100.0 * math.pi**2 / (2.0 * L * L))
+        assert spectral._under_top(p)[1] == 5
+        with pytest.raises(SpectralError, match="^pair 5 reaches the barrier top"):
+            barrier_spectrum(p, 5)
+        assert len(barrier_spectrum(p, 4)) == 4
+
 
 class TestParityFold:
     # barrier_spectrum and the stage check solve each parity's levels from
@@ -430,16 +441,67 @@ class TestDecoupledWellLimit:
         assert pair.energy == pytest.approx(4.0 * p.eps_prime, rel=1e-3)
 
 
+def _model_splitting(p: PhysicalParams, k: int) -> float:
+    """The model's (4 eps'/pi) e^(-kappa d) at E = eps' (2k)^2, in analytic_pairs' operations."""
+    e = p.eps_prime * (4.0 * k * k)
+    kappa = math.sqrt(2.0 * p.mass * (p.U - e)) / p.hbar
+    return (4.0 * p.eps_prime / math.pi) * math.exp(-p.d * kappa)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
 class TestSplittingEstimate:
     def test_closed_form_value(self, params):
         e1 = params.eps_prime * 4.0
         kappa = math.sqrt(2.0 * params.mass * (params.U - e1)) / params.hbar
         expect = 4.0 * params.eps_prime / math.pi * math.exp(-kappa * params.d)
-        assert splitting_estimate(params, 1) == pytest.approx(expect, rel=1e-14)
+        assert analytic_pairs(params, 1)[0][1] == pytest.approx(expect, rel=1e-14)
 
-    def test_rejects_pairs_above_barrier(self):
-        with pytest.raises(SpectralError):
-            splitting_estimate(PhysicalParams(U=50.0), 2)
+    def test_reads_the_level_of_its_pair(self, params):
+        # 4 E (1 - E/U) e^(-kappa d)/(1 + kappa w) at the pair's own E
+        pair = SplitPair(1, 20.0, 0.0)
+        kappa, w = math.sqrt(2.0 * (params.U - 20.0)), 0.5 * (params.L - params.d)
+        expect = 80.0 * (1.0 - 20.0 / params.U) * math.exp(-kappa * params.d) / (1.0 + kappa * w)
+        assert splitting_estimate(params, pair) == pytest.approx(expect, rel=1e-14)
+
+    @pytest.mark.parametrize("fields, n, lo, hi", [
+        ({}, 5, 4.3e-5, 4.4e-5),  # the defaults, d = 0.05 and U = 5000
+        ({"d": 0.1}, 5, 2e-9, 2.6e-9),
+        ({"d": 0.02}, 5, 0.017, 0.018),
+        ({"U": 1e30, "d": 1e-14}, 1, 4e-13, 6e-13),
+        # the defaults' problem in other hbar and m: energies scale by hbar^2/m = 8
+        ({"hbar": 2.0, "mass": 0.5, "U": 40000.0}, 5, 4.3e-5, 4.4e-5),
+    ])
+    def test_matches_the_exact_splitting(self, fields, n, lo, hi):
+        # the largest relative error over the first n pairs
+        p = PhysicalParams(**fields)
+        errors = [abs(splitting_estimate(p, pair) / pair.delta - 1.0) for pair in barrier_spectrum(p, n)]
+        assert lo <= max(errors) <= hi
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(L=_log_uniform(1e-3, 1e3), frac=_log_uniform(1e-8, 0.5), ratio=_log_uniform(10.0, 1e14))
+    def test_error_is_bounded_by_the_barrier_transmission(self, L, frac, ratio):
+        # |est/delta - 1| <= 2 e^(-2 kappa d) for the pairs with E_k <= U/2 whose
+        # splitting is a normal float fraction of E_k; above U/2 the bound fails
+        p = PhysicalParams(L=L, d=L * frac, U=ratio * math.pi**2 / (2.0 * L * L))
+        n = min(5, spectral._under_top(p)[1])
+        try:
+            pairs = barrier_spectrum(p, n) if n else []
+        except SpectralError:  # the last odd member at the top to rounding
+            pairs = barrier_spectrum(p, n - 1) if n > 1 else []
+        for pair in pairs:
+            if pair.energy > 0.5 * p.U or pair.delta < 1e-290 * pair.energy:
+                continue
+            kappa = math.sqrt(2.0 * p.mass * (p.U - pair.energy)) / p.hbar
+            err = abs(splitting_estimate(p, pair) / pair.delta - 1.0)
+            assert err <= 2.0 * math.exp(-2.0 * kappa * p.d) + 1e-12
+
+    def test_rejects_pairs_above_barrier(self, params):
+        for energy in (params.U, 2.0 * params.U):
+            with pytest.raises(SpectralError, match="pair 2 sits above the barrier"):
+                splitting_estimate(params, SplitPair(2, energy, 1.0))
 
     def test_analytic_pairs_zero_splitting_above_barrier(self):
         p = PhysicalParams(U=50.0)
@@ -459,8 +521,8 @@ class TestSplittingEstimate:
         levels = p.eps_prime * np.arange(2.0, 11.0, 2.0) ** 2
         assert [e for e, _ in pairs] == levels.tolist()
         for k, (e, delta) in enumerate(pairs, start=1):
-            expect = splitting_estimate(p, k) if p.U > e else 0.0
-            assert delta == expect  # the same operations as the scalar form
+            expect = _model_splitting(p, k) if p.U > e else 0.0
+            assert delta == expect  # the same operations as the closed form
         assert pairs[0][1] > 0.0  # read as the acceptance gate reads delta_1
 
     def test_analytic_pairs_levels_past_the_float_range(self):

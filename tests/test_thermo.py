@@ -183,6 +183,11 @@ class TestPartitionTheta:
         assert all(0.0 <= b < a for a, b in zip(errs, errs[1:]) if a > 0.0)
         assert errs[-1] == 0.0  # e^(-pi^2/x) underflows
 
+    def test_agrees_with_the_exact_series_in_its_regime(self):
+        # at T = 22, sigma = 0.80: the dual term the form leaves out is 2e-19 of Z
+        p = PhysicalParams(T=22.0)
+        assert partition_theta(p.sigma).Z == pytest.approx(partition_exact(p, p.beta).Z, rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(ThermoError):
             partition_theta(1.0)
