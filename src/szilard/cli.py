@@ -10,7 +10,8 @@ computation fails.
 Each command prints the figure that holds in its regime: thermo the
 certified exact-series Z and none of the approximate forms, which
 demos/partition_views.py sets beside it, and spectrum each exact doublet
-next to the asymptotic splitting of its own level (splitting_estimate).
+next to the asymptotic splitting of its own level (splitting_estimate)
+and, where it is proven, that estimate's relative-error bound.
 
 Floats are serialized with repr, which round-trips exactly (and always
 carries at least 15 significant digits).  Every table and CSV starts with
@@ -171,7 +172,7 @@ def _emit(settings, schema, body, columns, rows, out, sep="") -> None:
 
 
 def cmd_spectrum(ns: argparse.Namespace) -> int:
-    from .spectral import barrier_spectrum, splitting_estimate
+    from .spectral import _estimate_bound, barrier_spectrum, splitting_estimate
 
     s = _resolve(ns)
     params = s.config.params
@@ -181,18 +182,20 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
         raise ConfigError(f"--pairs must be in 1..{MAX_PAIRS}, got {ns.pairs}")
 
     def estimate(p, pair) -> dict:
-        # every pair lies below the top; no ratio where the estimate underflows
+        # every pair lies below the top; no ratio where the estimate underflows,
+        # no bound where it is not proven
         est = splitting_estimate(p, pair)
-        return {"estimate": est, "ratio": pair.delta / est if est > 0 else None}
+        return {"estimate": est, "ratio": pair.delta / est if est > 0 else None,
+                "estimate_bound": _estimate_bound(p, pair)}
 
-    columns = ["n", "E_n", "pair", "delta_k", "estimate", "ratio"]
+    columns = ["n", "E_n", "pair", "delta_k", "estimate", "ratio", "estimate_bound"]
     rows = [{"n": 2 * p.k - 1, "E_n": p.energy, "pair": p.k, "delta_k": p.delta,
              **estimate(params, p)} for p in barrier_spectrum(params, ns.pairs)]
     body = {"params": {"L": params.L, "d": params.d, "U": params.U, "T": params.T}, "pairs": rows}
 
     # companion series: ground-doublet splitting against barrier width; solved
     # before anything is written, so a failing run leaves no partial output
-    series_cols = ["d", "delta_1", "estimate", "ratio"]
+    series_cols = ["d", "delta_1", "estimate", "ratio", "estimate_bound"]
     series = []
     for d in (params.L * f for f in SPLITTING_SERIES_D):
         pd = params._replace(d=d)

@@ -22,11 +22,14 @@ only that layout.  Entropies are in k_B units throughout.
 The readoff's figures need no state: a gas block with diagonal (a, d) and
 coherence rho_01 sends weight a to D_L and d to D_R, and the dephasing the
 two orthogonal pointer states cause costs it its relative entropy of
-coherence.  _ledger sums both over the blocks as Python floats; the joint
-states a record names are built on first read, so a cycle runs on the
-standard library and numpy is imported only where a state is built.  A
-state is checked only where it enters: the package builds the ready pointer
-and post = U pre U^T, so neither passes the gate (infodyn._derived).
+coherence.  _ledger sums both over the blocks as Python floats.  A block
+with no coherence, balanced or not, adds nothing and is not booked: every
+block of the ideal cycle, and every pair above the barrier in the coherent
+one.  The joint states a record names are built on first read, so a cycle
+runs on the standard library and numpy is imported only where a state is
+built.  A state is checked only where it enters: the package builds the
+ready pointer and post = U pre U^T, so neither passes the gate
+(infodyn._derived).
 """
 from __future__ import annotations
 
@@ -186,17 +189,22 @@ def _ledger(a: Sequence[float], d: Sequence[float], c: Sequence[float],
     dS_gas: a block of weight 2m, m = (a+d)/2, h = |a-d|/2, with eigenvalues
     m -+ r, r = hypot(h, c), adds m [g(r/m) - g(h/m)], its relative entropy
     of coherence, without subtracting entropies of order ln K; one of weight
-    0 adds 0.  dS_demon: the pointer goes from the pure D_0 to
-    diag(sum a, sum d), whose entropy the reset later charges.  build_pre
-    builds the record's pre state when it or post is first read.
+    0 adds 0.  A block with no coherence adds m [g(h/m) - g(h/m)] = +0.0,
+    which cannot move the correctly rounded fsum, so it is not booked: the
+    ideal cycle books no block at all.  dS_demon: the pointer goes from
+    the pure D_0 to diag(sum a, sum d), whose entropy the reset later
+    charges; the cycle passes one list as both diagonals, summed once.
+    build_pre builds the record's pre state when it or post is first read.
     """
     gas = []
     for x, y, z in zip(a, d, c):
-        m = 0.5 * (x + y)
-        if m > 0.0:
-            h = 0.5 * abs(x - y)
-            gas.append(m * (_g(math.hypot(h, z) / m) - _g(h / m)) if h else m * _g(z / m))
-    sa, sd = math.fsum(a), math.fsum(d)
+        if z:
+            m = 0.5 * (x + y)
+            if m > 0.0:
+                h = 0.5 * abs(x - y)
+                gas.append(m * (_g(math.hypot(h, z) / m) - _g(h / m)) if h else m * _g(z / m))
+    sa = math.fsum(a)
+    sd = sa if d is a else math.fsum(d)
     t = sa + sd
     # each block's term is of degree 1 in its weights, so one division normalises the sum
     ds_gas = max(math.fsum(gas) / t, 0.0)

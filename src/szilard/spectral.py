@@ -333,6 +333,17 @@ def splitting_estimate(params: PhysicalParams, pair: SplitPair) -> float:
     return 4.0 * e_k * (1.0 - e_k / u) * math.exp(-kappa * params.d) / (1.0 + kappa * w)
 
 
+def _estimate_bound(params: PhysicalParams, pair: SplitPair) -> Optional[float]:
+    """splitting_estimate's relative-error bound 2 e^(-2 kappa_k d) where it is
+    proven, at E_k <= U/2 with delta_k >= 1e-290 E_k; None elsewhere."""
+    e_k = pair.energy
+    # as a quotient: 1e-290 E_k would underflow to 0 and pass delta_k = 0
+    if e_k > 0.5 * params.U or pair.delta / e_k < 1e-290:
+        return None
+    kappa = math.sqrt(2.0 * params.mass * (params.U - e_k)) / params.hbar
+    return 2.0 * math.exp(-2.0 * kappa * params.d)
+
+
 def _splitting(params: PhysicalParams, eps_p: float, e_k: float) -> float:
     """(4 eps'/pi) exp(-d kappa_k) for a level E_k below the barrier top."""
     kappa = math.sqrt(2.0 * params.mass * (params.U - e_k)) / params.hbar

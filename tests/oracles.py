@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 
-from szilard.demon import MeasurementRecord
+from szilard.demon import MeasurementRecord, _entropy, _g
 from szilard.infodyn import DensityMatrix, partial_trace, trace_distance
 
 
@@ -67,6 +67,25 @@ def dense_readoff(p0: DensityMatrix) -> MeasurementRecord:
     )
     record.post = post
     return record
+
+
+def ledger_terms(a, d, c):
+    """demon._ledger's five figures with a term booked for every block of positive weight.
+
+    Coherence-free blocks are booked too, m [g(h/m) - g(h/m)] = +0.0 each,
+    and sum d is taken apart from sum a even when d is a.
+    """
+    gas = []
+    for x, y, z in zip(a, d, c):
+        m = 0.5 * (x + y)
+        if m > 0.0:
+            h = 0.5 * abs(x - y)
+            gas.append(m * (_g(math.hypot(h, z) / m) - _g(h / m)) if h else m * _g(z / m))
+    sa, sd = math.fsum(a), math.fsum(d)
+    t = sa + sd
+    ds_gas = max(math.fsum(gas) / t, 0.0)
+    ds_demon = _entropy(sa / t, sd / t)
+    return ds_demon, ds_gas, 0.0, ds_gas + ds_demon, 0.0
 
 
 def reversed_state(record, state: DensityMatrix) -> DensityMatrix:

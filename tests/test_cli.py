@@ -265,7 +265,7 @@ class TestSpectrumCommand:
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert lines[0] == "# master_seed=0"
-        assert lines[1] == "n,E_n,pair,delta_k,estimate,ratio"
+        assert lines[1] == "n,E_n,pair,delta_k,estimate,ratio,estimate_bound"
         body = []
         for line in lines[2:]:
             if not line:
@@ -273,7 +273,7 @@ class TestSpectrumCommand:
             body.append(line)
         assert len(body) == 5
         first = body[0].split(",")
-        assert len(first) == 6
+        assert len(first) == 7
         assert int(first[0]) == 1 and int(first[2]) == 1
         assert float(first[3]) > 0.0
         # odd level indices and one row per doublet
@@ -296,7 +296,7 @@ class TestSpectrumCommand:
             deltas = [row["delta_1"] for row in payload["series"]]
         else:
             lines = series.read_text().splitlines()
-            assert lines[1] == "d,delta_1,estimate,ratio"
+            assert lines[1] == "d,delta_1,estimate,ratio,estimate_bound"
             ds = [float(r.split(",")[0]) for r in lines[2:]]
             deltas = [float(r.split(",")[1]) for r in lines[2:]]
         assert ds == [pytest.approx(d) for d in SPLITTING_SERIES_D]
@@ -341,6 +341,25 @@ class TestSpectrumCommand:
         assert main(["spectrum", *argv, "--pairs", "1", "--format", "json"]) == 0
         (pair,) = json.loads(capsys.readouterr().out.split("\n{", 1)[0])["pairs"]
         assert pair["estimate"] > 0.0 and abs(pair["ratio"] - 1.0) <= tol
+
+    @pytest.mark.parametrize("argv, bounded", [
+        ([], True), (["--d", "1e-6", "--pairs", "3"], True), (["--U", "21", "--pairs", "1"], False),
+        (["--L", "1e118", "--d", "1e116", "--U", "1e9", "--pairs", "3"], False)])
+    def test_estimate_bound_is_printed_where_it_is_proven(self, argv, bounded, capsys):
+        # 2 e^(-2 kappa_k d) at E_k <= U/2: it holds each printed estimate, the
+        # thin barrier's 7.65x included (bound ~2); at U = 21 every level
+        # stands above U/2, and in the 1e118-wide box every delta_k is 0.0
+        # at E_k ~ 1e-235, where 1e-290 E_k itself underflows to 0
+        assert main(["spectrum", *argv, "--format", "json"]) == 0
+        chunks = capsys.readouterr().out.split("\n{", 1)
+        rows = json.loads(chunks[0])["pairs"] + json.loads("{" + chunks[1])["series"]
+        delta = [row.get("delta_k", row.get("delta_1")) for row in rows]
+        if not bounded:
+            assert [row["estimate_bound"] for row in rows] == [None] * len(rows)
+            return
+        assert all(type(row["estimate_bound"]) is float for row in rows)
+        assert all(abs(row["estimate"] / dk - 1.0) <= row["estimate_bound"] + 1e-12
+                   for row, dk in zip(rows, delta))
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_failing_series_writes_nothing(self, fmt, tmp_path, capsys):

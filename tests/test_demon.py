@@ -10,6 +10,7 @@ from szilard.demon import (
     RECOVERY_TOL,
     DemonModel,
     ReversalResult,
+    _ledger,
     coupling_unitary,
     premeasure,
     product_of_marginals,
@@ -32,6 +33,7 @@ from oracles import (
     dephasing_entropy,
     doublet_weights,
     entropy,
+    ledger_terms,
     mutual_information,
     reversal_distance,
     reversed_state,
@@ -85,6 +87,32 @@ def coupling_hamiltonian() -> np.ndarray:
 def two_doublets(x: float, model: DemonModel) -> DensityMatrix:
     """Two equal-weight doublets at beta delta = x, coupled to the ready pointer."""
     return ready_state(post_insertion_dm([(0.0, x), (0.0, x)], 1.0), model)
+
+
+TINY = 5e-324  # the least subnormal
+# diagonals: zero, a few subnormal steps (whose half-gaps round to 0), tiny, and any in [0, 1]
+DIAGONAL = st.sampled_from([0.0, 3 * TINY, 1e-310]) | st.floats(0.0, 1.0)
+COHERENCE = st.sampled_from([0.0, -0.0, TINY, math.nan]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def gas_diagonals(draw):
+    """Blocks (a, d, c) with equal diagonals, diagonals a subnormal apart,
+    unrelated ones and weightless ones, each with any coherence."""
+    a, d, c = [], [], []
+    for _ in range(draw(st.integers(1, 8))):
+        x = draw(DIAGONAL)
+        a.append(x)
+        d.append(draw(st.sampled_from([x, x + TINY, 0.0]) | DIAGONAL))
+        c.append(draw(COHERENCE))
+    return a, d, c
+
+
+def same_float(u: float, v: float) -> bool:
+    """u and v are the same float: equal with the same sign, or both NaN."""
+    if math.isnan(u) or math.isnan(v):
+        return math.isnan(u) and math.isnan(v)
+    return u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +361,20 @@ class TestPremeasure:
             gas = post_insertion_dm([(0.0, x)], 1.0)
             rec = premeasure(ready_state(gas, model), model)
             assert rec.di_mu - LN2 == pytest.approx(0.5 * x * x, rel=1e-3)
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(blocks=gas_diagonals())
+    def test_skipping_zero_blocks_is_bit_exact(self, blocks):
+        # a coherence-free block's +0.0 cannot move the correctly
+        # rounded fsum, so leaving it out, and summing one list once when it
+        # is both diagonals, keeps all five figures to the last bit
+        a, d, c = blocks
+        for diag, other in ((d, d), (a, list(a)), (list(a), a)):
+            if not math.fsum(a) + math.fsum(diag) > 0.0:
+                continue  # no weight: both routes divide by 0
+            figures, oracle = _ledger(a, diag, c, None), ledger_terms(a, other, c)
+            assert [same_float(u, v) for u, v in zip(figures, oracle)] == [True] * 5
 
 
 class TestReverseReadoff:

@@ -461,6 +461,17 @@ class TestReadoffSharing:
         record.post
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("coherences, calls", [(False, 0), (True, 15)])
+    def test_readoff_books_only_coherent_blocks(self, monkeypatch, coherences, calls):
+        # the N = 200 hot-ladder rung, T = N^2 eps/25: the ideal cycle's blocks
+        # and the model pairs above the barrier carry no coherence and add
+        # +0.0, so g is evaluated once per weighted pair below the barrier
+        g, seen = demon._g, []
+        monkeypatch.setattr(demon, "_g", lambda u: seen.append(u) or g(u))
+        p = PhysicalParams(T=200 * 200 * PhysicalParams().eps / 25.0)
+        run_cycle(CycleConfig(params=p, n_side=200, coherences=coherences))
+        assert len(seen) == calls
+
     def test_run_cycle_makes_no_lapack_call(self, monkeypatch):
         run_cycle(CycleConfig(n_side=11))
         shapes = []
